@@ -1,25 +1,26 @@
 //! Sustained-ingest benchmark for the sharded serve topology.
 //!
-//! Builds a 4-shard [`ServeTopology`] over two on-disk feeds, streams a
+//! Opens a 4-shard serve [`Daemon`] over two on-disk feeds, streams a
 //! fleet of drives emitting hourly SMART samples through the real
-//! tailer → router → shard → merge path, and measures what the paper's
-//! deployment story needs: how many drives one box can track and how
-//! long a tick takes at that scale.
+//! tailer → router → shard → merge → sink path by driving
+//! [`Daemon::step`] exactly as `hddpred serve` does, and measures what
+//! the paper's deployment story needs: how many drives one box can
+//! track and how long a step takes at that scale. Steps run without a
+//! tick budget, so each one drains every queue it filled.
 //!
 //! The full run tracks 1,000,000 drives (three hourly waves, 3M rows);
 //! `--smoke` drops to 50,000 drives so CI can prove the harness and the
 //! artifact schema in seconds. Results land in `BENCH_serve.json` at
 //! the workspace root: one `serve_ingest` row with `tracked_drives`,
-//! `rows_ingested`, `rows_per_sec` and `p99_tick_ms` columns (CI fails
-//! if the file or the p99 column is missing).
+//! `rows_ingested`, `rows_per_sec` and `p99_tick_ms` (per daemon step)
+//! columns (CI fails if the file or the p99 column is missing).
 
 use hdd_bench::report::Report;
 use hdd_bench::section;
 use hdd_cart::classifier::ClassificationTreeBuilder;
-use hdd_cart::sample::{Class, ClassSample};
-use hdd_eval::{SavedModel, VotingRule};
-use hdd_par::{hardware_threads, CancelToken, ThreadPool};
-use hdd_serve::{EngineConfig, MultiFeedIngest, ServeTopology};
+use hdd_eval::{series_training_set, SavedModel};
+use hdd_lifecycle::{Daemon, DaemonConfig};
+use hdd_par::hardware_threads;
 use hdd_smart::rng::DeterministicRng;
 use hdd_smart::{DatasetGenerator, FamilyProfile, NUM_ATTRIBUTES};
 use hdd_stats::FeatureSet;
@@ -32,37 +33,12 @@ const FEEDS: usize = 2;
 const WAVES: u32 = 3;
 const QUEUE_CAP: usize = 16_384;
 
-/// Train a small classification tree on a generated fleet — the same
-/// samples-from-series recipe the CLI trainer uses, so the served model
-/// has realistic depth.
+/// Train a small classification tree on a generated fleet with the CLI
+/// trainer's sampling, so the served model has realistic depth.
 fn model(features: &FeatureSet) -> SavedModel {
     let ds = DatasetGenerator::new(FamilyProfile::w().scaled(0.004), 99).generate();
-    let rng = DeterministicRng::new(0x5EED);
-    let mut samples = Vec::new();
-    for (d, spec) in ds.drives().iter().enumerate() {
-        let s = ds.series(spec);
-        match s.class.fail_hour() {
-            None => {
-                for k in 0..3u64 {
-                    let u = rng.uniform(d as u64, k);
-                    let idx = (u * s.len() as f64) as usize;
-                    if let Some(f) = features.extract(&s, idx) {
-                        samples.push(ClassSample::new(f, Class::Good));
-                    }
-                }
-            }
-            Some(fail) => {
-                for idx in 0..s.len() {
-                    if s.samples()[idx].hour.0 + 168 < fail.0 {
-                        continue;
-                    }
-                    if let Some(f) = features.extract(&s, idx) {
-                        samples.push(ClassSample::new(f, Class::Failed));
-                    }
-                }
-            }
-        }
-    }
+    let series: Vec<_> = ds.drives().iter().map(|spec| ds.series(spec)).collect();
+    let samples = series_training_set(&series, features, 168, &DeterministicRng::new(0x5EED));
     let tree = ClassificationTreeBuilder::new()
         .build(&samples)
         .expect("train bench model");
@@ -114,52 +90,37 @@ fn main() {
         "sustained ingest: {n_drives} drives x {WAVES} hourly rows, {SHARDS} shards, {FEEDS} feeds"
     ));
     let features = FeatureSet::critical13();
-    let model = std::sync::Arc::new(model(&features));
+    let model_path = dir.join("model.bin");
+    model(&features)
+        .save(&model_path)
+        .expect("save bench model");
     let t = Instant::now();
     let paths = write_feeds(&dir, n_drives);
     println!("feeds written in {:.1} s", t.elapsed().as_secs_f64());
 
-    let mut topology = ServeTopology::new(
-        &model,
-        &features,
-        EngineConfig::new(11, VotingRule::Majority, 0.1),
-        SHARDS,
-        FEEDS,
-        QUEUE_CAP,
-    )
-    .expect("build topology");
-    let mut ingest = MultiFeedIngest::new(&paths, topology.router());
-    let pool = ThreadPool::global();
+    let mut config = DaemonConfig::new(paths, model_path, dir.join("alarms.csv"));
+    config.shards = SHARDS;
+    config.queue = QUEUE_CAP;
+    config.tick_budget = None;
+    let mut daemon = Daemon::open(config).expect("open daemon");
 
     let mut tick_ms: Vec<f64> = Vec::new();
     let mut alarms = 0usize;
     let start = Instant::now();
     loop {
-        let polled = ingest.poll(topology.free());
-        assert!(polled.errors.is_empty(), "feed reads must not fail");
-        assert_eq!(
-            topology.enqueue(polled.routed),
-            0,
-            "budgeted polls cannot overflow"
-        );
         let t = Instant::now();
-        let tick = topology
-            .tick(
-                &pool,
-                &CancelToken::new(),
-                &ingest.cursors(),
-                ingest.watermark(),
-            )
-            .expect("tick");
+        let step = daemon.step().expect("step");
         tick_ms.push(t.elapsed().as_secs_f64() * 1e3);
-        alarms += tick.alarms.len();
-        if polled.lines_read == 0 && !topology.has_queued() {
+        assert!(step.feed_errors.is_empty(), "feed reads must not fail");
+        alarms += step.alarms.len();
+        if step.idle {
             break;
         }
     }
-    alarms += topology.flush_pending().len();
     let wall = start.elapsed();
 
+    let topology = daemon.topology();
+    assert_eq!(topology.dropped(), 0, "budgeted polls cannot overflow");
     let stats = topology.stats();
     let rows = stats.rows_seen;
     let tracked = topology.tracked_drives();

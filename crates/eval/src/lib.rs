@@ -39,7 +39,10 @@ pub use model::{Compile, ModelError, Predictor, SavedModel, TrainableModel};
 // Re-exported because it appears in `Predictor::predict_batch`'s
 // signature: downstream crates can name it without a hdd-cart dependency.
 pub use hdd_cart::FeatureMatrix;
-pub use pipeline::{ConfigError, Experiment, ExperimentBuilder, ExperimentOutcome, HealthTargets};
+pub use pipeline::{
+    series_training_set, ConfigError, Experiment, ExperimentBuilder, ExperimentOutcome,
+    HealthTargets,
+};
 pub use roc::{sweep_thresholds, sweep_voters, RocPoint};
 pub use split::{time_split, Split, SplitConfig};
 pub use triage::{simulate_triage, TriageConfig, TriageOutcome, WarningOrder};

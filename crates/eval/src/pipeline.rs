@@ -636,6 +636,47 @@ impl Experiment {
     }
 }
 
+/// The `hddpred train` training set over whole series: three random
+/// extractable samples per good drive (up to eight draws each) plus every
+/// extractable sample in the last `window_hours` before each failure.
+#[must_use]
+pub fn series_training_set(
+    series: &[SmartSeries],
+    features: &FeatureSet,
+    window_hours: u32,
+    rng: &DeterministicRng,
+) -> Vec<ClassSample> {
+    let mut samples = Vec::new();
+    for (d, s) in series.iter().enumerate() {
+        match s.class.fail_hour() {
+            None => {
+                for k in 0..3u64 {
+                    for attempt in 0..8u64 {
+                        let u = rng.uniform(d as u64 ^ (attempt << 32), k);
+                        let idx = (u * s.len() as f64) as usize;
+                        if let Some(f) = features.extract(s, idx) {
+                            samples.push(ClassSample::new(f, Class::Good));
+                            break;
+                        }
+                    }
+                }
+            }
+            Some(fail) => {
+                let start = fail - window_hours;
+                for idx in 0..s.len() {
+                    if s.samples()[idx].hour < start {
+                        continue;
+                    }
+                    if let Some(f) = features.extract(s, idx) {
+                        samples.push(ClassSample::new(f, Class::Failed));
+                    }
+                }
+            }
+        }
+    }
+    samples
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

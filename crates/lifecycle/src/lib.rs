@@ -17,20 +17,22 @@
 //! any shard count, survive `kill -9` byte-identically, and replay
 //! exactly from checkpoints.
 //!
-//! This crate deliberately depends on `hdd-serve` only for its event,
-//! checkpoint and merge-filter types — the serve crate does *not* know
-//! about lifecycles. Wiring the two together is the caller's job
-//! (`hddpred serve --retrain-rows ...` and the workload gauntlet).
+//! The serve crate does *not* know about lifecycles; this crate is the
+//! lowest one that sees both, so the one serve loop lives here: the
+//! [`Daemon`] that `hddpred serve`, the workload gauntlet and the serve
+//! bench all drive, with the lifecycle as an optional part of its step.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]
 
 pub mod buffer;
+pub mod daemon;
 pub mod manager;
 pub mod promote;
 pub mod shadow;
 
 pub use buffer::{BufferPush, TrainingBuffer, WindowMode};
+pub use daemon::{ConfigError, Daemon, DaemonConfig, DaemonError, StepReport};
 pub use manager::{
     lifecycle_path, LifecycleConfig, LifecycleCounters, LifecycleError, LifecycleFaults,
     LifecycleManager, Phase,

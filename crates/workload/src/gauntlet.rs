@@ -25,16 +25,14 @@ use crate::gen::{fleet_fingerprint, generate_fleet, FleetSummary, FnvWriter};
 use crate::manifest::ScenarioManifest;
 use crate::scenario::{Profile, Scenario};
 use hdd_bench::report::Report;
-use hdd_cart::{Class, ClassSample, ClassificationTreeBuilder, TrainError};
-use hdd_eval::{ModelError, SavedModel, VotingRule};
+use hdd_cart::{ClassificationTreeBuilder, TrainError};
+use hdd_eval::{series_training_set, ModelError, SavedModel, VotingRule};
 use hdd_fault::FaultClass;
 use hdd_json::{JsonCodec as _, JsonError};
 use hdd_lifecycle::{
-    LifecycleConfig, LifecycleCounters, LifecycleError, LifecycleFaults, LifecycleManager,
-    PromotionStep,
+    Daemon, DaemonConfig, DaemonError, LifecycleConfig, LifecycleCounters, LifecycleError,
+    LifecycleFaults, PromotionStep,
 };
-use hdd_par::{CancelToken, ThreadPool};
-use hdd_serve::{EngineConfig, MultiFeedIngest, ServeTopology};
 use hdd_smart::rng::DeterministicRng;
 use hdd_smart::{DatasetGenerator, FamilyProfile, SmartSeries};
 use hdd_stats::FeatureSet;
@@ -43,11 +41,6 @@ use std::fmt;
 use std::fs::File;
 use std::io::{self, BufWriter};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
-
-/// Shard-queue capacity during gauntlet runs; the loop never polls more
-/// than `free()`, so this only bounds memory, never drops rows.
-const QUEUE_CAPACITY: usize = 2048;
 /// Training window (hours before failure) for the inline model.
 const TRAIN_WINDOW_HOURS: u32 = 168;
 /// Salt separating the training fleet's seed from the scenario seed,
@@ -112,7 +105,8 @@ pub struct GauntletConfig {
     pub scale: f64,
     /// Feed files per scenario.
     pub n_feeds: usize,
-    /// Rows offered to the topology per tick.
+    /// Per-shard queue capacity of the served daemon, so the most rows
+    /// one step polls.
     pub rate: usize,
     /// Voting-window size for the detector.
     pub voters: usize,
@@ -178,6 +172,8 @@ pub enum GauntletError {
     Degraded(String),
     /// The online retraining lifecycle failed outside its containment.
     Lifecycle(LifecycleError),
+    /// The served daemon could not start or had to stop.
+    Daemon(DaemonError),
 }
 
 impl fmt::Display for GauntletError {
@@ -189,6 +185,7 @@ impl fmt::Display for GauntletError {
             GauntletError::Manifest { path, source } => write!(f, "{path}: {source}"),
             GauntletError::Degraded(msg) => write!(f, "gauntlet assertion failed: {msg}"),
             GauntletError::Lifecycle(source) => write!(f, "gauntlet lifecycle failed: {source}"),
+            GauntletError::Daemon(source) => write!(f, "gauntlet serve failed: {source}"),
         }
     }
 }
@@ -221,7 +218,8 @@ pub struct ScenarioOutcome {
     pub scenario: Scenario,
     /// Shard count of this run.
     pub n_shards: usize,
-    /// The merged alarm sink, exactly as `hddpred serve` would write it.
+    /// The merged alarm sink, read back from `<scenario>-<shards>.alarms`
+    /// in the work dir.
     pub sink: String,
     /// Failed-drive detection rate (detected failed / failed).
     pub fdr: f64,
@@ -231,9 +229,9 @@ pub struct ScenarioOutcome {
     pub lead_hours: f64,
     /// Alarm lines emitted.
     pub alarms: usize,
-    /// Sum of tick wall times, milliseconds.
+    /// Sum of daemon step wall times, milliseconds.
     pub wall_ms: f64,
-    /// 99th-percentile tick wall time, milliseconds.
+    /// 99th-percentile daemon step wall time, milliseconds.
     pub p99_tick_ms: f64,
     /// Data rows the engines saw.
     pub rows_seen: usize,
@@ -258,8 +256,8 @@ pub struct ScenarioOutcome {
 /// Returns [`GauntletError`] on I/O or model failure, or when a
 /// bounded-degradation assertion does not hold.
 pub fn run(config: &GauntletConfig) -> Result<Vec<ScenarioOutcome>, GauntletError> {
+    validate(config)?;
     let model = prepare_model(config)?;
-    let features = FeatureSet::critical13();
     let scenarios: Vec<Scenario> = match config.scenario {
         Some(s) => vec![s],
         None => config.profile.scenarios().to_vec(),
@@ -268,7 +266,7 @@ pub fn run(config: &GauntletConfig) -> Result<Vec<ScenarioOutcome>, GauntletErro
     for scenario in scenarios {
         let manifest = ScenarioManifest::new(config.seed, scenario, config.scale, config.n_feeds);
         persist_manifest(config, &manifest)?;
-        outcomes.extend(run_manifest(config, &manifest, &model, &features)?);
+        outcomes.extend(run_manifest(config, &manifest, &model)?);
     }
     Ok(outcomes)
 }
@@ -282,9 +280,9 @@ pub fn replay(
     config: &GauntletConfig,
     manifest: &ScenarioManifest,
 ) -> Result<Vec<ScenarioOutcome>, GauntletError> {
+    validate(config)?;
     let model = prepare_model(config)?;
-    let features = FeatureSet::critical13();
-    run_manifest(config, manifest, &model, &features)
+    run_manifest(config, manifest, &model)
 }
 
 /// Load a manifest file written by [`run`] (or committed to the repo).
@@ -356,53 +354,41 @@ pub fn train_model(seed: u64, scale: f64) -> Result<SavedModel, GauntletError> {
         .map(|spec| dataset.series(spec))
         .collect();
     let rng = DeterministicRng::new(seed ^ 0x007E_A1CB);
-    let mut samples = Vec::new();
-    for (d, s) in series.iter().enumerate() {
-        match s.class.fail_hour() {
-            None => {
-                // Three random healthy samples per good drive.
-                for k in 0..3u64 {
-                    for attempt in 0..8u64 {
-                        let u = rng.uniform(d as u64 ^ (attempt << 32), k);
-                        let idx = (u * s.len() as f64) as usize;
-                        if let Some(f) = features.extract(s, idx) {
-                            samples.push(ClassSample::new(f, Class::Good));
-                            break;
-                        }
-                    }
-                }
-            }
-            Some(fail) => {
-                let start = fail - TRAIN_WINDOW_HOURS;
-                for idx in 0..s.len() {
-                    if s.samples()[idx].hour < start {
-                        continue;
-                    }
-                    if let Some(f) = features.extract(s, idx) {
-                        samples.push(ClassSample::new(f, Class::Failed));
-                    }
-                }
-            }
-        }
-    }
+    let samples = series_training_set(&series, &features, TRAIN_WINDOW_HOURS, &rng);
     let tree = ClassificationTreeBuilder::new()
         .build(&samples)
         .map_err(GauntletError::Train)?;
     Ok(SavedModel::from(tree.compile()))
 }
 
-fn prepare_model(config: &GauntletConfig) -> Result<Arc<SavedModel>, GauntletError> {
-    let features = FeatureSet::critical13();
-    let model = match &config.model {
-        Some(path) => SavedModel::load_expecting(path, features.len()).map_err(|source| {
-            GauntletError::Model {
-                path: path.display().to_string(),
-                source,
-            }
-        })?,
-        None => train_model(config.seed ^ TRAIN_SEED_SALT, config.scale)?,
-    };
-    Ok(Arc::new(model))
+/// Refuse settings no daemon could serve (shards, voters, breaker
+/// ceiling, `rate` as the queue) before anything is generated.
+fn validate(config: &GauntletConfig) -> Result<(), GauntletError> {
+    let feeds = vec![PathBuf::new(); config.n_feeds];
+    daemon_config(
+        config,
+        &feeds,
+        PathBuf::new(),
+        PathBuf::new(),
+        config.max_shards,
+    )
+    .validate()
+    .map_err(|e| GauntletError::Daemon(DaemonError::Config(e)))
+}
+
+/// Load or train the served model.
+fn prepare_model(config: &GauntletConfig) -> Result<SavedModel, GauntletError> {
+    match &config.model {
+        Some(path) => {
+            SavedModel::load_expecting(path, FeatureSet::critical13().len()).map_err(|source| {
+                GauntletError::Model {
+                    path: path.display().to_string(),
+                    source,
+                }
+            })
+        }
+        None => train_model(config.seed ^ TRAIN_SEED_SALT, config.scale),
+    }
 }
 
 fn io_at<P: AsRef<Path>>(path: P) -> impl Fn(io::Error) -> GauntletError {
@@ -429,11 +415,17 @@ fn persist_manifest(
 fn run_manifest(
     config: &GauntletConfig,
     manifest: &ScenarioManifest,
-    model: &Arc<SavedModel>,
-    features: &FeatureSet,
+    model: &SavedModel,
 ) -> Result<Vec<ScenarioOutcome>, GauntletError> {
     std::fs::create_dir_all(&config.work_dir).map_err(io_at(&config.work_dir))?;
     let label = manifest.scenario.label();
+    let model_path = config.work_dir.join(format!("{label}-model.bin"));
+    model
+        .save(&model_path)
+        .map_err(|source| GauntletError::Model {
+            path: model_path.display().to_string(),
+            source,
+        })?;
     let paths: Vec<PathBuf> = (0..manifest.n_feeds)
         .map(|f| config.work_dir.join(format!("{label}-feed-{f}.csv")))
         .collect();
@@ -469,7 +461,12 @@ fn run_manifest(
             break;
         }
         outcomes.push(drive(
-            config, manifest, &summary, model, features, n_shards, &paths,
+            config,
+            manifest,
+            &summary,
+            &model_path,
+            n_shards,
+            &paths,
         )?);
     }
     if let Some((first, rest)) = outcomes.split_first() {
@@ -516,109 +513,87 @@ fn ensure(cond: bool, label: &str, msg: impl FnOnce() -> String) -> Result<(), G
     }
 }
 
-#[allow(clippy::too_many_lines)]
+/// Serve `paths` with a [`Daemon`] writing `out` until the feeds are
+/// drained, returning it with its step wall times, breaker transitions
+/// and feed rotations. Feed read errors abort the run.
+fn serve_to_idle(config: DaemonConfig) -> Result<(Daemon, Vec<f64>, usize, usize), GauntletError> {
+    let mut daemon = Daemon::open(config).map_err(GauntletError::Daemon)?;
+    let mut step_times = Vec::new();
+    let mut transitions = 0usize;
+    let mut rotations = 0usize;
+    loop {
+        let (step, ms) = time_ms(|| daemon.step());
+        let step = step.map_err(GauntletError::Daemon)?;
+        step_times.push(ms);
+        if let Some((path, source)) = step.feed_errors.into_iter().next() {
+            return Err(GauntletError::Io {
+                path: path.display().to_string(),
+                source,
+            });
+        }
+        transitions += step.transitions.len();
+        rotations += step.rotations;
+        if step.idle {
+            return Ok((daemon, step_times, transitions, rotations));
+        }
+    }
+}
+
+/// The daemon settings every gauntlet run shares: `config`'s voters and
+/// breaker ceiling, `--rate` as the queue capacity, and no tick budget,
+/// so tick boundaries — and with them the lifecycle's training cadence —
+/// depend on the feeds alone, never on how fast this machine scores.
+fn daemon_config(
+    config: &GauntletConfig,
+    paths: &[PathBuf],
+    model: PathBuf,
+    out: PathBuf,
+    n_shards: usize,
+) -> DaemonConfig {
+    let mut daemon = DaemonConfig::new(paths.to_vec(), model, out);
+    daemon.shards = n_shards;
+    daemon.voters = config.voters;
+    daemon.max_quarantine = config.max_quarantine;
+    daemon.queue = config.rate;
+    daemon.tick_budget = None;
+    daemon
+}
+
 fn drive(
     config: &GauntletConfig,
     manifest: &ScenarioManifest,
     summary: &FleetSummary,
-    model: &Arc<SavedModel>,
-    features: &FeatureSet,
+    model_path: &Path,
     n_shards: usize,
     paths: &[PathBuf],
 ) -> Result<ScenarioOutcome, GauntletError> {
     let label = manifest.scenario.label();
-    let mut topology = ServeTopology::new(
-        model,
-        features,
-        EngineConfig::new(config.voters, VotingRule::Majority, config.max_quarantine),
+    let out = config.work_dir.join(format!("{label}-{n_shards}.alarms"));
+    let mut served = daemon_config(
+        config,
+        paths,
+        model_path.to_path_buf(),
+        out.clone(),
         n_shards,
-        paths.len(),
-        QUEUE_CAPACITY,
-    )
-    .map_err(|source| GauntletError::Model {
-        path: "<gauntlet model>".to_string(),
-        source,
-    })?;
-    let mut ingest = MultiFeedIngest::new(paths, topology.router());
-    let pool = ThreadPool::global();
-    let mut sink = String::new();
-    let mut tick_times = Vec::new();
-    let mut transitions = 0usize;
-    let mut rotations = 0usize;
-    let mut manager = match &config.retrain {
-        Some(spec) => {
-            let dir = config
-                .work_dir
-                .join(format!("lifecycle-{label}-{n_shards}"));
-            std::fs::create_dir_all(&dir).map_err(io_at(&dir))?;
-            let model_path = dir.join("model.bin");
-            model
-                .save(&model_path)
-                .map_err(|source| GauntletError::Model {
-                    path: model_path.display().to_string(),
-                    source,
-                })?;
-            let mut lc = LifecycleConfig::new(config.voters, VotingRule::Majority);
-            lc.retrain_rows = spec.retrain_rows;
-            lc.shadow_rows = spec.shadow_rows;
-            lc.probation_rows = spec.probation_rows;
-            topology.set_record_events(true);
-            Some(LifecycleManager::new(lc, model_path, spec.faults()))
-        }
-        None => None,
-    };
-
-    loop {
-        let budget = config.rate.min(topology.free());
-        let polled = ingest.poll(budget);
-        if let Some((f, source)) = polled.errors.into_iter().next() {
-            return Err(GauntletError::Io {
-                path: paths[f].display().to_string(),
-                source,
-            });
-        }
-        rotations += polled.rotations;
-        let evicted = topology.enqueue(polled.routed);
-        ensure(evicted == 0, label, || {
-            format!("{evicted} row(s) evicted from shard queues at {n_shards} shard(s)")
-        })?;
-        let token = CancelToken::new();
-        let (ticked, ms) =
-            time_ms(|| topology.tick(&pool, &token, &ingest.cursors(), ingest.watermark()));
-        let tick =
-            ticked.map_err(|e| GauntletError::Degraded(format!("{label}: scoring failed: {e}")))?;
-        tick_times.push(ms);
-        transitions += tick.transitions.len();
-        for alarm in &tick.alarms {
-            let _ = writeln_alarm(&mut sink, &alarm.alarm.to_string());
-        }
-        if let Some(manager) = manager.as_mut() {
-            let _notes = manager.consume(
-                &pool,
-                &tick.events,
-                tick.alarms.len(),
-                tick.transitions.len(),
-                topology.merge_state().emitted(),
-            );
-        }
-        if polled.lines_read == 0 && !topology.has_queued() {
-            let flushed = topology.flush_pending();
-            for alarm in &flushed {
-                let _ = writeln_alarm(&mut sink, &alarm.alarm.to_string());
-            }
-            if let Some(manager) = manager.as_mut() {
-                let events = topology.flush_events();
-                let _notes = manager.consume(
-                    &pool,
-                    &events,
-                    flushed.len(),
-                    0,
-                    topology.merge_state().emitted(),
-                );
-            }
-            break;
-        }
+    );
+    if let Some(spec) = &config.retrain {
+        // The lifecycle promotes over its model file: give every run its own.
+        let dir = config
+            .work_dir
+            .join(format!("lifecycle-{label}-{n_shards}"));
+        std::fs::create_dir_all(&dir).map_err(io_at(&dir))?;
+        served.model = dir.join("model.bin");
+        std::fs::copy(model_path, &served.model).map_err(io_at(&served.model))?;
+        let mut lc = LifecycleConfig::new(config.voters, VotingRule::Majority);
+        lc.retrain_rows = spec.retrain_rows;
+        lc.shadow_rows = spec.shadow_rows;
+        lc.probation_rows = spec.probation_rows;
+        served.retrain = Some(lc);
+        served.faults = spec.faults();
     }
+    let (daemon, step_times, transitions, rotations) = serve_to_idle(served)?;
+    let sink = std::fs::read_to_string(&out).map_err(io_at(&out))?;
+    let topology = daemon.topology();
 
     let stats = topology.stats();
     let dropped = topology.dropped();
@@ -690,34 +665,18 @@ fn drive(
     }
 
     let (fdr, far, lead_hours, alarms) = score_sink(&sink, summary);
-    let lifecycle = match manager {
+    // The daemon applied any staged swap at the end-of-feed quiesce, so
+    // the live model file is the post-run model.
+    let lifecycle = match daemon.lifecycle() {
         None => None,
-        Some(mut manager) => {
-            // The feeds are drained, queues empty and alarms flushed —
-            // the quiesce at which staged swaps are allowed to land.
-            while manager.has_staged_swap() {
-                if let Some(next) = manager.apply_staged().map_err(GauntletError::Lifecycle)? {
-                    topology
-                        .swap_model(&next)
-                        .map_err(|source| GauntletError::Model {
-                            path: manager.store().model_path().display().to_string(),
-                            source,
-                        })?;
-                }
-            }
+        Some(manager) => {
             let live_fingerprint = manager
                 .store()
                 .live_fingerprint()
                 .map_err(|e| GauntletError::Lifecycle(e.into()))?;
             let counters = manager.counters().clone();
             let post_promotion_fdr = if counters.promotions > 0 {
-                let promoted = Arc::new(SavedModel::load(manager.store().model_path()).map_err(
-                    |source| GauntletError::Model {
-                        path: manager.store().model_path().display().to_string(),
-                        source,
-                    },
-                )?);
-                rescore(config, &promoted, features, paths, summary)?
+                rescore(config, manager.store().model_path(), paths, summary, label)?
             } else {
                 fdr
             };
@@ -734,7 +693,7 @@ fn drive(
     if let (Some(spec), Some(lc)) = (&config.retrain, &lifecycle) {
         assert_lifecycle(label, manifest.scenario, spec, lc)?;
     }
-    let wall_ms = tick_times.iter().sum();
+    let wall_ms = step_times.iter().sum();
     Ok(ScenarioOutcome {
         scenario: manifest.scenario,
         n_shards,
@@ -744,7 +703,7 @@ fn drive(
         lead_hours,
         alarms,
         wall_ms,
-        p99_tick_ms: p99(&tick_times),
+        p99_tick_ms: p99(&step_times),
         rows_seen: stats.rows_seen,
         stale_rows: stats.stale_rows,
         quarantined_rows: stats.quarantined_rows(),
@@ -761,50 +720,20 @@ fn drive(
 /// served.
 fn rescore(
     config: &GauntletConfig,
-    model: &Arc<SavedModel>,
-    features: &FeatureSet,
+    model: &Path,
     paths: &[PathBuf],
     summary: &FleetSummary,
+    label: &str,
 ) -> Result<f64, GauntletError> {
-    let mut topology = ServeTopology::new(
-        model,
-        features,
-        EngineConfig::new(config.voters, VotingRule::Majority, config.max_quarantine),
+    let out = config.work_dir.join(format!("{label}-promoted.alarms"));
+    serve_to_idle(daemon_config(
+        config,
+        paths,
+        model.to_path_buf(),
+        out.clone(),
         1,
-        paths.len(),
-        QUEUE_CAPACITY,
-    )
-    .map_err(|source| GauntletError::Model {
-        path: "<promoted model>".to_string(),
-        source,
-    })?;
-    let mut ingest = MultiFeedIngest::new(paths, topology.router());
-    let pool = ThreadPool::global();
-    let mut sink = String::new();
-    loop {
-        let budget = config.rate.min(topology.free());
-        let polled = ingest.poll(budget);
-        if let Some((f, source)) = polled.errors.into_iter().next() {
-            return Err(GauntletError::Io {
-                path: paths[f].display().to_string(),
-                source,
-            });
-        }
-        topology.enqueue(polled.routed);
-        let token = CancelToken::new();
-        let tick = topology
-            .tick(&pool, &token, &ingest.cursors(), ingest.watermark())
-            .map_err(|e| GauntletError::Degraded(format!("rescore failed: {e}")))?;
-        for alarm in &tick.alarms {
-            let _ = writeln_alarm(&mut sink, &alarm.alarm.to_string());
-        }
-        if polled.lines_read == 0 && !topology.has_queued() {
-            for alarm in topology.flush_pending() {
-                let _ = writeln_alarm(&mut sink, &alarm.alarm.to_string());
-            }
-            break;
-        }
-    }
+    ))?;
+    let sink = std::fs::read_to_string(&out).map_err(io_at(&out))?;
     let (fdr, _, _, _) = score_sink(&sink, summary);
     Ok(fdr)
 }
@@ -871,13 +800,6 @@ fn assert_lifecycle(
         })?;
     }
     Ok(())
-}
-
-/// Append one `drive,hour` alarm line; writing to a `String` cannot
-/// fail, the `Result` only satisfies `fmt::Write`.
-fn writeln_alarm(sink: &mut String, line: &str) -> fmt::Result {
-    use fmt::Write as _;
-    writeln!(sink, "{line}")
 }
 
 /// FDR, FAR, mean lead hours and alarm count from a sink vs the truth.

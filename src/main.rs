@@ -23,17 +23,15 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use hddpred::cart::{Class, ClassSample, ClassificationTreeBuilder, TrainError};
-use hddpred::eval::{ModelError, Predictor, SavedModel, VotingDetector, VotingRule};
+use hddpred::cart::{ClassificationTreeBuilder, TrainError};
+use hddpred::eval::{
+    series_training_set, ModelError, Predictor, SavedModel, VotingDetector, VotingRule,
+};
 use hddpred::lifecycle::{
-    lifecycle_path, LifecycleConfig, LifecycleFaults, LifecycleManager, ModelStore, Recovery,
+    lifecycle_path, Daemon, DaemonConfig, DaemonError, LifecycleConfig, ModelStore, Recovery,
     WindowMode,
 };
-use hddpred::par::CancelToken;
-use hddpred::serve::{
-    Backoff, Checkpoint, CheckpointError, CheckpointKind, EngineConfig, ModelWatcher,
-    MultiFeedIngest, ServeTopology,
-};
+use hddpred::serve::{Checkpoint, CheckpointError, CheckpointKind, ServeTopology};
 use hddpred::smart::csv::{
     read_series_quarantined, write_header, write_series, CsvError, IngestPolicy,
 };
@@ -42,10 +40,9 @@ use hddpred::smart::{DatasetGenerator, FamilyProfile, Hour, SmartSeries};
 use hddpred::stats::FeatureSet;
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Seek as _, SeekFrom, Write as _};
+use std::io::{BufReader, BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 
 fn main() -> ExitCode {
@@ -396,45 +393,6 @@ fn generate(flags: &HashMap<String, String>) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Assemble a training set from raw series: 3 random samples per good
-/// drive plus the failed samples within the window.
-fn training_set(
-    series: &[SmartSeries],
-    features: &FeatureSet,
-    window_hours: u32,
-) -> Vec<ClassSample> {
-    let rng = DeterministicRng::new(0x007E_A1CB);
-    let mut samples = Vec::new();
-    for (d, s) in series.iter().enumerate() {
-        match s.class.fail_hour() {
-            None => {
-                for k in 0..3u64 {
-                    for attempt in 0..8u64 {
-                        let u = rng.uniform(d as u64 ^ (attempt << 32), k);
-                        let idx = (u * s.len() as f64) as usize;
-                        if let Some(f) = features.extract(s, idx) {
-                            samples.push(ClassSample::new(f, Class::Good));
-                            break;
-                        }
-                    }
-                }
-            }
-            Some(fail) => {
-                let start = fail - window_hours;
-                for idx in 0..s.len() {
-                    if s.samples()[idx].hour < start {
-                        continue;
-                    }
-                    if let Some(f) = features.extract(s, idx) {
-                        samples.push(ClassSample::new(f, Class::Failed));
-                    }
-                }
-            }
-        }
-    }
-    samples
-}
-
 /// `hddpred train`: fit a CT model on labelled series, compile it and
 /// write the versioned model file.
 fn train(flags: &HashMap<String, String>) -> Result<(), CliError> {
@@ -445,7 +403,12 @@ fn train(flags: &HashMap<String, String>) -> Result<(), CliError> {
 
     let series = load_series(data, flags)?;
     let features = FeatureSet::critical13();
-    let samples = training_set(&series, &features, window);
+    let samples = series_training_set(
+        &series,
+        &features,
+        window,
+        &DeterministicRng::new(0x007E_A1CB),
+    );
     eprintln!(
         "training on {} samples from {} drives",
         samples.len(),
@@ -544,22 +507,15 @@ fn audit(flags: &HashMap<String, String>) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Daemon-level operational counters — observability, not stream state,
-/// so they reset on restart and stay out of the checkpoints.
-#[derive(Debug, Default)]
-struct ServeCounters {
-    rotations: usize,
-    replayed: usize,
-    reload_failures: usize,
-}
-
-/// One status line summarizing the whole topology.
-fn serve_status(topology: &ServeTopology, counters: &ServeCounters) -> String {
+/// One status line summarizing the whole topology, plus the daemon's
+/// process counters (replayed lines and feed rotations since start —
+/// observability, not stream state, so they reset on restart).
+fn serve_status(topology: &ServeTopology, replayed: usize, rotations: usize) -> String {
     let stats = topology.stats();
     format!(
         "{} shard(s), {} drives, {} rows, {} alarms, {} suppressed, \
-         {} quarantined, {} stale, {} transitions, {} replayed, \
-         {} rotations, {} dropped",
+         {} quarantined, {} stale, {} transitions, {replayed} replayed, \
+         {rotations} rotations, {} dropped",
         topology.n_shards(),
         topology.tracked_drives(),
         stats.rows_seen,
@@ -568,342 +524,155 @@ fn serve_status(topology: &ServeTopology, counters: &ServeCounters) -> String {
         stats.quarantined_rows(),
         stats.stale_rows,
         stats.breaker_transitions,
-        counters.replayed,
-        counters.rotations,
         topology.dropped(),
     )
+}
+
+/// Attribute a [`DaemonError`] to its failure class: a refused config is
+/// a usage error, plain I/O and model rejections keep their codes, and
+/// everything else stopped the service.
+fn daemon_error(source: DaemonError) -> CliError {
+    match source {
+        DaemonError::Config(e) => CliError::Usage(e.to_string()),
+        DaemonError::Io(path, source) => CliError::Io {
+            path: path.display().to_string(),
+            source,
+        },
+        DaemonError::Model(path, e) => model_error(&path.display().to_string(), e),
+        DaemonError::Checkpoint(dir, e) => checkpoint_error(&dir.display().to_string(), e),
+        other => CliError::Serve(other.to_string()),
+    }
 }
 
 /// `hddpred serve`: tail one or more append-only SMART feeds, partition
 /// drives across detection shards, and stream merged voting alarms to a
 /// sink file — surviving crashes, bad model pushes, slow ticks and
-/// corrupt feeds (see [`USAGE`]).
+/// corrupt feeds (see [`USAGE`]). The loop itself is [`Daemon::step`];
+/// this adds the poll cadence, the idle exit and the operator output.
 fn serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let feed = flag(flags, "feed")?;
     let model_path = flag(flags, "model")?;
     let out = flag(flags, "out")?;
-    let voters: usize = num_flag(flags, "voters", 11, "an integer")?;
-    if voters == 0 {
-        return Err(CliError::Usage("--voters must be at least 1".to_string()));
-    }
-    let n_shards: usize = num_flag(flags, "shards", 1, "an integer")?;
-    if n_shards == 0 || !n_shards.is_power_of_two() {
-        return Err(CliError::Usage(format!(
-            "--shards must be a power of two (1, 2, 4, ...), got `{n_shards}`"
-        )));
-    }
-    let feeds: Vec<PathBuf> = feed
+    let feeds = feed
         .split(',')
         .map(str::trim)
         .filter(|p| !p.is_empty())
         .map(PathBuf::from)
         .collect();
-    if feeds.is_empty() {
-        return Err(CliError::Usage(
-            "--feed needs at least one path".to_string(),
-        ));
-    }
-    let tick_budget: u64 = num_flag(flags, "tick-budget-ms", 50, "milliseconds")?;
+    let mut config = DaemonConfig::new(feeds, model_path, out);
+    config.voters = num_flag(flags, "voters", config.voters, "an integer")?;
+    config.shards = num_flag(flags, "shards", config.shards, "an integer")?;
+    let tick_budget = num_flag(flags, "tick-budget-ms", 50, "milliseconds")?;
+    config.tick_budget = Some(Duration::from_millis(tick_budget));
     let poll = Duration::from_millis(num_flag(flags, "poll-ms", 200, "milliseconds")?);
-    let queue_cap: usize = num_flag(flags, "queue", 1024, "an integer")?;
-    if queue_cap == 0 {
-        return Err(CliError::Usage("--queue must be at least 1".to_string()));
-    }
-    let ceiling: f64 = num_flag(flags, "max-quarantine", 0.1, "a fraction in [0, 1]")?;
-    if !(0.0..=1.0).contains(&ceiling) {
-        return Err(CliError::Usage(format!(
-            "--max-quarantine must be a fraction in [0, 1], got `{ceiling}`"
-        )));
-    }
+    config.queue = num_flag(flags, "queue", config.queue, "an integer")?;
+    config.max_quarantine = num_flag(flags, "max-quarantine", 0.1, "a fraction in [0, 1]")?;
     let exit_on_idle: usize = num_flag(flags, "exit-on-idle", 0, "an integer")?;
     apply_threads(flags)?;
+    if flags.contains_key("threshold") {
+        config.rule = VotingRule::MeanBelow(num_flag(flags, "threshold", 0.0, "a number")?);
+    }
+    config.checkpoint = flags
+        .get("checkpoint")
+        .filter(|p| !p.is_empty())
+        .map(PathBuf::from);
+    config.model_watch = flags.contains_key("model-watch");
+    config.retrain = serve_lifecycle_config(flags, config.voters, config.rule)?;
 
-    let features = FeatureSet::critical13();
-    let rule = if flags.contains_key("threshold") {
-        VotingRule::MeanBelow(num_flag(flags, "threshold", 0.0, "a number")?)
-    } else {
-        VotingRule::Majority
-    };
-    let ckpt_dir = flags.get("checkpoint").filter(|p| !p.is_empty());
-
-    // Lifecycle crash recovery must run before the model file is read:
-    // a promotion interrupted by the last crash may complete (or be
-    // abandoned) here, changing which bytes are the live model.
-    let mut lifecycle = match serve_lifecycle_config(flags, voters, rule)? {
-        None => None,
-        Some(lc) => {
-            let (manager, recovery) = LifecycleManager::resume(
-                lc,
-                PathBuf::from(model_path),
-                LifecycleFaults::default(),
-                ckpt_dir.map(Path::new),
-            )
-            .map_err(|e| CliError::Serve(format!("lifecycle resume failed: {e}")))?;
-            match recovery {
-                Recovery::Clean => {}
-                Recovery::Completed { fingerprint } => {
-                    eprintln!("lifecycle: completed an interrupted promotion to {fingerprint:016x}")
-                }
-                Recovery::Aborted {
-                    restored_from_history,
-                } => eprintln!(
-                    "lifecycle: abandoned an interrupted promotion{}",
-                    if restored_from_history {
-                        " (live model restored from history)"
-                    } else {
-                        ""
-                    }
-                ),
+    let mut daemon = Daemon::open(config).map_err(daemon_error)?;
+    match daemon.recovery() {
+        None | Some(Recovery::Clean) => {}
+        Some(Recovery::Completed { fingerprint }) => {
+            eprintln!("lifecycle: completed an interrupted promotion to {fingerprint:016x}")
+        }
+        Some(Recovery::Aborted {
+            restored_from_history,
+        }) => eprintln!(
+            "lifecycle: abandoned an interrupted promotion{}",
+            if restored_from_history {
+                " (live model restored from history)"
+            } else {
+                ""
             }
-            Some(manager)
-        }
-    };
-
-    let model = Arc::new(
-        SavedModel::load_expecting(Path::new(model_path), features.len())
-            .map_err(|e| model_error(model_path, e))?,
-    );
-    let mut topology = ServeTopology::new(
-        &model,
-        &features,
-        EngineConfig::new(voters, rule, ceiling),
-        n_shards,
-        feeds.len(),
-        queue_cap,
-    )
-    .map_err(|e| model_error(model_path, e))?;
-    if lifecycle.is_some() {
-        topology.set_record_events(true);
+        ),
     }
-    let mut counters = ServeCounters::default();
-
-    // Resume from a checkpoint directory when one holds topology state
-    // (an empty or missing directory is a fresh start, not an error).
-    if let Some(dir) = ckpt_dir {
-        match topology.resume(Path::new(dir)) {
-            Ok(true) => eprintln!("resumed from {dir}: {}", serve_status(&topology, &counters)),
-            Ok(false) => {}
-            Err(e) => return Err(checkpoint_error(dir, e)),
-        }
+    let (mut replayed, mut rotations) = (0, 0);
+    if daemon.resumed() {
+        eprintln!(
+            "resumed from {}: {}",
+            flags.get("checkpoint").map_or("", String::as_str),
+            serve_status(daemon.topology(), replayed, rotations)
+        );
     }
-
-    // Roll the alarm sink back to the checkpointed length (or to empty
-    // for a fresh start); replay re-emits everything past it, which is
-    // what makes a killed run's output byte-identical.
-    let mut sink_bytes = topology.merge_state().sink_bytes;
-    let mut sink = std::fs::OpenOptions::new()
-        .create(true)
-        .write(true)
-        .truncate(false)
-        .open(out)
-        .map_err(io_error(out))?;
-    let sink_len = sink.metadata().map_err(io_error(out))?.len();
-    if sink_len < sink_bytes {
-        return Err(CliError::Serve(format!(
-            "{out}: alarm sink is {sink_len} bytes but the checkpoint recorded {sink_bytes}; \
-             refusing to resume against the wrong sink"
-        )));
-    }
-    sink.set_len(sink_bytes).map_err(io_error(out))?;
-    sink.seek(SeekFrom::Start(sink_bytes))
-        .map_err(io_error(out))?;
-
-    // One watcher for the whole topology: the file is validated once per
-    // change and every shard gets the same Arc'd model.
-    let mut watcher = flags
-        .contains_key("model-watch")
-        .then(|| ModelWatcher::new(model_path, features.len()));
-    let mut ingest =
-        MultiFeedIngest::resume(&feeds, topology.router(), &topology.ingest_resume_cursors());
-    let mut backoff = Backoff::new(Duration::from_millis(50), Duration::from_secs(5));
-    let pool = hddpred::par::ThreadPool::global();
-    let mut idle_polls = 0usize;
     eprintln!(
         "serving {feed} -> {out} ({})",
-        serve_status(&topology, &counters)
+        serve_status(daemon.topology(), replayed, rotations)
     );
 
-    // Append alarm lines to the sink (flushed before any checkpoint).
-    let emit = |sink: &mut std::fs::File,
-                sink_bytes: &mut u64,
-                alarms: &[hddpred::serve::SeqAlarm]|
-     -> Result<(), CliError> {
-        if alarms.is_empty() {
-            return Ok(());
-        }
-        let mut bytes = Vec::new();
-        for alarm in alarms {
-            bytes.extend_from_slice(alarm.alarm.to_string().as_bytes());
-            bytes.push(b'\n');
-        }
-        sink.write_all(&bytes).map_err(io_error(out))?;
-        sink.flush().map_err(io_error(out))?;
-        *sink_bytes += bytes.len() as u64;
-        Ok(())
-    };
-
+    let mut idle_polls = 0usize;
     loop {
-        // Hot model reload: a changed file is validated through the
-        // checksummed loader; rejects keep the last-known-good model
-        // serving on every shard.
-        if let Some(w) = watcher.as_mut() {
-            match w.poll() {
-                None => {}
-                Some(Ok(m)) => match topology.swap_model(&m) {
-                    Ok(()) => eprintln!("model reloaded from {model_path}"),
-                    Err(e) => {
-                        counters.reload_failures += 1;
-                        eprintln!("model reload rejected (keeping last-known-good): {e}");
-                    }
-                },
-                Some(Err(e)) => {
-                    counters.reload_failures += 1;
-                    eprintln!("model reload rejected (keeping last-known-good): {e}");
-                }
-            }
+        let step = daemon.step().map_err(daemon_error)?;
+        rotations += step.rotations;
+        replayed += step.replayed;
+        match step.reload {
+            None => {}
+            Some(Ok(())) => eprintln!("model reloaded from {model_path}"),
+            Some(Err(e)) => eprintln!("model reload rejected (keeping last-known-good): {e}"),
         }
-
-        // Tail the feeds, routing no more lines than every shard queue
-        // can hold: backpressure applies at the (durable) files rather
-        // than by shedding queued rows.
-        let polled = ingest.poll(topology.free());
-        if polled.errors.is_empty() {
-            backoff.reset();
-        } else {
-            let delay = backoff.next_delay();
-            for (f, e) in &polled.errors {
+        if let Some(delay) = step.retry_in {
+            for (path, e) in &step.feed_errors {
                 eprintln!(
                     "feed {} read failed ({e}); retrying in {}ms",
-                    feeds[*f].display(),
+                    path.display(),
                     delay.as_millis()
                 );
             }
             std::thread::sleep(delay);
         }
-        counters.rotations += polled.rotations;
-        let read_lines = polled.lines_read;
-        topology.enqueue(polled.routed);
-
-        // Tick every shard under this tick's time budget. An over-budget
-        // sub-batch commits nothing and stays queued for the next tick,
-        // so deadlines never change what gets alarmed — only when; each
-        // shard's first sub-batch runs without the deadline so a
-        // too-small budget degrades throughput instead of livelocking.
-        let token = CancelToken::with_budget(Duration::from_millis(tick_budget));
-        let tick = topology
-            .tick(&pool, &token, &ingest.cursors(), ingest.watermark())
-            .map_err(|e| CliError::Serve(format!("scoring failed: {e}")))?;
-        counters.replayed += tick.replayed;
-        emit(&mut sink, &mut sink_bytes, &tick.alarms)?;
-        for (shard, state) in &tick.transitions {
+        for (shard, state) in &step.transitions {
             eprintln!(
                 "breaker[{shard}]: {} ({})",
                 state.label(),
-                serve_status(&topology, &counters)
+                serve_status(daemon.topology(), replayed, rotations)
             );
         }
-        if let Some(mgr) = lifecycle.as_mut() {
-            for note in mgr.consume(
-                &pool,
-                &tick.events,
-                tick.alarms.len(),
-                tick.transitions.len(),
-                topology.merge_state().emitted(),
-            ) {
-                eprintln!("{note}");
-            }
+        for note in &step.notes {
+            eprintln!("{note}");
         }
 
-        let mut idle = read_lines == 0 && !topology.has_queued();
-        if idle {
-            // Feeds of unequal length stall the watermark at the
-            // shortest one; flush the held-back alarms now that
-            // everything routed has committed.
-            let flushed = topology.flush_pending();
-            emit(&mut sink, &mut sink_bytes, &flushed)?;
-            idle = flushed.is_empty();
-            // The topology is fully quiesced — the only stream position
-            // at which a staged promotion or rollback may land.
-            if let Some(mgr) = lifecycle.as_mut() {
-                let events = topology.flush_events();
-                for note in mgr.consume(
-                    &pool,
-                    &events,
-                    flushed.len(),
-                    0,
-                    topology.merge_state().emitted(),
-                ) {
-                    eprintln!("{note}");
-                }
-                while mgr.has_staged_swap() {
-                    match mgr.apply_staged() {
-                        Ok(Some(next)) => {
-                            topology
-                                .swap_model(&next)
-                                .map_err(|e| model_error(model_path, e))?;
-                            idle = false;
-                            eprintln!("lifecycle: live model swapped ({})", mgr.phase().label());
-                        }
-                        Ok(None) => {}
-                        Err(e) => {
-                            return Err(CliError::Serve(format!("lifecycle swap failed: {e}")))
-                        }
-                    }
-                }
-            }
-        }
-
-        // Snapshot after every committed batch: sink first (already
-        // flushed above), lifecycle second, topology third, dirty shards
-        // last — replayed events are deduplicated by the lifecycle's
-        // consumed-seq filter, so a crash between any two writes merely
-        // replays a feed suffix.
-        if tick.progressed || !idle {
-            if let Some(dir) = ckpt_dir {
-                topology.note_sink_bytes(sink_bytes);
-                if let Some(mgr) = lifecycle.as_ref() {
-                    mgr.save_checkpoint(Path::new(dir)).map_err(|e| {
-                        CliError::Serve(format!("lifecycle checkpoint failed: {e}"))
-                    })?;
-                }
-                topology
-                    .save_checkpoints(Path::new(dir))
-                    .map_err(|e| checkpoint_error(dir, e))?;
-            }
-        }
-
-        if idle {
-            idle_polls += 1;
-            if exit_on_idle > 0 && idle_polls >= exit_on_idle {
-                eprintln!(
-                    "idle for {idle_polls} polls; exiting ({})",
-                    serve_status(&topology, &counters)
-                );
-                // Per-shard breakdown: which slice of the fleet paid
-                // for the degradation the summary line aggregates.
-                for (k, (stats, dropped)) in topology
-                    .shard_stats()
-                    .iter()
-                    .zip(topology.shard_dropped())
-                    .enumerate()
-                {
-                    eprintln!(
-                        "  shard[{k}]: {} rows, {} alarms, {} suppressed, \
-                         {} quarantined, {} stale, {} transitions, {dropped} dropped",
-                        stats.rows_seen,
-                        stats.alarms_emitted,
-                        stats.alarms_suppressed,
-                        stats.quarantined_rows(),
-                        stats.stale_rows,
-                        stats.breaker_transitions,
-                    );
-                }
-                return Ok(());
-            }
-            std::thread::sleep(poll);
-        } else {
+        if !step.idle {
             idle_polls = 0;
+            continue;
         }
+        idle_polls += 1;
+        if exit_on_idle > 0 && idle_polls >= exit_on_idle {
+            let topology = daemon.topology();
+            eprintln!(
+                "idle for {idle_polls} polls; exiting ({})",
+                serve_status(topology, replayed, rotations)
+            );
+            // Per-shard breakdown: which slice of the fleet paid for the
+            // degradation the summary line aggregates.
+            for (k, (stats, dropped)) in topology
+                .shard_stats()
+                .iter()
+                .zip(topology.shard_dropped())
+                .enumerate()
+            {
+                eprintln!(
+                    "  shard[{k}]: {} rows, {} alarms, {} suppressed, \
+                     {} quarantined, {} stale, {} transitions, {dropped} dropped",
+                    stats.rows_seen,
+                    stats.alarms_emitted,
+                    stats.alarms_suppressed,
+                    stats.quarantined_rows(),
+                    stats.stale_rows,
+                    stats.breaker_transitions,
+                );
+            }
+            return Ok(());
+        }
+        std::thread::sleep(poll);
     }
 }
 
@@ -916,13 +685,6 @@ fn serve_lifecycle_config(
 ) -> Result<Option<LifecycleConfig>, CliError> {
     if !flags.contains_key("retrain-rows") {
         return Ok(None);
-    }
-    if flags.contains_key("model-watch") {
-        return Err(CliError::Usage(
-            "--model-watch cannot be combined with --retrain-rows: \
-             the retraining lifecycle owns the model file"
-                .to_string(),
-        ));
     }
     let mut lc = LifecycleConfig::new(voters, rule);
     lc.retrain_rows = num_flag(flags, "retrain-rows", lc.retrain_rows, "an integer")?;
@@ -1041,6 +803,7 @@ fn gauntlet_error(source: hddpred::workload::GauntletError) -> CliError {
         E::Manifest { path, source } => CliError::Serve(format!("{path}: {source}")),
         E::Degraded(msg) => CliError::Serve(msg),
         E::Lifecycle(source) => CliError::Serve(format!("lifecycle: {source}")),
+        E::Daemon(source) => daemon_error(source),
     }
 }
 
@@ -1053,11 +816,6 @@ fn gauntlet(flags: &HashMap<String, String>) -> Result<(), CliError> {
 
     let seed: u64 = num_flag(flags, "seed", 42, "an integer")?;
     let max_shards: usize = num_flag(flags, "shards", 4, "an integer")?;
-    if max_shards == 0 || !max_shards.is_power_of_two() {
-        return Err(CliError::Usage(format!(
-            "--shards must be a power of two (1, 2, 4, ...), got `{max_shards}`"
-        )));
-    }
     let scale: f64 = num_flag(flags, "scale", 0.004, "a number")?;
     if scale <= 0.0 || scale.is_nan() {
         return Err(CliError::Usage(format!(
@@ -1069,15 +827,7 @@ fn gauntlet(flags: &HashMap<String, String>) -> Result<(), CliError> {
         return Err(CliError::Usage("--rate must be at least 1".to_string()));
     }
     let voters: usize = num_flag(flags, "voters", 11, "an integer")?;
-    if voters == 0 {
-        return Err(CliError::Usage("--voters must be at least 1".to_string()));
-    }
     let ceiling: f64 = num_flag(flags, "max-quarantine", 0.1, "a fraction in [0, 1]")?;
-    if !(0.0..=1.0).contains(&ceiling) {
-        return Err(CliError::Usage(format!(
-            "--max-quarantine must be a fraction in [0, 1], got `{ceiling}`"
-        )));
-    }
     apply_threads(flags)?;
 
     // A replayed manifest *is* the fleet definition: it overrides the
