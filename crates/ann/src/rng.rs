@@ -1,7 +1,9 @@
 //! Seeded sequential PRNG for weight initialization and epoch shuffling.
 //!
 //! Training only needs a reproducible stream, not cryptographic quality:
-//! a SplitMix64 sequence is plenty and keeps the crate dependency-free.
+//! a SplitMix64 sequence is plenty.
+
+use hdd_smart::rng::splitmix64;
 
 /// A sequential SplitMix64 generator.
 #[derive(Debug, Clone)]
@@ -15,11 +17,9 @@ impl TrainRng {
     }
 
     fn next_u64(&mut self) -> u64 {
+        let z = splitmix64(self.state);
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        z
     }
 
     /// Uniform in `[0, 1)`.

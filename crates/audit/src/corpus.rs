@@ -150,41 +150,19 @@ pub fn cases() -> Vec<CorpusCase> {
             expect: &[],
             expect_suppressed: 1,
         },
-        // ---------------------------------------------------- R4
-        CorpusCase {
-            name: "r4_bad_f32_narrowing_in_kernel",
-            path: "crates/core/src/compact.rs",
-            source: "fn snap(threshold: f64) -> f32 { threshold as f32 }",
-            expect: &[("R4", 1)],
-            expect_suppressed: 0,
-        },
-        CorpusCase {
-            name: "r4_bad_usize_truncation_outside_index",
-            path: "crates/core/src/compact.rs",
-            source: "fn f(weight: f64) -> usize { weight as usize }",
-            expect: &[("R4", 1)],
-            expect_suppressed: 0,
-        },
-        CorpusCase {
-            name: "r4_good_index_widening_and_guards",
-            path: "crates/core/src/compact.rs",
-            source: "fn f(nodes: &[u64], next: u32, n: usize) -> u64 {\n    debug_assert!(n <= u16::MAX as usize);\n    let widened = 7 as u32;\n    nodes[next as usize] + widened as u64\n}",
-            expect: &[],
-            expect_suppressed: 0,
-        },
-        CorpusCase {
-            name: "r4_good_out_of_scope_file",
-            path: "crates/core/src/tree.rs",
-            source: "fn f(x: f64) -> f32 { x as f32 }",
-            expect: &[],
-            expect_suppressed: 0,
-        },
         // ---------------------------------------------------- S0
         CorpusCase {
             name: "s0_bad_reasonless_directive",
             path: "crates/serve/src/engine.rs",
             source: "fn f(o: Option<u32>) -> u32 {\n    // audit:allow(R3)\n    o.unwrap()\n}",
             expect: &[("R3", 1), ("S0", 1)],
+            expect_suppressed: 0,
+        },
+        CorpusCase {
+            name: "s0_bad_stale_directive_suppresses_nothing",
+            path: "crates/serve/src/engine.rs",
+            source: "fn f(o: Option<u32>) -> u32 {\n    // audit:allow(R3) reason=\"was an unwrap once\"\n    o.unwrap_or(0)\n}",
+            expect: &[("S0", 1)],
             expect_suppressed: 0,
         },
         CorpusCase {

@@ -17,7 +17,6 @@
 //! | R1 | `wall_clock`    | line-committed determinism, kill -9 resume   |
 //! | R2 | `unordered_iter`| byte-identical sinks, checkpoints, merges    |
 //! | R3 | `panic_surface` | panic-contained serve/par hot paths          |
-//! | R4 | `lossy_cast`    | exact-decision quantized scoring kernels     |
 //! | R5 | `crate_hygiene` | the shared workspace lint wall               |
 //!
 //! Findings can be acknowledged with `// audit:allow(rule)

@@ -10,7 +10,7 @@ use std::fmt::Write as _;
 /// One audited violation, after suppression matching.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Canonical rule id (`R1` … `R5`, `S0`).
+    /// Canonical rule id (`R1` … `R3`, `R5`, `S0`).
     pub rule: String,
     /// Workspace-relative file path (`/`-separated).
     pub file: String,

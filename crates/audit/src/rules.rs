@@ -13,9 +13,6 @@
 //! * **R3 `panic_surface`** — the serve and par hot paths contain
 //!   worker panics with `catch_unwind`; a stray `unwrap`/`panic!`/
 //!   unchecked index converts a data problem into an outage.
-//! * **R4 `lossy_cast`** — the quantized scoring kernels are exact only
-//!   because every narrowing cast is individually justified; new ones
-//!   must be reviewed (suppressed with a reason) or removed.
 //! * **R5 `crate_hygiene`** — every workspace crate opts into the
 //!   shared lint wall (`[lints] workspace = true` + the
 //!   unwrap/expect deny header); checked at the manifest level in
@@ -41,11 +38,6 @@ pub const RULES: &[(&str, &str, &str)] = &[
         "unwrap/expect/panic!/todo!/unimplemented!/unchecked indexing in hot paths",
     ),
     (
-        "R4",
-        "lossy_cast",
-        "narrowing numeric cast in a scoring kernel",
-    ),
-    (
         "R5",
         "crate_hygiene",
         "workspace crate missing the shared lint configuration",
@@ -53,7 +45,7 @@ pub const RULES: &[(&str, &str, &str)] = &[
     (
         "S0",
         "suppression_hygiene",
-        "audit:allow directive without a reason string",
+        "audit:allow directive without a reason, naming an unknown rule, or suppressing nothing",
     ),
 ];
 
@@ -69,7 +61,7 @@ pub fn rule_name(id: &str) -> &'static str {
 /// One raw rule violation (suppression not yet applied).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Canonical rule id (`R1` … `R5`).
+    /// Canonical rule id (`R1`, `R2` or `R3`).
     pub rule: &'static str,
     /// 1-indexed source line.
     pub line: u32,
@@ -135,14 +127,11 @@ const R3_SCOPE: &[&str] = &[
     "crates/lifecycle/src/",
 ];
 
-/// R4 scope: the compiled scoring kernels.
-const R4_SCOPE: &[&str] = &["crates/core/src/compact.rs"];
-
 fn in_scope(scope: &[&str], rel_path: &str) -> bool {
     scope.iter().any(|p| rel_path.starts_with(p))
 }
 
-/// Run every source-level rule (R1–R4) over one file.
+/// Run every source-level rule (R1–R3) over one file.
 #[must_use]
 pub fn check_file(ctx: &FileCtx<'_>) -> Vec<Violation> {
     let mut out = Vec::new();
@@ -154,9 +143,6 @@ pub fn check_file(ctx: &FileCtx<'_>) -> Vec<Violation> {
     }
     if in_scope(R3_SCOPE, ctx.rel_path) {
         check_panic_surface(ctx, &mut out);
-    }
-    if in_scope(R4_SCOPE, ctx.rel_path) {
-        check_lossy_cast(ctx, &mut out);
     }
     out.sort_by_key(|v| (v.line, v.rule));
     out
@@ -393,59 +379,6 @@ fn is_postfix_bracket(tokens: &[Token], i: usize) -> bool {
     }
 }
 
-// ---------------------------------------------------------------- R4
-
-const R4_NARROW_TARGETS: &[&str] = &["f32", "u8", "u16", "u32", "i8", "i16", "i32", "usize"];
-
-fn check_lossy_cast(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
-    let tokens = ctx.tokens;
-    // Track whether we are inside a postfix-index bracket: casts used
-    // directly as indices (`nodes[next as usize]`) widen u16/u32 node
-    // ids on every supported target and are exempt by design.
-    let mut bracket_stack: Vec<bool> = Vec::new();
-    for i in 0..tokens.len() {
-        match &tokens[i].tok {
-            Tok::Punct('[') => {
-                bracket_stack.push(is_postfix_bracket(tokens, i));
-            }
-            Tok::Punct(']') => {
-                bracket_stack.pop();
-            }
-            Tok::Ident(kw) if kw == "as" => {
-                if ctx.line_is_test(tokens[i].line) {
-                    continue;
-                }
-                let Some(target) = ident_at(tokens, i + 1) else {
-                    continue;
-                };
-                if !R4_NARROW_TARGETS.contains(&target) {
-                    continue;
-                }
-                if bracket_stack.last().copied() == Some(true) {
-                    continue; // index-position widening
-                }
-                // `LIT as T` and `T::MAX as U` state the source range
-                // in the expression itself; no information can be lost.
-                let before = tokens.get(i.wrapping_sub(1)).map(|t| &t.tok);
-                if matches!(before, Some(Tok::Num(_)))
-                    || matches!(before, Some(Tok::Ident(n)) if n == "MAX" || n == "MIN")
-                {
-                    continue;
-                }
-                out.push(Violation {
-                    rule: "R4",
-                    line: tokens[i].line,
-                    message: format!(
-                        "`as {target}` may lose precision in a scoring kernel; \
-                         prove exactness or widen"
-                    ),
-                });
-            }
-            _ => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -513,21 +446,6 @@ mod tests {
         let src = "fn f(o: Option<u32>) -> u32 { o.unwrap_or(0) }\n\
                    #[cfg(test)]\nmod tests { fn g() { None::<u32>.unwrap(); } }";
         let v = check("crates/par/src/lib.rs", src);
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn r4_fires_on_narrowing_cast_outside_index() {
-        let v = check("crates/core/src/compact.rs", "let x = threshold as f32;");
-        assert_eq!(v.iter().filter(|v| v.rule == "R4").count(), 1);
-    }
-
-    #[test]
-    fn r4_silent_on_index_widening_and_max_guard() {
-        let src = "let a = nodes[next as usize];\n\
-                   let ok = n <= u16::MAX as usize;\n\
-                   let w = x as f64;";
-        let v = check("crates/core/src/compact.rs", src);
         assert!(v.is_empty(), "{v:?}");
     }
 

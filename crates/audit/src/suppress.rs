@@ -10,7 +10,8 @@
 //! The directive names one or more rules (`audit:allow(R1,R3)`; rule
 //! names like `wall_clock` are accepted too) and **must** carry a
 //! non-empty `reason="…"` string — a reason-less directive suppresses
-//! nothing and is itself reported (rule `S0`). A trailing comment
+//! nothing and is itself reported (rule `S0`), as is a directive that
+//! names an unknown rule or matches no finding. A trailing comment
 //! applies to its own line; a comment alone on its line(s) — including
 //! a multi-line block comment — applies to the next line holding code.
 //! Every honored suppression is counted and listed in `AUDIT.json`;
@@ -102,7 +103,6 @@ fn normalize_rule(name: &str) -> String {
         "r1" | "wall_clock" => "R1".to_string(),
         "r2" | "unordered_iter" => "R2".to_string(),
         "r3" | "panic_surface" => "R3".to_string(),
-        "r4" | "lossy_cast" => "R4".to_string(),
         "r5" | "crate_hygiene" => "R5".to_string(),
         _ => name.to_string(),
     }

@@ -1,19 +1,19 @@
 //! Workspace discovery and audit orchestration.
 //!
 //! Walks every `.rs` file of the workspace (skipping `target/` and VCS
-//! directories), runs the source rules (R1–R4) over each, applies
-//! inline suppressions, and layers on the manifest-level crate-hygiene
-//! rule (R5): every member must inherit the shared lint wall via
-//! `[lints] workspace = true`, the root manifest must forbid
-//! `unsafe_code` in `[workspace.lints.rust]`, and every crate root must
-//! carry the unwrap/expect deny header (which cannot move into TOML
-//! because its `cfg_attr(not(test), …)` test exemption has no manifest
-//! equivalent).
+//! directories), runs the source rules (R1–R3) over each, applies
+//! inline suppressions, reports malformed and stale directives (S0), and
+//! layers on the manifest-level crate-hygiene rule (R5): every member
+//! must inherit the shared lint wall via `[lints] workspace = true`, the
+//! root manifest must forbid `unsafe_code` in `[workspace.lints.rust]`,
+//! and every crate root must carry the unwrap/expect deny header (which
+//! cannot move into TOML because its `cfg_attr(not(test), …)` test
+//! exemption has no manifest equivalent).
 
 use crate::lexer::{scan, test_line_spans, test_regions, Scanned};
 use crate::report::{AuditReport, Finding};
-use crate::rules::{check_file, FileCtx};
-use crate::suppress::{parse_suppressions, Suppression};
+use crate::rules::{check_file, FileCtx, RULES};
+use crate::suppress::parse_suppressions;
 use std::path::{Path, PathBuf};
 
 /// Why an audit run could not complete (distinct from findings).
@@ -68,8 +68,8 @@ pub fn run_audit(root: &Path) -> Result<AuditReport, AuditError> {
 }
 
 /// Audit a single source file's text (also the corpus entry point):
-/// lex, exempt test regions, run R1–R4, apply suppressions, and report
-/// malformed directives as `S0` findings.
+/// lex, exempt test regions, run R1–R3, apply suppressions, and report
+/// malformed or stale directives as `S0` findings.
 #[must_use]
 pub fn audit_source(rel_path: &str, source: &str) -> Vec<Finding> {
     let scanned = scan(source);
@@ -111,31 +111,34 @@ pub fn audit_source(rel_path: &str, source: &str) -> Vec<Finding> {
             suppressed: reason,
         });
     }
-    // A directive without a reason never suppresses; surface it so the
-    // "every suppression carries a reason" guarantee is machine-checked.
+    // A directive without a reason never suppresses, and one naming an
+    // unknown rule or matching no finding is stale; surface both so every
+    // directive in the tree is a live, reasoned suppression.
     for s in &suppressions {
-        if s.reason.is_none() {
-            findings.push(Finding {
-                rule: "S0".to_string(),
-                file: rel_path.to_string(),
-                line: s.comment_line,
-                krate: krate.clone(),
-                message: "audit:allow directive without a reason=\"…\" string".to_string(),
-                snippet: snippet(s.comment_line),
-                suppressed: None,
-            });
-        }
+        let unknown = s
+            .rules
+            .iter()
+            .find(|r| !RULES.iter().any(|(id, _, _)| id == r));
+        let message = if s.reason.is_none() {
+            "audit:allow directive without a reason=\"…\" string".to_string()
+        } else if let Some(rule) = unknown {
+            format!("stale audit:allow directive: unknown rule `{rule}`")
+        } else if !s.used {
+            "stale audit:allow directive: it suppresses no finding".to_string()
+        } else {
+            continue;
+        };
+        findings.push(Finding {
+            rule: "S0".to_string(),
+            file: rel_path.to_string(),
+            line: s.comment_line,
+            krate: krate.clone(),
+            message,
+            snippet: snippet(s.comment_line),
+            suppressed: None,
+        });
     }
     findings
-}
-
-/// Unused directives in `sups` (directives that matched no finding).
-/// Currently informational; kept for future stale-allow reporting.
-#[must_use]
-pub fn unused_suppressions(sups: &[Suppression]) -> usize {
-    sups.iter()
-        .filter(|s| !s.used && s.reason.is_some())
-        .count()
 }
 
 /// R5: manifest- and crate-root-level hygiene.
@@ -339,6 +342,19 @@ mod tests {
         assert!(rules.contains(&"R3"));
         assert!(rules.contains(&"S0"));
         assert!(f.iter().all(|f| f.suppressed.is_none()));
+    }
+
+    #[test]
+    fn stale_and_unknown_rule_directives_report_s0() {
+        let stale = "// audit:allow(R3) reason=\"nothing here panics\"\nfn f() {}";
+        let f = audit_source("crates/serve/src/engine.rs", stale);
+        assert_eq!(f.len(), 1);
+        assert_eq!(f[0].rule, "S0");
+        assert!(f[0].message.contains("suppresses no finding"), "{f:?}");
+        let unknown = "// audit:allow(R9) reason=\"no such rule\"\nlet x = y as u16;";
+        let f = audit_source("crates/core/src/compact.rs", unknown);
+        assert_eq!(f.len(), 1);
+        assert!(f[0].message.contains("unknown rule `R9`"), "{f:?}");
     }
 
     #[test]

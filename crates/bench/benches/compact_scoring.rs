@@ -1,18 +1,12 @@
-//! Throughput evidence for the compact-forest scoring kernels.
+//! Throughput evidence for compact-forest scoring.
 //!
-//! Three kernels score the same models over the same rows:
+//! Two entry points score the same models over the same rows:
 //!
-//! * **scalar** — `CompactForest::score` per row (the pre-batching
-//!   shape: one sample walks one tree at a time, each node load stalls
-//!   the next);
-//! * **batched** — `CompactForest::predict_batch`, which dispatches by
-//!   measured regime: branchless 8-lane lockstep walk for single trees,
-//!   register-accumulating row walk for ensembles (asserted
-//!   bitwise-identical to scalar on every benched row);
-//! * **quantized** — `QuantForest::predict_batch` over 16-byte nodes
-//!   (asserted bitwise-identical to the f64 path on the training
-//!   matrix, where the snapping guarantee applies, and batched-vs-
-//!   scalar identical everywhere).
+//! * **scalar** — `CompactForest::score` per row, called from the bench
+//!   loop;
+//! * **batched** — `CompactForest::predict_batch`, the row walk every
+//!   serving path calls (asserted bitwise-identical to scalar on every
+//!   benched row).
 //!
 //! Two models: the paper's single CT (the serving hot path) and a
 //! 25-tree random forest. Results land in `BENCH_parallel.json` —
@@ -27,7 +21,7 @@ use hdd_bench::report::Report;
 use hdd_bench::section;
 use hdd_bench::timing::time_per_iter;
 use hdd_cart::{
-    Class, ClassSample, ClassificationTreeBuilder, CompactForest, FeatureMatrix, QuantForest,
+    Class, ClassSample, ClassificationTreeBuilder, CompactForest, FeatureMatrix,
     RandomForestBuilder,
 };
 use hdd_smart::rng::DeterministicRng;
@@ -79,13 +73,11 @@ fn assert_batched_parity(
     }
 }
 
-/// One model's three kernel rows. Returns the batched samples/sec.
-#[allow(clippy::too_many_lines)]
+/// One model's scalar and batched rows. Returns the batched samples/sec.
 fn bench_model(
     report: &mut Report,
     op: &str,
     model: &CompactForest,
-    quant: &QuantForest,
     eval_rows: &[ClassSample],
     eval: &FeatureMatrix,
 ) -> f64 {
@@ -103,20 +95,14 @@ fn bench_model(
         model.predict_batch(black_box(eval), &mut out);
         out.last().copied()
     });
-    let quant_time = time_per_iter(|| {
-        quant.predict_batch(black_box(eval), &mut out);
-        out.last().copied()
-    });
 
     let rate = |t: std::time::Duration| n as f64 / t.as_secs_f64();
-    let (r_scalar, r_batched, r_quant) = (rate(scalar_time), rate(batched_time), rate(quant_time));
+    let (r_scalar, r_batched) = (rate(scalar_time), rate(batched_time));
     println!(
-        "{op} ({n_trees} trees, {n} rows): scalar {:.2}M/s, batched {:.2}M/s ({:.2}x), quant {:.2}M/s ({:.2}x)",
+        "{op} ({n_trees} trees, {n} rows): scalar {:.2}M/s, batched {:.2}M/s ({:.2}x)",
         r_scalar / 1e6,
         r_batched / 1e6,
         r_batched / r_scalar,
-        r_quant / 1e6,
-        r_quant / r_scalar,
     );
 
     let mut push = |suffix: &str, t: std::time::Duration, r: f64| {
@@ -135,7 +121,6 @@ fn bench_model(
     };
     push("_scalar", scalar_time, r_scalar);
     push("", batched_time, r_batched);
-    push("_quant", quant_time, r_quant);
     r_batched
 }
 
@@ -148,7 +133,6 @@ fn main() {
     };
     let train = class_samples(n_train, 13, 41);
     let eval_rows = class_samples(n_eval, 13, 4242);
-    let train_matrix = matrix_of(&train);
     let eval = matrix_of(&eval_rows);
 
     // The paper's CT — the single tree every serve tick scores — and the
@@ -162,56 +146,18 @@ fn main() {
         .expect("forest trains on the synthetic fleet")
         .compile();
 
-    let ct_quant = ct
-        .quantize(&train_matrix)
-        .expect("quantized CT: thresholds snap on quantized SMART values");
-    let forest_quant = forest
-        .quantize(&train_matrix)
-        .expect("quantized forest: thresholds snap on quantized SMART values");
-
-    section("compact scoring parity: batched and quantized kernels");
+    section("compact scoring parity: batched == scalar");
     assert_batched_parity(&ct, &eval_rows, &eval, "ct");
     assert_batched_parity(&forest, &eval_rows, &eval, "forest");
-    // Quantized scores must be bit-identical to the f64 path on the
-    // training matrix (the exact-decision guarantee's domain)…
-    for (q, f, what) in [(&ct_quant, &ct, "ct"), (&forest_quant, &forest, "forest")] {
-        let mut qb = vec![0.0; n_train];
-        let mut fb = vec![0.0; n_train];
-        q.predict_batch(&train_matrix, &mut qb);
-        f.predict_batch(&train_matrix, &mut fb);
-        assert!(
-            qb.iter().zip(&fb).all(|(a, b)| a.to_bits() == b.to_bits()),
-            "{what}: quantized scores diverged from the f64 path on the training matrix"
-        );
-        // …and the quantized batch kernel identical to quantized scalar
-        // everywhere.
-        let mut qe = vec![0.0; n_eval];
-        q.predict_batch(&eval, &mut qe);
-        for (row, &b) in eval_rows.iter().zip(&qe) {
-            assert_eq!(
-                q.score(&row.features).to_bits(),
-                b.to_bits(),
-                "{what}: quantized batch kernel diverged from quantized scalar"
-            );
-        }
-    }
-    println!("parity: batched == scalar on {n_eval} rows; quant == f64 on the training matrix");
+    println!("parity: batched == scalar on {n_eval} rows");
 
     section("compact scoring throughput");
     let mut fresh = Report::new();
-    let ct_rate = bench_model(
-        &mut fresh,
-        "compact_scoring",
-        &ct,
-        &ct_quant,
-        &eval_rows,
-        &eval,
-    );
+    let ct_rate = bench_model(&mut fresh, "compact_scoring", &ct, &eval_rows, &eval);
     bench_model(
         &mut fresh,
         "compact_scoring_forest",
         &forest,
-        &forest_quant,
         &eval_rows,
         &eval,
     );

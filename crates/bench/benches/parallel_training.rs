@@ -30,7 +30,7 @@ use hdd_cart::split::{best_classification_split, PresortedColumns, SplitCriterio
 use hdd_cart::{Class, ClassSample, FeatureMatrix, RandomForestBuilder, FOREST_MIN_TASK_ROWS};
 use hdd_eval::{VotingRule, VotingState};
 use hdd_par::{hardware_threads, ThreadPool};
-use hdd_smart::rng::DeterministicRng;
+use hdd_smart::rng::{splitmix64, DeterministicRng};
 use std::hint::black_box;
 use std::path::Path;
 
@@ -54,16 +54,6 @@ fn class_samples(n: usize, dim: usize) -> Vec<ClassSample> {
             ClassSample::new(features, if failed { Class::Failed } else { Class::Good })
         })
         .collect()
-}
-
-/// splitmix64 — a local copy of the forest's private seed mixer, so the
-/// baseline draws exactly the bootstraps and feature subsets the live
-/// forest trains on (same trees, same work, different machinery).
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Stable in-place partition (the legacy grow loop's helper); returns
@@ -181,10 +171,10 @@ fn legacy_forest_train(samples: &[ClassSample], n_trees: usize) -> f64 {
     let per_tree = ((n_features as f64 * 0.6).ceil() as usize).clamp(1, n_features);
     let mut checksum = 0.0;
     for t in 0..n_trees {
-        let tree_seed = splitmix(FOREST_SEED ^ (t as u64).wrapping_mul(0x9E37_79B9));
+        let tree_seed = splitmix64(FOREST_SEED ^ (t as u64).wrapping_mul(0x9E37_79B9));
         let mut features: Vec<usize> = (0..n_features).collect();
         for i in 0..per_tree.min(n_features - 1) {
-            let j = i + (splitmix(tree_seed ^ i as u64) as usize) % (n_features - i);
+            let j = i + (splitmix64(tree_seed ^ i as u64) as usize) % (n_features - i);
             features.swap(i, j);
         }
         let mut chosen = features[..per_tree].to_vec();
@@ -196,7 +186,7 @@ fn legacy_forest_train(samples: &[ClassSample], n_trees: usize) -> f64 {
             projected.clear();
             for i in 0..samples.len() {
                 let pick =
-                    (splitmix(tree_seed ^ salt ^ ((i as u64) << 20)) as usize) % samples.len();
+                    (splitmix64(tree_seed ^ salt ^ ((i as u64) << 20)) as usize) % samples.len();
                 let src = &samples[pick];
                 let feats: Vec<f64> = chosen.iter().map(|&f| src.features[f]).collect();
                 projected.push(ClassSample::new(feats, src.class));

@@ -29,18 +29,6 @@ use hdd_json::{JsonCodec, JsonError, Value};
 /// Child-link sentinel marking a leaf node.
 const LEAF: u32 = u32::MAX;
 
-/// Samples a batched traversal keeps in flight per tree. Eight cursors
-/// overlap enough node/feature loads to hide memory latency without
-/// spilling the lane state out of registers.
-const BATCH_LANES: usize = 8;
-
-/// Rows per cache block in the forest batch path. Ensembles walk every
-/// tree over one block before moving to the next, so each block's
-/// feature rows are read from memory once and stay L1-resident across
-/// all member trees (256 rows × 13 features × 8 bytes ≈ 26 KiB) instead
-/// of the whole matrix streaming through cache once per tree.
-const ROW_BLOCK: usize = 256;
-
 /// One flat tree node: 32 bytes, so two nodes share a cache line and a
 /// traversal step touches exactly one node plus one feature value.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,7 +79,6 @@ impl CompactTree {
                         payload,
                         left: s.left.0,
                         right: s.right.0,
-                        // audit:allow(R4) reason="exact: the assert above proves global <= u16::MAX"
                         feature: global as u16,
                         nan_left: s.nan_left,
                     }
@@ -142,88 +129,6 @@ impl CompactTree {
         }
     }
 
-    /// Longest root-to-leaf path in edges; the lockstep walk runs exactly
-    /// this many passes. Walked explicitly (not assumed from node order)
-    /// so decoded trees with unusual layouts still get a correct depth.
-    fn max_depth(&self) -> u32 {
-        let mut max = 0u32;
-        let mut stack = vec![(0u32, 0u32)];
-        while let Some((i, d)) = stack.pop() {
-            let node = &self.nodes[i as usize];
-            if node.left == LEAF {
-                max = max.max(d);
-            } else {
-                stack.push((node.left, d + 1));
-                stack.push((node.right, d + 1));
-            }
-        }
-        max
-    }
-
-    /// Accumulate `w · leaf(row)` into `out[r]` for rows `start..end`.
-    ///
-    /// Rows are traversed [`BATCH_LANES`] at a time in a struct-of-lanes
-    /// walk capped at `depth` (= [`CompactTree::max_depth`]) passes: every
-    /// pass advances each cursor one level with selects only
-    /// (`left`/`right` picked arithmetically, leaves self-loop), so the
-    /// only branch is one well-predicted all-lanes-done check per level
-    /// and the loads of eight independent root-to-leaf chains overlap
-    /// instead of serializing on one pointer chase. Split decisions and
-    /// the accumulated value are bit-identical to scoring each row alone.
-    fn accumulate_range(
-        &self,
-        x: &FeatureMatrix,
-        start: usize,
-        end: usize,
-        depth: u32,
-        w: f64,
-        out: &mut [f64],
-    ) {
-        let root = &self.nodes[0];
-        if root.left == LEAF {
-            // Single-node tree: every row lands on the root payload.
-            let add = w * root.payload;
-            for slot in &mut out[start..end] {
-                *slot += add;
-            }
-            return;
-        }
-        let mut base = start;
-        while base + BATCH_LANES <= end {
-            // One slice per lane: feature loads below are plain slice
-            // indexing, no per-access row-offset arithmetic.
-            let rows: [&[f64]; BATCH_LANES] = std::array::from_fn(|lane| x.row(base + lane));
-            let mut cursors = [0u32; BATCH_LANES];
-            for _ in 0..depth {
-                let mut live = false;
-                for (lane, cursor) in cursors.iter_mut().enumerate() {
-                    let node = &self.nodes[*cursor as usize];
-                    let leaf = node.left == LEAF;
-                    let v = rows[lane][node.feature as usize];
-                    let go_left = if v.is_nan() {
-                        node.nan_left
-                    } else {
-                        v < node.threshold
-                    };
-                    let step = if go_left { node.left } else { node.right };
-                    *cursor = if leaf { *cursor } else { step };
-                    live |= !leaf;
-                }
-                if !live {
-                    break;
-                }
-            }
-            for (lane, &cursor) in cursors.iter().enumerate() {
-                out[base + lane] += w * self.nodes[cursor as usize].payload;
-            }
-            base += BATCH_LANES;
-        }
-        // Ragged tail: fewer than BATCH_LANES rows left, walk them alone.
-        for (slot, row) in out[base..end].iter_mut().zip(base..) {
-            *slot += w * self.score(x.row(row));
-        }
-    }
-
     /// Structural validation for decoded trees: forward-only child links,
     /// in-range features, finite numbers.
     fn validate(&self, n_features: usize) -> Result<(), JsonError> {
@@ -242,11 +147,9 @@ impl CompactTree {
             if l == LEAF {
                 continue;
             }
-            // audit:allow(R4) reason="u32 -> usize widens on every supported target; this line *is* the bounds validation"
             if (l as usize) <= i || (r as usize) <= i || l as usize >= n || r as usize >= n {
                 return Err(JsonError::new(format!("bad child links at node {i}")));
             }
-            // audit:allow(R4) reason="u16 -> usize widens on every supported target; this line *is* the bounds validation"
             if node.feature as usize >= n_features {
                 return Err(JsonError::new(format!("feature out of range at node {i}")));
             }
@@ -260,7 +163,6 @@ impl JsonCodec for CompactTree {
         Value::Obj(vec![
             (
                 "feature".to_string(),
-                // audit:allow(R4) reason="u16 -> usize serialization widening; exact by construction"
                 Value::from_usizes(self.nodes.iter().map(|n| n.feature as usize)),
             ),
             (
@@ -269,12 +171,10 @@ impl JsonCodec for CompactTree {
             ),
             (
                 "left".to_string(),
-                // audit:allow(R4) reason="u32 -> usize serialization widening; exact on every supported target"
                 Value::from_usizes(self.nodes.iter().map(|n| n.left as usize)),
             ),
             (
                 "right".to_string(),
-                // audit:allow(R4) reason="u32 -> usize serialization widening; exact on every supported target"
                 Value::from_usizes(self.nodes.iter().map(|n| n.right as usize)),
             ),
             (
@@ -430,17 +330,8 @@ impl CompactForest {
         self.score(features) < 0.0
     }
 
-    /// Score every row of `x` into `out`.
-    ///
-    /// Two kernels, picked by measured regime (OPTIMIZATION_LOG.md
-    /// entry 5): single-tree forests — the serve tick's shape — walk
-    /// [`BATCH_LANES`] rows in branchless lockstep per [`ROW_BLOCK`]
-    /// cache block; multi-tree ensembles walk each row through every
-    /// tree with a register accumulator (the speculated scalar walk
-    /// beats the lockstep cursor chain once an L1-resident ensemble
-    /// amortizes the per-row feature loads). Per-row results are
-    /// identical to [`CompactForest::score`] on both paths (same
-    /// accumulation order — trees in order within each row).
+    /// Score every row of `x` into `out`: one row walk per row, trees in
+    /// order, so each slot equals [`CompactForest::score`] bit for bit.
     ///
     /// # Panics
     ///
@@ -452,402 +343,8 @@ impl CompactForest {
             "feature matrix width mismatch"
         );
         assert_eq!(out.len(), x.n_rows(), "one output slot per row");
-        if self.trees.len() > 1 {
-            for (row, slot) in x.rows().zip(out.iter_mut()) {
-                let mut acc = 0.0;
-                for (tree, &w) in self.trees.iter().zip(&self.weights) {
-                    acc += w * tree.score(row);
-                }
-                *slot = self.finish(acc);
-            }
-            return;
-        }
-        out.fill(0.0);
-        let depths: Vec<u32> = self.trees.iter().map(CompactTree::max_depth).collect();
-        let n = x.n_rows();
-        let mut start = 0usize;
-        while start < n {
-            let end = (start + ROW_BLOCK).min(n);
-            for ((tree, &w), &depth) in self.trees.iter().zip(&self.weights).zip(&depths) {
-                tree.accumulate_range(x, start, end, depth, w, out);
-            }
-            start = end;
-        }
-        for slot in out.iter_mut() {
-            *slot = self.finish(*slot);
-        }
-    }
-
-    fn finish(&self, acc: f64) -> f64 {
-        let score = acc / self.total;
-        if self.clamp {
-            score.clamp(-1.0, 1.0)
-        } else {
-            score
-        }
-    }
-
-    /// Quantize to the 16-byte-node serving form, or `None` when some
-    /// threshold has no `f32` that preserves every decision on `matrix`
-    /// (see [`QuantForest::from_forest`]).
-    #[must_use]
-    pub fn quantize(&self, matrix: &FeatureMatrix) -> Option<QuantForest> {
-        QuantForest::from_forest(self, matrix)
-    }
-}
-
-/// Leaf marker bit in [`QuantNode::flags`].
-const QLEAF: u16 = 1 << 1;
-/// NaN-routing bit in [`QuantNode::flags`] (set = NaN goes left).
-const QNAN_LEFT: u16 = 1 << 0;
-
-/// One quantized flat node: 16 bytes, so four nodes share a cache line —
-/// double the traversal density of the 32-byte [`Node`].
-///
-/// Internal nodes compare against an `f32` threshold snapped between the
-/// observed feature values that straddle the original `f64` threshold, so
-/// every `v < threshold` decision is preserved for those values. Leaves
-/// keep their exact `f64` payload in a side table indexed by `left`, so
-/// scores — not just decisions — match the unquantized forest bit for
-/// bit.
-#[derive(Debug, Clone, PartialEq)]
-struct QuantNode {
-    threshold: f32,
-    left: u32,
-    right: u32,
-    feature: u16,
-    flags: u16,
-}
-
-const _: () = assert!(
-    std::mem::size_of::<QuantNode>() == 16,
-    "QuantNode must stay 16 bytes"
-);
-
-/// A flat decision tree over 16-byte quantized nodes plus an exact leaf
-/// payload table.
-#[derive(Debug, Clone, PartialEq)]
-struct QuantTree {
-    nodes: Vec<QuantNode>,
-    payloads: Vec<f64>,
-}
-
-impl QuantTree {
-    /// Quantize one compact tree against per-feature sorted value columns;
-    /// `None` if any threshold cannot be snapped.
-    fn from_tree(tree: &CompactTree, columns: &[Vec<f64>]) -> Option<QuantTree> {
-        let mut nodes = Vec::with_capacity(tree.nodes.len());
-        let mut payloads = Vec::new();
-        for node in &tree.nodes {
-            if node.left == LEAF {
-                // audit:allow(R4) reason="exact: payload count is bounded by node count, which fits u32 by the builder's own limits"
-                let payload_idx = payloads.len() as u32;
-                payloads.push(node.payload);
-                nodes.push(QuantNode {
-                    threshold: 0.0,
-                    left: payload_idx,
-                    right: 0,
-                    feature: 0,
-                    flags: QLEAF,
-                });
-            } else {
-                let threshold = snap_threshold(&columns[node.feature as usize], node.threshold)?;
-                nodes.push(QuantNode {
-                    threshold,
-                    left: node.left,
-                    right: node.right,
-                    feature: node.feature,
-                    flags: if node.nan_left { QNAN_LEFT } else { 0 },
-                });
-            }
-        }
-        Some(QuantTree { nodes, payloads })
-    }
-
-    /// Payload of the leaf covering `features`.
-    fn score(&self, features: &[f64]) -> f64 {
-        let mut node = &self.nodes[0];
-        loop {
-            if node.flags & QLEAF != 0 {
-                return self.payloads[node.left as usize];
-            }
-            let v = features[node.feature as usize];
-            let go_left = if v.is_nan() {
-                node.flags & QNAN_LEFT != 0
-            } else {
-                v < f64::from(node.threshold)
-            };
-            node = &self.nodes[(if go_left { node.left } else { node.right }) as usize];
-        }
-    }
-
-    /// Longest root-to-leaf path in edges (see [`CompactTree::max_depth`]).
-    fn max_depth(&self) -> u32 {
-        let mut max = 0u32;
-        let mut stack = vec![(0u32, 0u32)];
-        while let Some((i, d)) = stack.pop() {
-            let node = &self.nodes[i as usize];
-            if node.flags & QLEAF != 0 {
-                max = max.max(d);
-            } else {
-                stack.push((node.left, d + 1));
-                stack.push((node.right, d + 1));
-            }
-        }
-        max
-    }
-
-    /// Batched accumulation over rows `start..end`; the same self-looping
-    /// lockstep walk as [`CompactTree::accumulate_range`], over 16-byte
-    /// nodes.
-    fn accumulate_range(
-        &self,
-        x: &FeatureMatrix,
-        start: usize,
-        end: usize,
-        depth: u32,
-        w: f64,
-        out: &mut [f64],
-    ) {
-        let root = &self.nodes[0];
-        if root.flags & QLEAF != 0 {
-            let add = w * self.payloads[root.left as usize];
-            for slot in &mut out[start..end] {
-                *slot += add;
-            }
-            return;
-        }
-        let mut base = start;
-        while base + BATCH_LANES <= end {
-            let rows: [&[f64]; BATCH_LANES] = std::array::from_fn(|lane| x.row(base + lane));
-            let mut cursors = [0u32; BATCH_LANES];
-            for _ in 0..depth {
-                let mut live = false;
-                for (lane, cursor) in cursors.iter_mut().enumerate() {
-                    let node = &self.nodes[*cursor as usize];
-                    let leaf = node.flags & QLEAF != 0;
-                    let v = rows[lane][node.feature as usize];
-                    let go_left = if v.is_nan() {
-                        node.flags & QNAN_LEFT != 0
-                    } else {
-                        v < f64::from(node.threshold)
-                    };
-                    let step = if go_left { node.left } else { node.right };
-                    *cursor = if leaf { *cursor } else { step };
-                    live |= !leaf;
-                }
-                if !live {
-                    break;
-                }
-            }
-            for (lane, &cursor) in cursors.iter().enumerate() {
-                let node = &self.nodes[cursor as usize];
-                out[base + lane] += w * self.payloads[node.left as usize];
-            }
-            base += BATCH_LANES;
-        }
-        for (slot, row) in out[base..end].iter_mut().zip(base..) {
-            *slot += w * self.score(x.row(row));
-        }
-    }
-}
-
-/// The smallest `f32` strictly greater than `x` (`x` for NaN/`+∞`).
-fn next_f32_up(x: f32) -> f32 {
-    if x.is_nan() || x == f32::INFINITY {
-        return x;
-    }
-    let bits = x.to_bits();
-    let next = if x == 0.0 {
-        1 // smallest positive subnormal (covers -0.0 too)
-    } else if bits >> 31 == 0 {
-        bits + 1
-    } else {
-        bits - 1
-    };
-    f32::from_bits(next)
-}
-
-/// The largest `f32` strictly smaller than `x` (`x` for NaN/`-∞`).
-fn next_f32_down(x: f32) -> f32 {
-    -next_f32_up(-x)
-}
-
-/// Snap `threshold` to an `f32` preserving every `v < threshold` decision
-/// for the values in `column` (sorted ascending, NaN-free).
-///
-/// Let `lo` be the largest observed value below the threshold and `hi`
-/// the smallest at or above it: any `t` with `lo < t ≤ hi` routes every
-/// observed value exactly like the original, so the rounded threshold and
-/// its two `f32` neighbours are each tested against that bracket. Returns
-/// `None` when no `f32` fits — the caller must fall back to the `f64`
-/// path.
-fn snap_threshold(column: &[f64], threshold: f64) -> Option<f32> {
-    let idx = column.partition_point(|&v| v < threshold);
-    let lo = if idx == 0 {
-        f64::NEG_INFINITY
-    } else {
-        column[idx - 1]
-    };
-    let hi = if idx == column.len() {
-        f64::INFINITY
-    } else {
-        column[idx]
-    };
-    // audit:allow(R4) reason="deliberate narrowing probe: the snap below verifies the f32 preserves every routing decision or rejects it"
-    let mut rounded = threshold as f32;
-    if rounded.is_infinite() {
-        // |threshold| overflows f32: the nearest finite f32 is the only
-        // candidate worth probing from.
-        rounded = if rounded > 0.0 { f32::MAX } else { f32::MIN };
-    }
-    for t32 in [rounded, next_f32_down(rounded), next_f32_up(rounded)] {
-        let t = f64::from(t32);
-        if t.is_finite() && lo < t && t <= hi {
-            return Some(t32);
-        }
-    }
-    None
-}
-
-/// The 16-byte-node quantized serving form of a [`CompactForest`].
-///
-/// Construction proves an **exact-decision guarantee** against a
-/// reference matrix (normally the training matrix): every threshold is
-/// snapped to an `f32` that routes all of the matrix's feature values
-/// exactly like the `f64` original, and leaf payloads stay exact `f64`s,
-/// so [`QuantForest::score`] equals [`CompactForest::score`] bit for bit
-/// on those rows. Values *between* an original threshold and its snapped
-/// `f32` (never observed during construction) may route differently —
-/// which is why quantization is an opt-in compile-time selection, not a
-/// drop-in replacement for models whose inputs are unconstrained.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantForest {
-    trees: Vec<QuantTree>,
-    weights: Vec<f64>,
-    total: f64,
-    clamp: bool,
-    n_features: usize,
-}
-
-impl QuantForest {
-    /// Quantize `forest`, proving the exact-decision guarantee against
-    /// `matrix`'s observed feature values. Returns `None` when some
-    /// threshold separates two values no `f32` can separate (adjacent
-    /// `f64`s); callers then keep serving the 32-byte forest.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `matrix` width disagrees with the forest.
-    #[must_use]
-    pub fn from_forest(forest: &CompactForest, matrix: &FeatureMatrix) -> Option<QuantForest> {
-        assert_eq!(
-            matrix.n_features(),
-            forest.n_features,
-            "feature matrix width mismatch"
-        );
-        let mut columns: Vec<Vec<f64>> = vec![Vec::new(); forest.n_features];
-        for row in matrix.rows() {
-            for (feature, &v) in row.iter().enumerate() {
-                if !v.is_nan() {
-                    columns[feature].push(v);
-                }
-            }
-        }
-        for column in &mut columns {
-            column.sort_unstable_by(f64::total_cmp);
-        }
-        let trees = forest
-            .trees
-            .iter()
-            .map(|tree| QuantTree::from_tree(tree, &columns))
-            .collect::<Option<Vec<QuantTree>>>()?;
-        Some(QuantForest {
-            trees,
-            weights: forest.weights.clone(),
-            total: forest.total,
-            clamp: forest.clamp,
-            n_features: forest.n_features,
-        })
-    }
-
-    /// Dimensionality of the feature vectors this forest scores.
-    #[must_use]
-    pub fn n_features(&self) -> usize {
-        self.n_features
-    }
-
-    /// Number of member trees.
-    #[must_use]
-    pub fn n_trees(&self) -> usize {
-        self.trees.len()
-    }
-
-    /// Whether the final score is clamped to `[-1, 1]`.
-    #[must_use]
-    pub fn is_clamped(&self) -> bool {
-        self.clamp
-    }
-
-    /// Score one sample; on construction-matrix rows this equals
-    /// [`CompactForest::score`] bit for bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `features` is shorter than [`QuantForest::n_features`].
-    #[must_use]
-    pub fn score(&self, features: &[f64]) -> f64 {
-        assert!(
-            features.len() >= self.n_features,
-            "feature vector too short: {} < {}",
-            features.len(),
-            self.n_features
-        );
-        let mut acc = 0.0;
-        for (tree, w) in self.trees.iter().zip(&self.weights) {
-            acc += w * tree.score(features);
-        }
-        self.finish(acc)
-    }
-
-    /// Score every row of `x` into `out`, dispatching between the same
-    /// two kernels as [`CompactForest::predict_batch`] (lockstep lanes
-    /// for a single tree, register-accumulating row walk for ensembles);
-    /// per-row results are identical to [`QuantForest::score`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` has the wrong width or `out` the wrong length.
-    pub fn predict_batch(&self, x: &FeatureMatrix, out: &mut [f64]) {
-        assert_eq!(
-            x.n_features(),
-            self.n_features,
-            "feature matrix width mismatch"
-        );
-        assert_eq!(out.len(), x.n_rows(), "one output slot per row");
-        if self.trees.len() > 1 {
-            for (row, slot) in x.rows().zip(out.iter_mut()) {
-                let mut acc = 0.0;
-                for (tree, &w) in self.trees.iter().zip(&self.weights) {
-                    acc += w * tree.score(row);
-                }
-                *slot = self.finish(acc);
-            }
-            return;
-        }
-        out.fill(0.0);
-        let depths: Vec<u32> = self.trees.iter().map(QuantTree::max_depth).collect();
-        let n = x.n_rows();
-        let mut start = 0usize;
-        while start < n {
-            let end = (start + ROW_BLOCK).min(n);
-            for ((tree, &w), &depth) in self.trees.iter().zip(&self.weights).zip(&depths) {
-                tree.accumulate_range(x, start, end, depth, w, out);
-            }
-            start = end;
-        }
-        for slot in out.iter_mut() {
-            *slot = self.finish(*slot);
+        for (row, slot) in x.rows().zip(out.iter_mut()) {
+            *slot = self.score(row);
         }
     }
 
@@ -1179,104 +676,6 @@ mod tests {
         for (row, batch) in rows.iter().zip(&out) {
             assert_eq!(batch.to_bits(), compiled.score(row).to_bits());
         }
-    }
-
-    #[test]
-    fn quantized_forest_matches_f64_path_on_training_matrix() {
-        use crate::forest::RandomForestBuilder;
-        let samples: Vec<ClassSample> = (0..240)
-            .map(|i| {
-                // Non-f32-representable values (x + 0.1 steps) at moderate
-                // magnitude: snapping must adjust thresholds yet keep every
-                // training-row decision identical.
-                let x = (i % 31) as f64 * 0.1;
-                let y = ((i * 5) % 13) as f64 * 0.3 - 1.7;
-                let class = if x + y < 1.5 {
-                    Class::Failed
-                } else {
-                    Class::Good
-                };
-                ClassSample::new(vec![x, y], class)
-            })
-            .collect();
-        let matrix = FeatureMatrix::from_rows(samples.iter().map(|s| s.features.as_slice()));
-        let mut builder = RandomForestBuilder::new();
-        builder.n_trees(11).seed(7);
-        let compiled = builder.build(&samples).unwrap().compile();
-        let quant = compiled.quantize(&matrix).expect("thresholds must snap");
-        assert_eq!(quant.n_trees(), compiled.n_trees());
-        assert_eq!(quant.n_features(), compiled.n_features());
-
-        let mut exact = vec![0.0; matrix.n_rows()];
-        let mut quantized = vec![0.0; matrix.n_rows()];
-        compiled.predict_batch(&matrix, &mut exact);
-        quant.predict_batch(&matrix, &mut quantized);
-        for (row, (e, q)) in samples.iter().zip(exact.iter().zip(&quantized)) {
-            assert_eq!(e.to_bits(), q.to_bits(), "row {:?}", row.features);
-            // Scalar quantized walk agrees too.
-            assert_eq!(quant.score(&row.features).to_bits(), e.to_bits());
-        }
-    }
-
-    #[test]
-    fn quantization_falls_back_when_f32_cannot_separate() {
-        // Observed values 0.1 apart at 1e9: f32 spacing there is 64, so no
-        // f32 threshold can separate adjacent values and quantization must
-        // decline rather than silently misroute.
-        let samples: Vec<ClassSample> = (0..80)
-            .map(|i| {
-                let x = 1e9 + (i % 20) as f64 * 0.1;
-                let class = if i % 20 < 10 {
-                    Class::Failed
-                } else {
-                    Class::Good
-                };
-                ClassSample::new(vec![x], class)
-            })
-            .collect();
-        let mut builder = ClassificationTreeBuilder::new();
-        builder.min_split(2).min_bucket(1).complexity(0.0);
-        let compiled = builder.build(&samples).unwrap().compile();
-        let matrix = FeatureMatrix::from_rows(samples.iter().map(|s| s.features.as_slice()));
-        assert!(compiled.quantize(&matrix).is_none());
-    }
-
-    #[test]
-    fn quantized_health_model_stays_clamped() {
-        let samples: Vec<RegSample> = (0..200)
-            .map(|i| {
-                let x = (i % 40) as f64 * 0.7;
-                RegSample::new(vec![x], if x < 14.0 { -3.0 } else { 3.0 })
-            })
-            .collect();
-        let model = HealthModel::new(RegressionTreeBuilder::new().build(&samples).unwrap(), -0.2);
-        let compiled = model.compile();
-        let matrix = FeatureMatrix::from_rows(samples.iter().map(|s| s.features.as_slice()));
-        let quant = compiled.quantize(&matrix).expect("snappable");
-        assert!(quant.is_clamped());
-        for s in &samples {
-            assert_eq!(
-                quant.score(&s.features).to_bits(),
-                compiled.score(&s.features).to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn snap_threshold_brackets_observed_values() {
-        let column = [1.0, 2.0, 3.0, 4.0];
-        let t = snap_threshold(&column, 2.5).unwrap();
-        assert!(2.0 < f64::from(t) && f64::from(t) <= 3.0);
-        // Threshold below/above every observed value still snaps.
-        assert!(snap_threshold(&column, 0.5).is_some());
-        assert!(snap_threshold(&column, 9.0).is_some());
-        // Adjacent f64s cannot be separated by any f32. (The only f64
-        // threshold with lo < t ≤ hi is hi itself.)
-        let lo = 1.0f64;
-        let hi = f64::from_bits(lo.to_bits() + 1);
-        assert!(snap_threshold(&[lo, hi], hi).is_none());
-        // Empty column: any finite threshold snaps.
-        assert!(snap_threshold(&[], 123.456).is_some());
     }
 
     #[test]

@@ -23,6 +23,7 @@ use crate::compact::{CompactForest, CompactTree};
 use crate::sample::{Class, ClassSample, TrainError};
 use crate::split::{FeatureMatrix, PresortedColumns, SplitWorkspace};
 use hdd_par::ThreadPool;
+use hdd_smart::rng::splitmix64;
 
 /// Minimum number of training rows a forest worker task should cover.
 ///
@@ -183,12 +184,12 @@ impl RandomForestBuilder {
 
             let mut members = Vec::with_capacity(ids.len());
             for &t in ids {
-                let tree_seed = splitmix(self.seed ^ (t as u64).wrapping_mul(0x9E37_79B9));
+                let tree_seed = splitmix64(self.seed ^ (t as u64).wrapping_mul(0x9E37_79B9));
                 // Random feature subset (deterministic Fisher–Yates prefix).
                 features.clear();
                 features.extend(0..n_features);
                 for i in 0..per_tree.min(n_features - 1) {
-                    let j = i + (splitmix(tree_seed ^ i as u64) as usize) % (n_features - i);
+                    let j = i + (splitmix64(tree_seed ^ i as u64) as usize) % (n_features - i);
                     features.swap(i, j);
                 }
                 let mut chosen = features[..per_tree].to_vec();
@@ -200,7 +201,7 @@ impl RandomForestBuilder {
                 loop {
                     let mut n_failed = 0usize;
                     for (i, pick) in picks.iter_mut().enumerate() {
-                        let draw = (splitmix(tree_seed ^ salt ^ ((i as u64) << 20)) as usize) % n;
+                        let draw = (splitmix64(tree_seed ^ salt ^ ((i as u64) << 20)) as usize) % n;
                         *pick = draw as u32;
                         if classes[draw] == Class::Failed {
                             n_failed += 1;
@@ -357,13 +358,6 @@ impl RandomForest {
             Class::Good
         }
     }
-}
-
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -53,7 +53,7 @@ pub mod tree;
 
 pub use boosting::{AdaBoost, AdaBoostBuilder};
 pub use classifier::{ClassificationTree, ClassificationTreeBuilder};
-pub use compact::{CompactForest, CompactTree, QuantForest};
+pub use compact::{CompactForest, CompactTree};
 pub use forest::{RandomForest, RandomForestBuilder, FOREST_MIN_TASK_ROWS};
 pub use health::{global_health_degree, personalized_health_degree, HealthModel};
 pub use prune::cost_complexity_prune;

@@ -12,17 +12,10 @@ use hdd_cart::split::{
 };
 use hdd_cart::Class;
 use hdd_par::ThreadPool;
-
-/// splitmix64 — the same deterministic generator the forest uses.
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use hdd_smart::rng::splitmix64;
 
 fn uniform(seed: u64) -> f64 {
-    (splitmix(seed) >> 11) as f64 / (1u64 << 53) as f64
+    (splitmix64(seed) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// A random dataset whose columns mix three shapes: heavily quantized

@@ -23,7 +23,7 @@ use hdd_cart::forest::{RandomForest, RandomForestBuilder};
 use hdd_cart::health::HealthModel;
 use hdd_cart::regressor::RegressionTree;
 use hdd_cart::sample::{ClassSample, TrainError};
-use hdd_cart::{CompactForest, FeatureMatrix, QuantForest};
+use hdd_cart::{CompactForest, FeatureMatrix};
 use hdd_json::container::{self, ContainerError};
 use hdd_json::{JsonCodec, JsonError, Value};
 use std::fmt;
@@ -44,8 +44,8 @@ pub trait Predictor: Sync {
 
     /// Score every row of `x` into `out`.
     ///
-    /// The default loops [`Predictor::score`]; batch-aware models (the
-    /// compiled forest) override it with a cache-friendly sweep.
+    /// The default loops [`Predictor::score`]; the compiled forest forwards
+    /// to its own row walk, which also checks the matrix width.
     ///
     /// # Panics
     ///
@@ -69,20 +69,6 @@ impl Predictor for CompactForest {
 
     fn predict_batch(&self, x: &FeatureMatrix, out: &mut [f64]) {
         CompactForest::predict_batch(self, x, out);
-    }
-}
-
-impl Predictor for QuantForest {
-    fn n_features(&self) -> usize {
-        QuantForest::n_features(self)
-    }
-
-    fn score(&self, features: &[f64]) -> f64 {
-        QuantForest::score(self, features)
-    }
-
-    fn predict_batch(&self, x: &FeatureMatrix, out: &mut [f64]) {
-        QuantForest::predict_batch(self, x, out);
     }
 }
 

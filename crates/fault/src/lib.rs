@@ -15,12 +15,14 @@
 //!   byte buffer (a serialized model file), returning the offset and bit
 //!   so tests can assert the loader rejects precisely that corruption.
 //!
-//! Everything is seeded and dependency-free: the same `(seed, input,
-//! class, rate)` always produces the same corrupted output, byte for
-//! byte, so chaos-test failures replay exactly.
+//! Everything is seeded: the same `(seed, input, class, rate)` always
+//! produces the same corrupted output, byte for byte, so chaos-test
+//! failures replay exactly.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use hdd_smart::rng::splitmix64;
 
 /// A SMART CSV row has `drive,failed,fail_hour,hour` plus the twelve
 /// feature columns of the paper's Table II.
@@ -384,7 +386,7 @@ impl FaultInjector {
                     let id = *remap.entry(fields[0].to_string()).or_insert_with(|| loop {
                         let c = candidate;
                         candidate += 1;
-                        if SplitMix64::new(c).next().is_multiple_of(4) {
+                        if splitmix64(c).is_multiple_of(4) {
                             break c;
                         }
                     });
@@ -564,8 +566,8 @@ fn swap_adjacent(lines: &mut [String], rng: &mut SplitMix64, quota: usize) -> us
     accepted.len()
 }
 
-/// SplitMix64: tiny, seedable, dependency-free PRNG (public-domain
-/// constants from Steele, Lea & Flood).
+/// Sequential SplitMix64: yields [`splitmix64`] of its state, then
+/// advances the state by the golden-ratio increment.
 #[derive(Debug, Clone)]
 struct SplitMix64 {
     state: u64,
@@ -577,11 +579,9 @@ impl SplitMix64 {
     }
 
     fn next(&mut self) -> u64 {
+        let z = splitmix64(self.state);
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        z
     }
 }
 
@@ -770,11 +770,7 @@ mod tests {
             std::collections::HashMap::new();
         for (i, line) in out.lines().skip(1).enumerate() {
             let id: u64 = line.split(',').next().unwrap().parse().unwrap();
-            assert_eq!(
-                SplitMix64::new(id).next() % 4,
-                0,
-                "id {id} must hash to shard 0 of 4"
-            );
+            assert_eq!(splitmix64(id) % 4, 0, "id {id} must hash to shard 0 of 4");
             per_original.entry(id).or_default().push(i);
         }
         // 3 original drives → 3 distinct remapped ids, 20 rows each.
@@ -821,16 +817,6 @@ mod tests {
         }
     }
 
-    /// FNV-1a 64 over `bytes` — the corpus fingerprint.
-    fn fnv64(bytes: &[u8]) -> u64 {
-        let mut h = 0xCBF2_9CE4_8422_2325u64;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
-    }
-
     #[test]
     fn scenario_replay_round_trips_through_its_manifest_line() {
         for class in FaultClass::ALL {
@@ -871,13 +857,14 @@ mod tests {
             let (out, _) = replay.apply(&csv);
             let (again, _) = replay.apply(&csv);
             assert_eq!(out, again, "replay must be deterministic: {line}");
+            // The corpus fingerprint: FNV-1a 64 of the corrupted output.
+            let fnv = hdd_smart::rng::fnv1a_extend(hdd_smart::rng::FNV1A_OFFSET, out.as_bytes());
             assert_eq!(
-                fnv64(out.as_bytes()),
+                fnv,
                 committed,
                 "regenerated output drifted from the committed artifact; \
-                 expected line: {} fnv={:#x}",
+                 expected line: {} fnv={fnv:#x}",
                 replay.manifest_line(),
-                fnv64(out.as_bytes())
             );
             checked += 1;
         }

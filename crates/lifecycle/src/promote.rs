@@ -26,6 +26,7 @@
 
 use hdd_eval::{ModelError, SavedModel};
 use hdd_json::{container, Value};
+use hdd_smart::rng::{fnv1a_extend, FNV1A_OFFSET};
 use std::path::{Path, PathBuf};
 
 /// Container magic for the promotion marker file.
@@ -34,12 +35,7 @@ const MARKER_MAGIC: &str = "hddpred-promote";
 /// FNV-1a 64-bit fingerprint of a byte string.
 #[must_use]
 pub fn fingerprint(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0100_0000_01b3);
-    }
-    hash
+    fnv1a_extend(FNV1A_OFFSET, bytes)
 }
 
 /// Filesystem steps of the promotion protocol, used to inject a

@@ -395,7 +395,7 @@ impl EngineShard {
         let scores = if rows.is_empty() {
             Vec::new()
         } else {
-            // Score through the batched traversal kernel in fixed-size
+            // Score with the model's batched row walk in fixed-size
             // chunks: chunk boundaries depend only on the row count, each
             // chunk's scores are bit-identical to scoring its rows alone,
             // and the token is checked per chunk — so the outcome never

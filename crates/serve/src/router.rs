@@ -20,23 +20,7 @@
 //! routed by a hash of their leading field, so a garbage flood spreads
 //! across shards deterministically instead of funneling into shard 0.
 
-/// The SplitMix64 finalizer: a bijective 64-bit mix.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// FNV-1a over a byte string, for lines with no numeric drive id.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
+use hdd_smart::rng::{fnv1a_extend, splitmix64, FNV1A_OFFSET};
 
 /// Hash-partitions drive ids across a power-of-two shard count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,7 +53,7 @@ impl ShardRouter {
     /// The owning shard for a drive id.
     #[must_use]
     pub fn shard_of(&self, drive: u32) -> usize {
-        (mix(u64::from(drive)) & (self.n_shards as u64 - 1)) as usize
+        (splitmix64(u64::from(drive)) & (self.n_shards as u64 - 1)) as usize
     }
 
     /// The owning shard for a raw feed line: by drive id when the
@@ -80,7 +64,10 @@ impl ShardRouter {
         let leading = text.split(',').next().unwrap_or("");
         match leading.trim().parse::<u32>() {
             Ok(drive) => self.shard_of(drive),
-            Err(_) => (fnv1a(leading.as_bytes()) & (self.n_shards as u64 - 1)) as usize,
+            Err(_) => {
+                (fnv1a_extend(FNV1A_OFFSET, leading.as_bytes()) & (self.n_shards as u64 - 1))
+                    as usize
+            }
         }
     }
 }

@@ -19,7 +19,7 @@ use crate::manifest::ScenarioManifest;
 use crate::scenario::Scenario;
 use hdd_smart::csv::{write_header, write_series};
 use hdd_smart::gen::generate_series;
-use hdd_smart::rng::splitmix64;
+use hdd_smart::rng::{fnv1a_extend, splitmix64, FNV1A_OFFSET};
 use hdd_smart::time::OBSERVATION_HOURS;
 use hdd_smart::{
     DatasetGenerator, DriveClass, DriveId, DriveSpec, FailureMode, FamilyProfile, Hour,
@@ -96,7 +96,7 @@ impl FnvWriter {
     #[must_use]
     pub fn new() -> Self {
         FnvWriter {
-            hash: 0xCBF2_9CE4_8422_2325,
+            hash: FNV1A_OFFSET,
             len: 0,
         }
     }
@@ -128,10 +128,7 @@ impl Default for FnvWriter {
 
 impl Write for FnvWriter {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        for &b in buf {
-            self.hash ^= u64::from(b);
-            self.hash = self.hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        self.hash = fnv1a_extend(self.hash, buf);
         self.len += buf.len() as u64;
         Ok(buf.len())
     }

@@ -168,10 +168,10 @@ containment.
 live/candidate/history fingerprints from disk, plus the phase and
 counters from `lifecycle.ckpt` when `--checkpoint` is given.
 
-`audit` runs the workspace's own static analyzer (rules R1-R5: wall-clock
-ban, unordered-iteration ban, panic-surface ban, lossy-cast guard, crate
-hygiene) over the Rust sources under `--root` (default: the current
-directory) and writes the machine-readable `AUDIT.json` report next to
+`audit` runs the workspace's own static analyzer (rules R1-R3 and R5:
+wall-clock ban, unordered-iteration ban, panic-surface ban, crate
+hygiene; S0 flags malformed or stale suppressions) over the Rust
+sources under `--root` (default: the current directory) and writes the machine-readable `AUDIT.json` report next to
 it unless `--no-json` is given. Unsuppressed findings exit with code 9;
 suppressions need `// audit:allow(<rule>) reason=\"...\"`.
 
