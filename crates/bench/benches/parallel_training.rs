@@ -246,7 +246,7 @@ fn bench_forest_training(report: &mut Report, smoke: bool) {
 
     // The problem shape goes into the artifact so the numbers can be
     // diagnosed from BENCH_parallel.json alone: `chunk_size` is the
-    // per-worker tree chunk the fork-join layer dealt *after* the
+    // per-worker tree chunk forest training dealt *after* the
     // minimum-work floor (`FOREST_MIN_TASK_ROWS` training rows per
     // task — recorded as `min_task_rows`), `n_drives` the training-set
     // size. `speedup` on every row is relative to the legacy baseline;

@@ -24,16 +24,17 @@ use crate::sample::{Class, ClassSample, TrainError};
 use crate::split::{FeatureMatrix, PresortedColumns, SplitWorkspace};
 use hdd_par::ThreadPool;
 use hdd_smart::rng::splitmix64;
+use std::ops::Range;
 
 /// Minimum number of training rows a forest worker task should cover.
 ///
-/// The fork-join layer deals trees to workers in contiguous chunks; with
-/// small forests `ceil(n_trees / n_threads)` collapses to a few trees per
-/// task and spawn overhead dominates. Flooring the chunk so each task
-/// covers at least this many rows of training work
-/// (`min_chunk = ceil(FOREST_MIN_TASK_ROWS / n_samples)` trees) keeps the
-/// per-task compute comfortably above the fork-join cost. Chunking only
-/// changes how trees are dealt, never their content: each tree is a pure
+/// Training deals trees to workers in contiguous chunks of
+/// `ceil(n_trees / n_threads)`; with small forests that collapses to a
+/// few trees per task and spawn overhead dominates. Flooring the chunk
+/// so each task covers at least this many rows of training work
+/// (`ceil(FOREST_MIN_TASK_ROWS / n_samples)` trees) keeps the per-task
+/// compute comfortably above the fork-join cost. Chunking only changes
+/// how trees are dealt, never their content: each tree is a pure
 /// function of `(samples, seed, tree index)`.
 pub const FOREST_MIN_TASK_ROWS: usize = 16_384;
 
@@ -169,9 +170,16 @@ impl RandomForestBuilder {
         // in O(n) per feature instead of O(n log n).
         let root = PresortedColumns::with_pool(&matrix, pool);
 
-        let tree_ids: Vec<usize> = (0..self.n_trees).collect();
-        let chunk_pool = pool.with_min_chunk(FOREST_MIN_TASK_ROWS.div_ceil(n));
-        let chunks = chunk_pool.parallel_for_chunks(&tree_ids, |ids| {
+        // One task per chunk of tree ids (see FOREST_MIN_TASK_ROWS).
+        let chunk = self
+            .n_trees
+            .div_ceil(pool.n_threads())
+            .max(FOREST_MIN_TASK_ROWS.div_ceil(n));
+        let tree_chunks: Vec<Range<usize>> = (0..self.n_trees)
+            .step_by(chunk)
+            .map(|start| start..(start + chunk).min(self.n_trees))
+            .collect();
+        let chunks = pool.parallel_map(&tree_chunks, |ids| {
             // Per-worker scratch, reused across the chunk's trees: the
             // steady state allocates nothing per tree but the grown nodes.
             let mut workspace = SplitWorkspace::new();
@@ -183,7 +191,7 @@ impl RandomForestBuilder {
             let mut proj_classes: Vec<Class> = Vec::with_capacity(n);
 
             let mut members = Vec::with_capacity(ids.len());
-            for &t in ids {
+            for t in ids.clone() {
                 let tree_seed = splitmix64(self.seed ^ (t as u64).wrapping_mul(0x9E37_79B9));
                 // Random feature subset (deterministic Fisher–Yates prefix).
                 features.clear();
@@ -408,16 +416,29 @@ mod tests {
 
     #[test]
     fn bit_identical_across_thread_counts() {
-        let samples = separable(40);
-        let mut serial = RandomForestBuilder::new();
-        serial.threads(Some(1));
-        let mut parallel = RandomForestBuilder::new();
-        parallel.threads(Some(4));
-        assert_eq!(
-            serial.build(&samples).unwrap(),
-            parallel.build(&samples).unwrap(),
-            "forest must not depend on thread count"
-        );
+        // The FOREST_MIN_TASK_ROWS floor binds at 8 threads for both
+        // sizes: at 80 rows it puts all 25 trees in one task; at 1500
+        // rows it deals chunks of 11 trees (not ceil(25/8) = 4), so 11, 11
+        // and 3 trees across three tasks.
+        for pairs in [40, 750] {
+            let samples = separable(pairs);
+            let floor = FOREST_MIN_TASK_ROWS.div_ceil(samples.len());
+            assert!(floor > 25_usize.div_ceil(8), "floor must bind");
+            let build = |threads| {
+                let mut builder = RandomForestBuilder::new();
+                builder.threads(Some(threads));
+                builder.build(&samples).unwrap()
+            };
+            let serial = build(1);
+            for threads in [2, 4, 8] {
+                assert_eq!(
+                    build(threads),
+                    serial,
+                    "{} rows at {threads} threads: forest must not depend on thread count",
+                    samples.len()
+                );
+            }
+        }
     }
 
     #[test]

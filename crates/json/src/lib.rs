@@ -469,15 +469,18 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // bytes are valid UTF-8).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the run of plain bytes up to the next quote or
+                    // backslash in one slice. Both are ASCII, so in the
+                    // (valid UTF-8) input the run ends on a char boundary.
+                    let rest = &self.bytes[self.pos..];
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len])
                         .map_err(|_| JsonError::new("invalid UTF-8"))?;
-                    let Some(c) = rest.chars().next() else {
-                        return Err(JsonError::new("unterminated string"));
-                    };
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -613,6 +616,24 @@ mod tests {
         assert_eq!(parse(&text).unwrap(), v);
         let unicode = parse(r#""éA""#).unwrap();
         assert_eq!(unicode.as_str(), Some("éA"));
+    }
+
+    #[test]
+    fn multibyte_text_round_trips_between_escapes() {
+        let key = "clé\t日本\"🚀\\";
+        let v = Value::Obj(vec![
+            (key.to_string(), Value::Str("é\n日本🚀\u{1}x".to_string())),
+            (
+                "🚀".to_string(),
+                Value::Arr(vec![Value::Str("日\"本".into())]),
+            ),
+        ]);
+        let text = to_string(&v);
+        assert!(text.contains("日本") && text.contains("🚀"), "{text}");
+        assert_eq!(parse(&text).unwrap(), v);
+        // Escapes that decode to multi-byte text sit next to raw runs.
+        let escaped = parse(r#"{"é日日é":"🚀é\\🚀"}"#).unwrap();
+        assert_eq!(escaped.field("é日日é").unwrap().as_str(), Some("🚀é\\🚀"));
     }
 
     #[test]

@@ -1,24 +1,31 @@
-//! Deterministic fork-join parallelism on `std::thread::scope`.
+//! Deterministic fork-join parallelism on scoped threads.
 //!
 //! Training and evaluation decompose into independent units — features of
 //! a split search, trees of a forest, drives of a test population — whose
 //! per-unit work is pure. This crate runs those units across a bounded
 //! number of scoped worker threads and **always merges results in
 //! submission order**, so the output of every parallel call is
-//! bit-identical to the serial loop it replaces. With one thread, the
-//! combinators do not spawn at all: they run the plain serial iterator,
-//! so `threads = 1` *is* the old code path, not an emulation of it.
+//! bit-identical to the serial loop it replaces.
+//!
+//! Every combinator splits its input into at most `n_threads` contiguous
+//! chunks of `ceil(n / n_threads)` items and hands them to one private
+//! fan-out loop. That loop catches a panic in any chunk, spawns scoped
+//! threads only when there is more than one chunk, and reports the
+//! earliest failing chunk. With one thread there is one chunk, run
+//! inline: `threads = 1` *is* the serial loop, not an emulation of it.
 //!
 //! # Thread-count resolution
 //!
-//! [`resolve_threads`] picks the worker count from, in order:
+//! [`ThreadPool::global`] picks the worker count from, in order:
 //!
-//! 1. an explicit caller value (a `--threads` CLI flag),
-//! 2. the process-wide override set by [`configure_threads`],
-//! 3. the `HDDPRED_THREADS` environment variable (ignored unless it
+//! 1. the process-wide override set by [`configure_threads`] (what a
+//!    `--threads` CLI flag plumbs through),
+//! 2. the `HDDPRED_THREADS` environment variable (ignored unless it
 //!    parses to an integer ≥ 1),
-//! 4. [`std::thread::available_parallelism`] (clamped to
-//!    [`MAX_THREADS`]).
+//! 3. [`hardware_threads`].
+//!
+//! Every count is clamped to 64: fork-join gains flatten well before
+//! that, and a runaway environment value must not fork-bomb.
 //!
 //! # Example
 //!
@@ -33,103 +40,51 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::any::Any;
+use std::ops::Range;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A worker panic, contained and surfaced as a value.
-///
-/// Every combinator wraps its per-chunk work in
-/// [`std::panic::catch_unwind`], so a panicking closure never tears down
-/// a worker thread mid-scope: the scope joins normally, no other chunk is
-/// poisoned, and the panic arrives on the *submitting* thread — as this
-/// typed error from the `try_` combinators, or re-raised as a regular
-/// panic from the infallible ones.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkerPanic {
-    /// Index of the chunk (in submission order) whose closure panicked.
-    pub chunk: usize,
-    /// The panic message, when the payload was a string (the common
-    /// case); `"<non-string panic payload>"` otherwise.
-    pub message: String,
-}
-
-impl std::fmt::Display for WorkerPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "worker panicked in chunk {}: {}",
-            self.chunk, self.message
-        )
-    }
-}
-
-impl std::error::Error for WorkerPanic {}
-
-/// Extract a readable message from a caught panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
-}
-
-/// Merge per-chunk outcomes in submission order, keeping the first
-/// panic (deterministic: the earliest chunk wins regardless of timing).
-fn merge_chunks<R>(chunks: Vec<Result<Vec<R>, String>>) -> Result<Vec<R>, WorkerPanic> {
-    let mut out = Vec::new();
-    for (chunk, result) in chunks.into_iter().enumerate() {
-        match result {
-            Ok(mut part) => out.append(&mut part),
-            Err(message) => return Err(WorkerPanic { chunk, message }),
-        }
-    }
-    Ok(out)
-}
-
-/// Why a cancellable call stopped before finishing its work.
-///
-/// Produced by [`CancelToken::check`]; the distinction matters to
-/// callers — a deadline overrun means "retry with the same input next
-/// tick", an explicit cancel means "this work is obsolete".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Interrupt {
-    /// [`CancelToken::cancel`] was called.
-    Cancelled,
-    /// The token's deadline passed.
-    DeadlineExceeded,
-}
-
-impl std::fmt::Display for Interrupt {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Interrupt::Cancelled => write!(f, "cancelled"),
-            Interrupt::DeadlineExceeded => write!(f, "deadline exceeded"),
-        }
-    }
-}
-
-impl std::error::Error for Interrupt {}
-
-/// Why a `_cancel` combinator returned without a full result set.
+/// Why a fallible combinator returned without a full result set.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ParError {
-    /// A worker's closure panicked (contained, earliest chunk wins).
-    Panic(WorkerPanic),
-    /// The token was cancelled before every chunk started.
+    /// A closure panicked. The panic was caught in its worker, every
+    /// other chunk still ran, and the earliest panicking chunk (in
+    /// submission order, whatever the thread timing) is reported.
+    Panic {
+        /// Index of the chunk, in submission order, whose closure panicked.
+        chunk: usize,
+        /// The panic message when the payload was a string (the common
+        /// case); `"<non-string panic payload>"` otherwise.
+        message: String,
+    },
+    /// [`CancelToken::cancel`] was called before every chunk started.
     Cancelled,
     /// The token's deadline passed before every chunk started.
     DeadlineExceeded,
 }
 
+impl ParError {
+    fn panic(chunk: usize, payload: &(dyn Any + Send)) -> Self {
+        let message = if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "<non-string panic payload>".to_string()
+        };
+        ParError::Panic { chunk, message }
+    }
+}
+
 impl std::fmt::Display for ParError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ParError::Panic(p) => write!(f, "{p}"),
+            ParError::Panic { chunk, message } => {
+                write!(f, "worker panicked in chunk {chunk}: {message}")
+            }
             ParError::Cancelled => write!(f, "cancelled"),
             ParError::DeadlineExceeded => write!(f, "deadline exceeded"),
         }
@@ -138,51 +93,13 @@ impl std::fmt::Display for ParError {
 
 impl std::error::Error for ParError {}
 
-impl From<WorkerPanic> for ParError {
-    fn from(p: WorkerPanic) -> Self {
-        ParError::Panic(p)
-    }
-}
-
-impl From<Interrupt> for ParError {
-    fn from(i: Interrupt) -> Self {
-        match i {
-            Interrupt::Cancelled => ParError::Cancelled,
-            Interrupt::DeadlineExceeded => ParError::DeadlineExceeded,
-        }
-    }
-}
-
-/// A chunk's failure, kept as a value until the deterministic merge.
-enum ChunkFailure {
-    Panic(String),
-    Interrupt(Interrupt),
-}
-
-/// Merge cancellable per-chunk outcomes in submission order: the
-/// earliest failing chunk wins regardless of thread timing, so the same
-/// inputs always report the same error.
-fn merge_cancellable<R>(chunks: Vec<Result<Vec<R>, ChunkFailure>>) -> Result<Vec<R>, ParError> {
-    let mut out = Vec::new();
-    for (chunk, result) in chunks.into_iter().enumerate() {
-        match result {
-            Ok(mut part) => out.append(&mut part),
-            Err(ChunkFailure::Panic(message)) => {
-                return Err(ParError::Panic(WorkerPanic { chunk, message }))
-            }
-            Err(ChunkFailure::Interrupt(i)) => return Err(i.into()),
-        }
-    }
-    Ok(out)
-}
-
 /// A cooperative cancellation handle: cloneable, checkable, optionally
 /// carrying a wall-clock deadline.
 ///
-/// Workers do not get pre-empted — cancellation is observed at chunk
-/// boundaries via [`CancelToken::check`], so a caller that needs a tick
-/// budget honoured should keep its work items reasonably small (the
-/// streaming engine bounds batches with its ingest queue cap).
+/// Workers are not pre-empted: the fan-out checks the token before each
+/// chunk starts, so a caller that needs a tick budget honoured should
+/// keep its work items small (the streaming engine bounds batches with
+/// its ingest queue cap).
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     inner: Arc<TokenInner>,
@@ -202,22 +119,16 @@ impl CancelToken {
         CancelToken::default()
     }
 
-    /// A token that reports [`Interrupt::DeadlineExceeded`] once
-    /// `deadline` passes.
+    /// A token that reports [`ParError::DeadlineExceeded`] once `budget`
+    /// has passed from now.
     #[must_use]
-    pub fn with_deadline(deadline: Instant) -> Self {
+    pub fn with_budget(budget: Duration) -> Self {
         CancelToken {
             inner: Arc::new(TokenInner {
                 cancelled: AtomicBool::new(false),
-                deadline: Some(deadline),
+                deadline: Some(Instant::now() + budget),
             }),
         }
-    }
-
-    /// A token whose deadline is `budget` from now.
-    #[must_use]
-    pub fn with_budget(budget: Duration) -> Self {
-        CancelToken::with_deadline(Instant::now() + budget)
     }
 
     /// Trip the token: every clone observes the cancellation.
@@ -225,48 +136,33 @@ impl CancelToken {
         self.inner.cancelled.store(true, Ordering::Release);
     }
 
-    /// Whether [`CancelToken::cancel`] has been called.
-    #[must_use]
-    pub fn is_cancelled(&self) -> bool {
-        self.inner.cancelled.load(Ordering::Acquire)
-    }
-
-    /// The wall-clock deadline, if this token carries one.
-    #[must_use]
-    pub fn deadline(&self) -> Option<Instant> {
-        self.inner.deadline
-    }
-
     /// Check for an interrupt: explicit cancellation wins over the
     /// deadline when both apply.
     ///
     /// # Errors
     ///
-    /// Returns the [`Interrupt`] when the token is tripped or expired.
-    pub fn check(&self) -> Result<(), Interrupt> {
-        if self.is_cancelled() {
-            return Err(Interrupt::Cancelled);
+    /// Returns [`ParError::Cancelled`] when the token is tripped and
+    /// [`ParError::DeadlineExceeded`] when it has expired.
+    pub fn check(&self) -> Result<(), ParError> {
+        if self.inner.cancelled.load(Ordering::Acquire) {
+            return Err(ParError::Cancelled);
         }
         match self.inner.deadline {
-            Some(deadline) if Instant::now() >= deadline => Err(Interrupt::DeadlineExceeded),
+            Some(deadline) if Instant::now() >= deadline => Err(ParError::DeadlineExceeded),
             _ => Ok(()),
         }
     }
 }
 
-/// Hard cap on resolved worker counts: fork-join gains flatten well
-/// before this, and a runaway environment value must not fork-bomb.
-pub const MAX_THREADS: usize = 64;
-
-/// Environment variable consulted by [`resolve_threads`].
-pub const THREADS_ENV_VAR: &str = "HDDPRED_THREADS";
+/// Hard cap on worker counts.
+const MAX_THREADS: usize = 64;
 
 /// Process-wide thread-count override; `0` means "not set".
 static CONFIGURED: AtomicUsize = AtomicUsize::new(0);
 
 /// Set the process-wide default thread count (what a `--threads` CLI
 /// flag plumbs through). Takes precedence over `HDDPRED_THREADS` and
-/// hardware detection; explicit per-call values still win.
+/// hardware detection.
 ///
 /// # Panics
 ///
@@ -277,28 +173,7 @@ pub fn configure_threads(n: usize) {
     CONFIGURED.store(n.min(MAX_THREADS), Ordering::Relaxed);
 }
 
-/// The process-wide override, if [`configure_threads`] has been called.
-#[must_use]
-pub fn configured_threads() -> Option<usize> {
-    match CONFIGURED.load(Ordering::Relaxed) {
-        0 => None,
-        n => Some(n),
-    }
-}
-
-/// Worker count from the `HDDPRED_THREADS` environment variable, when it
-/// parses to an integer ≥ 1 (anything else is ignored, not an error —
-/// a bad environment must not take the pipeline down).
-#[must_use]
-pub fn env_threads() -> Option<usize> {
-    std::env::var(THREADS_ENV_VAR)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .map(|n| n.min(MAX_THREADS))
-}
-
-/// Number of hardware threads, clamped to `[1, MAX_THREADS]`.
+/// Number of hardware threads, clamped to `[1, 64]`.
 #[must_use]
 pub fn hardware_threads() -> usize {
     std::thread::available_parallelism()
@@ -307,21 +182,75 @@ pub fn hardware_threads() -> usize {
         .clamp(1, MAX_THREADS)
 }
 
-/// Resolve a worker count: `explicit` > [`configure_threads`] >
-/// `HDDPRED_THREADS` > hardware. Always returns at least 1.
-///
-/// # Panics
-///
-/// Panics if `explicit` is `Some(0)`; validate CLI input before calling.
-#[must_use]
-pub fn resolve_threads(explicit: Option<usize>) -> usize {
-    if let Some(n) = explicit {
-        assert!(n >= 1, "thread count must be at least 1");
-        return n.min(MAX_THREADS);
+/// [`configure_threads`] > `HDDPRED_THREADS` > hardware; always ≥ 1. A
+/// bad environment value is ignored, not an error: it must not take the
+/// pipeline down.
+fn resolve_threads() -> usize {
+    match CONFIGURED.load(Ordering::Relaxed) {
+        0 => std::env::var("HDDPRED_THREADS")
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .filter(|&n| n >= 1)
+            .map_or_else(hardware_threads, |n| n.min(MAX_THREADS)),
+        n => n,
     }
-    configured_threads()
-        .or_else(env_threads)
-        .unwrap_or_else(hardware_threads)
+}
+
+/// Run `run` over `chunks`, in parallel when there is more than one, and
+/// concatenate the per-chunk results in submission order.
+///
+/// `token`, when given, is checked before each chunk starts. A panic in
+/// a chunk is caught, every worker is joined before the merge, and the
+/// earliest failing chunk's error wins, so the same input always yields
+/// the same result or the same error. On failure no partial results are
+/// returned.
+fn fan_out<C, R, F>(
+    chunks: impl ExactSizeIterator<Item = C>,
+    token: Option<&CancelToken>,
+    run: F,
+) -> Result<Vec<R>, ParError>
+where
+    C: Send,
+    R: Send,
+    F: Fn(C) -> Vec<R> + Sync,
+{
+    let attempt = |(chunk, part): (usize, C)| {
+        token.map_or(Ok(()), CancelToken::check)?;
+        std::panic::catch_unwind(AssertUnwindSafe(|| run(part)))
+            .map_err(|p| ParError::panic(chunk, &*p))
+    };
+    let mut chunks = chunks.enumerate();
+    if chunks.len() <= 1 {
+        return chunks.next().map_or(Ok(Vec::new()), attempt);
+    }
+    let attempt = &attempt;
+    let results: Vec<Result<Vec<R>, ParError>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = chunks
+            .map(|c| (c.0, scope.spawn(move || attempt(c))))
+            .collect();
+        handles
+            .into_iter()
+            .map(|(chunk, h)| {
+                h.join()
+                    .unwrap_or_else(|p| Err(ParError::panic(chunk, &*p)))
+            })
+            .collect()
+    });
+    let mut out = Vec::new();
+    for part in results {
+        out.append(&mut part?);
+    }
+    Ok(out)
+}
+
+/// Unwrap an infallible combinator's result, re-raising a contained
+/// panic on the submitting thread (every worker has been joined).
+fn reraise<R>(result: Result<Vec<R>, ParError>) -> Vec<R> {
+    match result {
+        Ok(out) => out,
+        // audit:allow(R3) reason="re-raises a worker panic already contained by the fan-out; the try_ combinators are the no-panic API"
+        Err(e) => panic!("{e}"),
+    }
 }
 
 /// A scoped fork-join pool: a worker count plus the discipline that every
@@ -334,23 +263,10 @@ pub fn resolve_threads(explicit: Option<usize>) -> usize {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ThreadPool {
     n_threads: usize,
-    /// Minimum items dealt to a worker before another worker is engaged.
-    /// Defaults to 1 (chunking purely by thread count); raise it via
-    /// [`ThreadPool::with_min_chunk`] when per-item work is small enough
-    /// that spawn/join overhead would dominate an under-filled chunk.
-    min_chunk: usize,
-}
-
-impl Default for ThreadPool {
-    /// The globally resolved pool ([`resolve_threads`] with no explicit
-    /// value).
-    fn default() -> Self {
-        ThreadPool::global()
-    }
 }
 
 impl ThreadPool {
-    /// A pool with exactly `n_threads` workers.
+    /// A pool with exactly `n_threads` workers (clamped to 64).
     ///
     /// # Panics
     ///
@@ -360,7 +276,6 @@ impl ThreadPool {
         assert!(n_threads >= 1, "thread count must be at least 1");
         ThreadPool {
             n_threads: n_threads.min(MAX_THREADS),
-            min_chunk: 1,
         }
     }
 
@@ -368,10 +283,7 @@ impl ThreadPool {
     /// loop, spawning nothing.
     #[must_use]
     pub fn serial() -> Self {
-        ThreadPool {
-            n_threads: 1,
-            min_chunk: 1,
-        }
+        ThreadPool { n_threads: 1 }
     }
 
     /// The pool resolved from the process-wide configuration
@@ -379,39 +291,8 @@ impl ThreadPool {
     #[must_use]
     pub fn global() -> Self {
         ThreadPool {
-            n_threads: resolve_threads(None),
-            min_chunk: 1,
+            n_threads: resolve_threads(),
         }
-    }
-
-    /// The same pool with a minimum-work floor: no worker is handed fewer
-    /// than `min_chunk` items (except the final remainder chunk). With
-    /// `ceil(n / n_threads) < min_chunk`, fewer workers are engaged —
-    /// trading idle threads for chunks big enough to amortise spawn/join
-    /// overhead. Merge order is still submission order, so results remain
-    /// bit-identical to the unfloored pool; only the chunk *boundaries*
-    /// (and hence [`WorkerPanic::chunk`] indices) change.
-    ///
-    /// A `min_chunk` of 0 is treated as 1.
-    #[must_use]
-    pub fn with_min_chunk(self, min_chunk: usize) -> Self {
-        ThreadPool {
-            n_threads: self.n_threads,
-            min_chunk: min_chunk.max(1),
-        }
-    }
-
-    /// The minimum chunk size this pool deals to a worker.
-    #[must_use]
-    pub fn min_chunk(&self) -> usize {
-        self.min_chunk
-    }
-
-    /// The chunk size this pool would deal for `n` items: items split
-    /// evenly across workers, floored at [`ThreadPool::min_chunk`].
-    #[must_use]
-    pub fn chunk_size_for(&self, n: usize) -> usize {
-        n.div_ceil(self.n_threads).max(self.min_chunk)
     }
 
     /// Worker count.
@@ -426,12 +307,22 @@ impl ThreadPool {
         self.n_threads > 1
     }
 
-    /// Map `f` over `items`, returning results in item order.
-    ///
-    /// Items are dealt to workers in contiguous chunks; each worker's
-    /// results are concatenated back in submission order, so the output
-    /// is identical to `items.iter().map(f).collect()` whenever `f` is a
-    /// pure function of its item.
+    /// Items per chunk for `n` items: an even split across workers.
+    fn chunk_len(&self, n: usize) -> usize {
+        n.div_ceil(self.n_threads).max(1)
+    }
+
+    /// `0..n` cut into [`ThreadPool::chunk_len`]-sized ranges.
+    fn ranges(&self, n: usize) -> impl ExactSizeIterator<Item = Range<usize>> {
+        let len = self.chunk_len(n);
+        (0..n)
+            .step_by(len)
+            .map(move |start| start..(start + len).min(n))
+    }
+
+    /// Map `f` over `items`, returning results in item order — identical
+    /// to `items.iter().map(f).collect()` whenever `f` is a pure function
+    /// of its item.
     ///
     /// # Panics
     ///
@@ -445,136 +336,44 @@ impl ThreadPool {
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        match self.try_parallel_map(items, f) {
-            Ok(out) => out,
-            // audit:allow(R3) reason="re-raises a worker panic already contained by try_*; the try_ variants are the no-panic API"
-            Err(p) => panic!("{p}"),
-        }
+        reraise(self.try_parallel_map(items, f))
     }
 
-    /// [`ThreadPool::parallel_map`] with panic containment: a panic in
-    /// `f` is caught in the worker, every other chunk still completes,
-    /// and the first panicking chunk (in submission order — deterministic
-    /// regardless of thread timing) is returned as a [`WorkerPanic`].
+    /// [`ThreadPool::parallel_map`] with panic containment.
     ///
     /// # Errors
     ///
-    /// Returns [`WorkerPanic`] when `f` panicked on any item.
-    pub fn try_parallel_map<T, R, F>(&self, items: &[T], f: F) -> Result<Vec<R>, WorkerPanic>
+    /// Returns [`ParError::Panic`] when `f` panicked on any item.
+    pub fn try_parallel_map<T, R, F>(&self, items: &[T], f: F) -> Result<Vec<R>, ParError>
     where
         T: Sync,
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        if !self.is_parallel() || items.len() <= 1 {
-            let only = catch_unwind(AssertUnwindSafe(|| items.iter().map(&f).collect()))
-                .map_err(|p| panic_message(&*p));
-            return merge_chunks(vec![only]);
-        }
-        let chunk = self.chunk_size_for(items.len());
-        let f = &f;
-        let mut results: Vec<Result<Vec<R>, String>> = Vec::with_capacity(self.n_threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = items
-                .chunks(chunk)
-                .map(|part| {
-                    scope.spawn(move || {
-                        catch_unwind(AssertUnwindSafe(|| part.iter().map(f).collect::<Vec<R>>()))
-                            .map_err(|p| panic_message(&*p))
-                    })
-                })
-                .collect();
-            for handle in handles {
-                results.push(handle.join().unwrap_or_else(|p| Err(panic_message(&*p))));
-            }
-        });
-        merge_chunks(results)
+        let chunks = items.chunks(self.chunk_len(items.len()));
+        fan_out(chunks, None, |part| part.iter().map(&f).collect())
     }
 
     /// Map `f` over the index range `0..n`, returning results in index
-    /// order — the fan-out shape of per-feature and per-tree work.
+    /// order — the fan-out shape of per-feature work.
     ///
     /// # Panics
     ///
-    /// Re-raises a panic from `f` on the submitting thread; see
-    /// [`ThreadPool::try_parallel_map_range`] for the fallible form.
+    /// Re-raises a panic from `f` on the submitting thread.
     pub fn parallel_map_range<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        match self.try_parallel_map_range(n, f) {
-            Ok(out) => out,
-            // audit:allow(R3) reason="re-raises a worker panic already contained by try_*; the try_ variants are the no-panic API"
-            Err(p) => panic!("{p}"),
-        }
+        reraise(fan_out(self.ranges(n), None, |range| {
+            range.map(&f).collect()
+        }))
     }
 
-    /// [`ThreadPool::parallel_map_range`] with panic containment.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WorkerPanic`] when `f` panicked on any index.
-    pub fn try_parallel_map_range<R, F>(&self, n: usize, f: F) -> Result<Vec<R>, WorkerPanic>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        if !self.is_parallel() || n <= 1 {
-            let only = catch_unwind(AssertUnwindSafe(|| (0..n).map(&f).collect()))
-                .map_err(|p| panic_message(&*p));
-            return merge_chunks(vec![only]);
-        }
-        let chunk = self.chunk_size_for(n);
-        let f = &f;
-        let mut results: Vec<Result<Vec<R>, String>> = Vec::with_capacity(self.n_threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n)
-                .step_by(chunk)
-                .map(|start| {
-                    let end = (start + chunk).min(n);
-                    scope.spawn(move || {
-                        catch_unwind(AssertUnwindSafe(|| (start..end).map(f).collect::<Vec<R>>()))
-                            .map_err(|p| panic_message(&*p))
-                    })
-                })
-                .collect();
-            for handle in handles {
-                results.push(handle.join().unwrap_or_else(|p| Err(panic_message(&*p))));
-            }
-        });
-        merge_chunks(results)
-    }
-
-    /// Split `items` into at most `n_threads` contiguous chunks, apply
-    /// `f` to each whole chunk, and return the per-chunk results in chunk
-    /// order — the reduce-friendly shape (per-chunk accumulators merged
-    /// by the caller in a fixed order keep floating-point sums stable
-    /// for a given thread count).
-    ///
-    /// With one worker this is a single `f(items)` call.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises a panic from `f` on the submitting thread; see
-    /// [`ThreadPool::try_parallel_for_chunks`] for the fallible form.
-    pub fn parallel_for_chunks<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&[T]) -> R + Sync,
-    {
-        match self.try_parallel_for_chunks(items, f) {
-            Ok(out) => out,
-            // audit:allow(R3) reason="re-raises a worker panic already contained by try_*; the try_ variants are the no-panic API"
-            Err(p) => panic!("{p}"),
-        }
-    }
-
-    /// [`ThreadPool::try_parallel_map`] with cooperative cancellation:
-    /// `token` is checked once before each chunk starts, so an expired
-    /// deadline or an explicit cancel stops the call at the next chunk
-    /// boundary instead of running the whole input.
+    /// [`ThreadPool::parallel_map_range`] with panic containment and
+    /// cooperative cancellation: `token` is checked once before each
+    /// chunk starts, so an expired deadline or an explicit cancel stops
+    /// the call at the next chunk boundary.
     ///
     /// On interrupt **no partial results are returned** — the caller
     /// retries the same input later (the streaming engine leaves the
@@ -585,53 +384,7 @@ impl ThreadPool {
     ///
     /// Returns [`ParError::Cancelled`] / [`ParError::DeadlineExceeded`]
     /// when the token tripped before every chunk ran, or
-    /// [`ParError::Panic`] when `f` panicked (earliest chunk in
-    /// submission order wins, deterministically).
-    pub fn try_parallel_map_cancel<T, R, F>(
-        &self,
-        token: &CancelToken,
-        items: &[T],
-        f: F,
-    ) -> Result<Vec<R>, ParError>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        let run_chunk = |part: &[T]| -> Result<Vec<R>, ChunkFailure> {
-            token.check().map_err(ChunkFailure::Interrupt)?;
-            catch_unwind(AssertUnwindSafe(|| part.iter().map(&f).collect()))
-                .map_err(|p| ChunkFailure::Panic(panic_message(&*p)))
-        };
-        if !self.is_parallel() || items.len() <= 1 {
-            return merge_cancellable(vec![run_chunk(items)]);
-        }
-        let chunk = self.chunk_size_for(items.len());
-        let run_chunk = &run_chunk;
-        let mut results: Vec<Result<Vec<R>, ChunkFailure>> = Vec::with_capacity(self.n_threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = items
-                .chunks(chunk)
-                .map(|part| scope.spawn(move || run_chunk(part)))
-                .collect();
-            for handle in handles {
-                results.push(
-                    handle
-                        .join()
-                        .unwrap_or_else(|p| Err(ChunkFailure::Panic(panic_message(&*p)))),
-                );
-            }
-        });
-        merge_cancellable(results)
-    }
-
-    /// [`ThreadPool::try_parallel_map_range`] with cooperative
-    /// cancellation; see [`ThreadPool::try_parallel_map_cancel`] for the
-    /// checking and no-partial-results semantics.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParError`] on interrupt or contained panic.
+    /// [`ParError::Panic`] when `f` panicked.
     pub fn try_parallel_map_range_cancel<R, F>(
         &self,
         token: &CancelToken,
@@ -642,140 +395,71 @@ impl ThreadPool {
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        let run_range = |start: usize, end: usize| -> Result<Vec<R>, ChunkFailure> {
-            token.check().map_err(ChunkFailure::Interrupt)?;
-            catch_unwind(AssertUnwindSafe(|| (start..end).map(&f).collect()))
-                .map_err(|p| ChunkFailure::Panic(panic_message(&*p)))
-        };
-        if !self.is_parallel() || n <= 1 {
-            return merge_cancellable(vec![run_range(0, n)]);
-        }
-        let chunk = self.chunk_size_for(n);
-        let run_range = &run_range;
-        let mut results: Vec<Result<Vec<R>, ChunkFailure>> = Vec::with_capacity(self.n_threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n)
-                .step_by(chunk)
-                .map(|start| {
-                    let end = (start + chunk).min(n);
-                    scope.spawn(move || run_range(start, end))
-                })
-                .collect();
-            for handle in handles {
-                results.push(
-                    handle
-                        .join()
-                        .unwrap_or_else(|p| Err(ChunkFailure::Panic(panic_message(&*p)))),
-                );
-            }
-        });
-        merge_cancellable(results)
+        fan_out(self.ranges(n), Some(token), |range| range.map(&f).collect())
     }
 
-    /// Apply `f` to every item through an **exclusive** reference, one
-    /// item per task, returning per-item results in submission order —
-    /// the fan-out shape of stateful workers that each own a disjoint
-    /// slice of state (the serve topology's engine shards).
+    /// Split `items` into at most `n_threads` contiguous chunks, apply
+    /// `f` to each whole chunk, and return the per-chunk results in chunk
+    /// order — the reduce-friendly shape (per-chunk accumulators merged
+    /// by the caller in a fixed order keep floating-point sums stable
+    /// for a given thread count). With one worker this is a single
+    /// `f(items)` call; with no items, `f` is never called.
     ///
-    /// Unlike the read-only combinators, `f` may mutate its item; the
-    /// items are split with `chunks_mut`, so no two workers ever alias.
-    /// A panicking item is contained exactly like
-    /// [`ThreadPool::try_parallel_map`]: every other item still runs, the
-    /// scope joins normally, and the earliest panicking chunk (in
-    /// submission order) is reported. Mutations made by `f` before a
-    /// panic are kept — callers that need all-or-nothing semantics must
-    /// make `f` itself transactional, as the engine shards do.
+    /// # Panics
     ///
-    /// # Errors
-    ///
-    /// Returns [`WorkerPanic`] when `f` panicked on any item.
-    pub fn try_parallel_map_mut<T, R, F>(
-        &self,
-        items: &mut [T],
-        f: F,
-    ) -> Result<Vec<R>, WorkerPanic>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, &mut T) -> R + Sync,
-    {
-        if !self.is_parallel() || items.len() <= 1 {
-            let only = catch_unwind(AssertUnwindSafe(|| {
-                items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect()
-            }))
-            .map_err(|p| panic_message(&*p));
-            return merge_chunks(vec![only]);
-        }
-        let chunk = self.chunk_size_for(items.len());
-        let f = &f;
-        let mut results: Vec<Result<Vec<R>, String>> = Vec::with_capacity(self.n_threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = items
-                .chunks_mut(chunk)
-                .enumerate()
-                .map(|(chunk_idx, part)| {
-                    let base = chunk_idx * chunk;
-                    scope.spawn(move || {
-                        catch_unwind(AssertUnwindSafe(|| {
-                            part.iter_mut()
-                                .enumerate()
-                                .map(|(i, t)| f(base + i, t))
-                                .collect::<Vec<R>>()
-                        }))
-                        .map_err(|p| panic_message(&*p))
-                    })
-                })
-                .collect();
-            for handle in handles {
-                results.push(handle.join().unwrap_or_else(|p| Err(panic_message(&*p))));
-            }
-        });
-        merge_chunks(results)
-    }
-
-    /// [`ThreadPool::parallel_for_chunks`] with panic containment.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WorkerPanic`] when `f` panicked on any chunk.
-    pub fn try_parallel_for_chunks<T, R, F>(&self, items: &[T], f: F) -> Result<Vec<R>, WorkerPanic>
+    /// Re-raises a panic from `f` on the submitting thread.
+    pub fn parallel_for_chunks<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
         F: Fn(&[T]) -> R + Sync,
     {
-        if items.is_empty() {
-            return Ok(Vec::new());
-        }
-        if !self.is_parallel() || items.len() == 1 {
-            let only =
-                catch_unwind(AssertUnwindSafe(|| vec![f(items)])).map_err(|p| panic_message(&*p));
-            return merge_chunks(vec![only]);
-        }
-        let chunk = self.chunk_size_for(items.len());
-        let f = &f;
-        let mut results: Vec<Result<Vec<R>, String>> = Vec::with_capacity(self.n_threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = items
-                .chunks(chunk)
-                .map(|part| {
-                    scope.spawn(move || {
-                        catch_unwind(AssertUnwindSafe(|| vec![f(part)]))
-                            .map_err(|p| panic_message(&*p))
-                    })
-                })
-                .collect();
-            for handle in handles {
-                results.push(handle.join().unwrap_or_else(|p| Err(panic_message(&*p))));
-            }
-        });
-        merge_chunks(results)
+        let chunks = items.chunks(self.chunk_len(items.len()));
+        reraise(fan_out(chunks, None, |part| vec![f(part)]))
+    }
+
+    /// Apply `f(index, item)` to every item through an **exclusive**
+    /// reference, returning results in submission order — the fan-out
+    /// shape of stateful workers that each own a disjoint slice of state
+    /// (the serve topology's engine shards).
+    ///
+    /// The items are split with `chunks_mut`, so no two workers alias. A
+    /// panic is contained like [`ThreadPool::try_parallel_map`].
+    /// Mutations made by `f` before a panic are kept — callers that need
+    /// all-or-nothing semantics must make `f` itself transactional, as
+    /// the engine shards do.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ParError::Panic`] when `f` panicked on any item.
+    pub fn try_parallel_map_mut<T, R, F>(&self, items: &mut [T], f: F) -> Result<Vec<R>, ParError>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(usize, &mut T) -> R + Sync,
+    {
+        let len = self.chunk_len(items.len());
+        let chunks = items.chunks_mut(len).enumerate();
+        fan_out(chunks, None, |(c, part)| {
+            let base = c * len;
+            part.iter_mut()
+                .enumerate()
+                .map(|(i, t)| f(base + i, t))
+                .collect()
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn panic_of(err: ParError) -> (usize, String) {
+        match err {
+            ParError::Panic { chunk, message } => (chunk, message),
+            other => panic!("expected Panic, got {other}"),
+        }
+    }
 
     #[test]
     fn map_preserves_submission_order() {
@@ -808,6 +492,19 @@ mod tests {
     }
 
     #[test]
+    fn chunk_boundaries_are_an_even_split() {
+        let items: Vec<u8> = vec![0; 100];
+        let lens = |threads| ThreadPool::new(threads).parallel_for_chunks(&items, <[u8]>::len);
+        assert_eq!(lens(1), vec![100]);
+        assert_eq!(lens(3), vec![34, 34, 32]);
+        assert_eq!(
+            lens(8),
+            vec![13; 7].into_iter().chain([9]).collect::<Vec<_>>()
+        );
+        assert_eq!(lens(64), vec![2; 50], "ceil(100/64) = 2 items per chunk");
+    }
+
+    #[test]
     fn empty_and_tiny_inputs() {
         let pool = ThreadPool::new(8);
         assert_eq!(pool.parallel_map(&[] as &[u8], |&x| x), Vec::<u8>::new());
@@ -817,13 +514,24 @@ mod tests {
             Vec::<usize>::new()
         );
         assert_eq!(pool.parallel_map_range(0, |i| i), Vec::<usize>::new());
+        assert_eq!(
+            pool.try_parallel_map_mut(&mut [] as &mut [u8], |_, &mut x| x),
+            Ok(Vec::new())
+        );
     }
 
     #[test]
     fn serial_pool_never_forks() {
         // Observable via thread ids: every call runs on this thread.
         let here = std::thread::current().id();
-        let ids = ThreadPool::serial().parallel_map(&[1, 2, 3], |_| std::thread::current().id());
+        let pool = ThreadPool::serial();
+        let ids = pool.parallel_map(&[1, 2, 3], |_| std::thread::current().id());
+        assert!(ids.iter().all(|&id| id == here));
+        let ids = pool.parallel_map_range(3, |_| std::thread::current().id());
+        assert!(ids.iter().all(|&id| id == here));
+        let ids = pool
+            .try_parallel_map_mut(&mut [1, 2, 3], |_, _| std::thread::current().id())
+            .unwrap();
         assert!(ids.iter().all(|&id| id == here));
     }
 
@@ -837,13 +545,11 @@ mod tests {
 
     #[test]
     fn resolution_precedence() {
-        assert_eq!(resolve_threads(Some(3)), 3);
-        assert_eq!(resolve_threads(Some(10_000)), MAX_THREADS);
-        assert!(resolve_threads(None) >= 1);
+        assert!(ThreadPool::global().n_threads() >= 1);
         configure_threads(2);
-        assert_eq!(configured_threads(), Some(2));
-        assert_eq!(resolve_threads(None), 2);
-        assert_eq!(resolve_threads(Some(5)), 5, "explicit beats configured");
+        assert_eq!(ThreadPool::global().n_threads(), 2);
+        configure_threads(10_000);
+        assert_eq!(ThreadPool::global().n_threads(), MAX_THREADS);
         configure_threads(1);
     }
 
@@ -860,55 +566,7 @@ mod tests {
         assert!(ThreadPool::new(2).is_parallel());
         assert!(ThreadPool::global().n_threads() >= 1);
         assert_eq!(ThreadPool::new(1_000_000).n_threads(), MAX_THREADS);
-    }
-
-    #[test]
-    fn min_chunk_floor_changes_dealing_not_results() {
-        let items: Vec<u64> = (0..100).collect();
-        let expect: Vec<u64> = items.iter().map(|x| x * 7).collect();
-        let pool = ThreadPool::new(8).with_min_chunk(40);
-        assert_eq!(pool.min_chunk(), 40);
-        assert_eq!(pool.chunk_size_for(100), 40, "floor beats ceil(100/8)=13");
-        assert_eq!(pool.chunk_size_for(1000), 125, "even split above floor");
-        assert_eq!(pool.parallel_map(&items, |&x| x * 7), expect);
-        // 100 items at min_chunk 40 -> chunks of 40/40/20, not 8 of 13.
-        let sums = pool.parallel_for_chunks(&items, |part| part.len());
-        assert_eq!(sums, vec![40, 40, 20]);
-        // Zero floors are normalised, defaults stay at 1.
-        assert_eq!(ThreadPool::new(8).with_min_chunk(0).min_chunk(), 1);
-        assert_eq!(ThreadPool::new(8).min_chunk(), 1);
-        assert_eq!(ThreadPool::serial().min_chunk(), 1);
-    }
-
-    #[test]
-    fn min_chunk_floor_keeps_results_identical_across_combinators() {
-        let items: Vec<u64> = (0..333).collect();
-        let base = ThreadPool::new(4);
-        let floored = base.with_min_chunk(100);
-        assert_eq!(
-            base.parallel_map(&items, |&x| x * x),
-            floored.parallel_map(&items, |&x| x * x)
-        );
-        assert_eq!(
-            base.parallel_map_range(333, |i| i as u64 + 1),
-            floored.parallel_map_range(333, |i| i as u64 + 1)
-        );
-        let token = CancelToken::new();
-        assert_eq!(
-            base.try_parallel_map_cancel(&token, &items, |&x| x + 2),
-            floored.try_parallel_map_cancel(&token, &items, |&x| x + 2)
-        );
-        let mut a: Vec<u64> = (0..57).collect();
-        let mut b = a.clone();
-        let step = |i: usize, v: &mut u64| {
-            *v += i as u64;
-            *v
-        };
-        assert_eq!(
-            base.try_parallel_map_mut(&mut a, step),
-            floored.try_parallel_map_mut(&mut b, step)
-        );
-        assert_eq!(a, b);
+        assert!((1..=MAX_THREADS).contains(&hardware_threads()));
     }
 
     #[test]
@@ -922,8 +580,10 @@ mod tests {
                     x * 2
                 })
                 .unwrap_err();
-            assert!(err.message.contains("injected failure"), "{err}");
             assert!(err.to_string().contains("worker panicked"), "{err}");
+            let (chunk, message) = panic_of(err);
+            assert!(message.contains("injected failure"), "{message}");
+            assert_eq!(chunk, if threads == 1 { 0 } else { 2 });
         }
     }
 
@@ -945,59 +605,54 @@ mod tests {
         // Chunks 1 and 3 both panic; the reported chunk must always be
         // the earliest in submission order, regardless of thread timing.
         let pool = ThreadPool::new(4);
+        let token = CancelToken::new();
         for _ in 0..20 {
             let err = pool
-                .try_parallel_map_range(8, |i| {
+                .try_parallel_map_range_cancel(&token, 8, |i| {
                     if i == 3 || i == 7 {
                         panic!("unit {i} failed");
                     }
                     i
                 })
                 .unwrap_err();
-            assert_eq!(err.chunk, 1, "{err}");
-            assert!(err.message.contains("unit 3"), "{err}");
+            let (chunk, message) = panic_of(err);
+            assert_eq!(chunk, 1);
+            assert!(message.contains("unit 3"), "{message}");
         }
     }
 
     #[test]
-    fn try_variants_succeed_like_their_panicking_twins() {
-        let pool = ThreadPool::new(3);
-        let items: Vec<u64> = (0..50).collect();
-        assert_eq!(
-            pool.try_parallel_map(&items, |&x| x * x).unwrap(),
-            pool.parallel_map(&items, |&x| x * x)
-        );
-        assert_eq!(
-            pool.try_parallel_map_range(50, |i| i + 1).unwrap(),
-            pool.parallel_map_range(50, |i| i + 1)
-        );
-        assert_eq!(
-            pool.try_parallel_for_chunks(&items, |c| c.len()).unwrap(),
-            pool.parallel_for_chunks(&items, |c| c.len())
-        );
-        assert_eq!(
-            pool.try_parallel_for_chunks(&[] as &[u8], |c| c.len()),
-            Ok(Vec::new())
-        );
+    fn non_string_payload_is_reported_as_such() {
+        let err = ThreadPool::serial()
+            .try_parallel_map(&[1], |_| -> u8 { std::panic::panic_any(42u32) })
+            .unwrap_err();
+        assert_eq!(panic_of(err), (0, "<non-string panic payload>".to_string()));
     }
 
     #[test]
-    #[should_panic(expected = "worker panicked")]
+    #[should_panic(expected = "worker panicked in chunk 3")]
     fn infallible_map_reraises_on_submitting_thread() {
         let items: Vec<u32> = (0..64).collect();
-        let _ = ThreadPool::new(4).parallel_map(&items, |_| -> u32 { panic!("kaboom") });
+        let _ = ThreadPool::new(4).parallel_map(&items, |&x| -> u32 {
+            assert!(x < 50, "kaboom");
+            x
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk holding 80 dies")]
+    fn chunked_panic_is_reraised_too() {
+        let items: Vec<u32> = (0..100).collect();
+        let _ = ThreadPool::new(4).parallel_for_chunks(&items, |part| {
+            assert!(!part.contains(&80), "chunk holding 80 dies");
+            part.len()
+        });
     }
 
     #[test]
     fn fresh_token_lets_work_through() {
         let pool = ThreadPool::new(4);
         let token = CancelToken::new();
-        let items: Vec<u64> = (0..100).collect();
-        assert_eq!(
-            pool.try_parallel_map_cancel(&token, &items, |&x| x * 2)
-                .unwrap(),
-            items.iter().map(|x| x * 2).collect::<Vec<u64>>()
-        );
         assert_eq!(
             pool.try_parallel_map_range_cancel(&token, 10, |i| i + 1)
                 .unwrap(),
@@ -1006,18 +661,12 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_token_stops_every_combinator() {
+    fn cancelled_token_stops_the_call() {
         let token = CancelToken::new();
         token.cancel();
-        assert!(token.is_cancelled());
-        assert_eq!(token.check(), Err(Interrupt::Cancelled));
-        let items: Vec<u64> = (0..100).collect();
+        assert_eq!(token.check(), Err(ParError::Cancelled));
         for threads in [1, 4] {
             let pool = ThreadPool::new(threads);
-            assert_eq!(
-                pool.try_parallel_map_cancel(&token, &items, |&x| x),
-                Err(ParError::Cancelled)
-            );
             assert_eq!(
                 pool.try_parallel_map_range_cancel(&token, 100, |i| i),
                 Err(ParError::Cancelled)
@@ -1027,12 +676,11 @@ mod tests {
 
     #[test]
     fn expired_deadline_is_a_typed_error() {
-        let token = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
-        assert_eq!(token.check(), Err(Interrupt::DeadlineExceeded));
+        let token = CancelToken::with_budget(Duration::ZERO);
+        assert_eq!(token.check(), Err(ParError::DeadlineExceeded));
         let pool = ThreadPool::new(2);
-        let items: Vec<u32> = (0..50).collect();
         assert_eq!(
-            pool.try_parallel_map_cancel(&token, &items, |&x| x),
+            pool.try_parallel_map_range_cancel(&token, 50, |i| i),
             Err(ParError::DeadlineExceeded)
         );
     }
@@ -1041,21 +689,19 @@ mod tests {
     fn generous_deadline_does_not_interrupt() {
         let token = CancelToken::with_budget(Duration::from_secs(3600));
         assert!(token.check().is_ok());
-        assert!(token.deadline().is_some());
         let pool = ThreadPool::new(3);
-        let items: Vec<u32> = (0..200).collect();
         assert_eq!(
-            pool.try_parallel_map_cancel(&token, &items, |&x| x + 1)
+            pool.try_parallel_map_range_cancel(&token, 200, |i| i + 1)
                 .unwrap(),
-            (1..201).collect::<Vec<u32>>()
+            (1..201).collect::<Vec<usize>>()
         );
     }
 
     #[test]
     fn cancel_wins_over_deadline() {
-        let token = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
+        let token = CancelToken::with_budget(Duration::ZERO);
         token.cancel();
-        assert_eq!(token.check(), Err(Interrupt::Cancelled));
+        assert_eq!(token.check(), Err(ParError::Cancelled));
     }
 
     #[test]
@@ -1063,59 +709,18 @@ mod tests {
         let token = CancelToken::new();
         let clone = token.clone();
         token.cancel();
-        assert!(clone.is_cancelled());
+        assert_eq!(clone.check(), Err(ParError::Cancelled));
     }
 
     #[test]
-    fn cancellable_panic_is_contained_and_deterministic() {
-        let pool = ThreadPool::new(4);
-        let token = CancelToken::new();
-        for _ in 0..10 {
-            let err = pool
-                .try_parallel_map_range_cancel(&token, 8, |i| {
-                    if i == 3 || i == 7 {
-                        panic!("unit {i} failed");
-                    }
-                    i
-                })
-                .unwrap_err();
-            match err {
-                ParError::Panic(p) => {
-                    assert_eq!(p.chunk, 1, "{p}");
-                    assert!(p.message.contains("unit 3"), "{p}");
-                }
-                other => panic!("expected Panic, got {other}"),
-            }
-        }
-    }
-
-    #[test]
-    fn interrupt_and_par_error_display() {
-        assert_eq!(Interrupt::Cancelled.to_string(), "cancelled");
+    fn par_error_display() {
+        assert_eq!(ParError::Cancelled.to_string(), "cancelled");
         assert_eq!(ParError::DeadlineExceeded.to_string(), "deadline exceeded");
-        assert_eq!(ParError::from(Interrupt::Cancelled), ParError::Cancelled);
-        assert_eq!(
-            ParError::from(Interrupt::DeadlineExceeded),
-            ParError::DeadlineExceeded
-        );
-        let p = WorkerPanic {
+        let p = ParError::Panic {
             chunk: 2,
             message: "boom".to_string(),
         };
-        assert!(ParError::from(p).to_string().contains("chunk 2"));
-    }
-
-    #[test]
-    fn chunked_panic_is_contained_too() {
-        let items: Vec<u32> = (0..100).collect();
-        let pool = ThreadPool::new(4);
-        let err = pool
-            .try_parallel_for_chunks(&items, |part| {
-                assert!(!part.contains(&80), "chunk holding 80 dies");
-                part.len()
-            })
-            .unwrap_err();
-        assert_eq!(err.chunk, 3);
+        assert_eq!(p.to_string(), "worker panicked in chunk 2: boom");
     }
 
     #[test]
@@ -1146,8 +751,9 @@ mod tests {
                 *v
             })
             .unwrap_err();
-        assert_eq!(err.chunk, 1, "{err}");
-        assert!(err.message.contains("unit 6"), "{err}");
+        let (chunk, message) = panic_of(err);
+        assert_eq!(chunk, 1);
+        assert!(message.contains("unit 6"), "{message}");
         // Chunks without a panicking unit still ran to completion.
         assert_eq!(items[0], 100);
         assert_eq!(items[11], 111);

@@ -390,7 +390,7 @@ impl EngineShard {
         token: &CancelToken,
         lines: &[RoutedLine],
     ) -> Result<BatchOutcome, ParError> {
-        token.check().map_err(ParError::from)?;
+        token.check()?;
         let (decisions, rows) = self.decide(lines);
         let scores = if rows.is_empty() {
             Vec::new()

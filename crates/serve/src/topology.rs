@@ -287,37 +287,35 @@ impl ServeTopology {
         } else {
             *pool
         };
-        let results = pool
-            .try_parallel_map_mut(&mut self.slots, |_, slot| {
-                let mut res = SlotTickResult::default();
-                let first_batch = CancelToken::new();
-                while !slot.queue.is_empty() {
-                    let take = SUB_BATCH_LINES.min(slot.queue.len());
-                    // audit:allow(R3) reason="take is min(SUB_BATCH_LINES, queue.len()), never past the contiguous slice"
-                    let batch = slot.queue.make_contiguous()[..take].to_vec();
-                    let tok = if res.processed == 0 {
-                        &first_batch
-                    } else {
-                        token
-                    };
-                    match slot.engine.process(&inner, tok, &batch) {
-                        Ok(outcome) => {
-                            slot.queue.discard(take);
-                            slot.dirty = true;
-                            res.processed += take;
-                            res.replayed += outcome.replayed;
-                            res.transitions.extend(outcome.transitions);
-                        }
-                        Err(ParError::Cancelled | ParError::DeadlineExceeded) => break,
-                        Err(fatal) => {
-                            res.fatal = Some(fatal);
-                            break;
-                        }
+        let results = pool.try_parallel_map_mut(&mut self.slots, |_, slot| {
+            let mut res = SlotTickResult::default();
+            let first_batch = CancelToken::new();
+            while !slot.queue.is_empty() {
+                let take = SUB_BATCH_LINES.min(slot.queue.len());
+                // audit:allow(R3) reason="take is min(SUB_BATCH_LINES, queue.len()), never past the contiguous slice"
+                let batch = slot.queue.make_contiguous()[..take].to_vec();
+                let tok = if res.processed == 0 {
+                    &first_batch
+                } else {
+                    token
+                };
+                match slot.engine.process(&inner, tok, &batch) {
+                    Ok(outcome) => {
+                        slot.queue.discard(take);
+                        slot.dirty = true;
+                        res.processed += take;
+                        res.replayed += outcome.replayed;
+                        res.transitions.extend(outcome.transitions);
+                    }
+                    Err(ParError::Cancelled | ParError::DeadlineExceeded) => break,
+                    Err(fatal) => {
+                        res.fatal = Some(fatal);
+                        break;
                     }
                 }
-                res
-            })
-            .map_err(ParError::from)?;
+            }
+            res
+        })?;
 
         let mut outcome = TickOutcome::default();
         for (shard, res) in results.into_iter().enumerate() {

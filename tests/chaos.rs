@@ -15,7 +15,7 @@
 use hddpred::cart::{Class, ClassSample, ClassificationTreeBuilder};
 use hddpred::eval::{SavedModel, VotingDetector, VotingRule};
 use hddpred::fault::{FaultClass, FaultInjector, InjectionReport};
-use hddpred::par::ThreadPool;
+use hddpred::par::{ParError, ThreadPool};
 use hddpred::smart::csv::{
     read_series_quarantined, write_header, write_series, CsvError, IngestPolicy, QuarantineReport,
 };
@@ -357,7 +357,7 @@ fn worker_panic_is_contained_as_a_typed_error() {
         })
         .expect_err("the injected panic must surface as an error");
     assert!(
-        err.message.contains("injected worker fault"),
+        matches!(&err, ParError::Panic { message, .. } if message.contains("injected worker fault")),
         "panic message survives: {err}"
     );
 
