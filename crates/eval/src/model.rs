@@ -25,6 +25,7 @@ use hdd_cart::regressor::RegressionTree;
 use hdd_cart::sample::{ClassSample, TrainError};
 use hdd_cart::{CompactForest, FeatureMatrix};
 use hdd_json::container::{self, ContainerError};
+use hdd_json::disk::{Disk as _, RealDisk};
 use hdd_json::{JsonCodec, JsonError, Value};
 use std::fmt;
 use std::path::Path;
@@ -384,23 +385,27 @@ impl SavedModel {
         }
     }
 
-    /// Write the model to a checksummed model file, crash-safely.
+    /// The checksummed model-file document [`SavedModel::save`] writes.
     ///
     /// The file is two lines: a header
     /// `{"magic":"hddpred-model","block":256,"payload_bytes":…,"crc32":[…]}`
     /// with one CRC-32 per 256-byte payload block, then the envelope
-    /// JSON. The write is atomic: the document goes to a `.tmp` sibling
-    /// first, is flushed to disk (`fsync`), and only then renamed over
-    /// `path` — an interrupted save never clobbers a previous valid
-    /// model, readers only ever see a complete old or new file.
+    /// JSON.
+    #[must_use]
+    pub fn document(&self) -> String {
+        container::seal(MODEL_MAGIC, &hdd_json::to_string(&self.to_json()))
+    }
+
+    /// Write [`SavedModel::document`] to `path` with
+    /// [`Disk::replace`](hdd_json::disk::Disk::replace) on the real
+    /// disk: an interrupted save never clobbers a previous valid model,
+    /// readers only ever see a complete old or new file.
     ///
     /// # Errors
     ///
     /// Returns [`ModelError::Io`] when the file cannot be written.
     pub fn save(&self, path: &Path) -> Result<(), ModelError> {
-        let payload = hdd_json::to_string(&self.to_json());
-        let document = container::seal(MODEL_MAGIC, &payload);
-        container::write_atomic(path, &document)?;
+        RealDisk.replace(path, self.document().as_bytes())?;
         Ok(())
     }
 

@@ -80,8 +80,9 @@ pub enum FaultClass {
     ///
     /// [`corrupt_csv`]: FaultInjector::corrupt_csv
     PoisonedBuffer,
-    /// `kill -9` mid promotion protocol — recovery must land exactly the
-    /// incumbent or exactly the candidate, never a torn model.
+    /// Power loss mid promotion protocol, then a reopen — recovery must
+    /// land exactly the incumbent or exactly the candidate, never a torn
+    /// model.
     /// Process-level; [`corrupt_csv`] is a documented no-op.
     ///
     /// [`corrupt_csv`]: FaultInjector::corrupt_csv

@@ -3,11 +3,11 @@
 //! Model files and service checkpoints share one on-disk layout: a
 //! two-line document whose header line records a magic string, the CRC
 //! block size, the payload byte count and one CRC-32 per payload block,
-//! followed by the payload itself. [`seal`] builds that document,
-//! [`unseal`] verifies it down to the byte, and [`write_atomic`] persists
-//! it crash-safely (temp sibling → `fsync` → atomic rename → best-effort
-//! directory sync), so an interrupted writer never clobbers the previous
-//! valid file and a reader only ever sees a complete old or new document.
+//! followed by the payload itself. [`seal`] builds that document and
+//! [`unseal`] verifies it down to the byte; [`crate::disk::Disk::replace`]
+//! persists it crash-safely, so an interrupted writer never clobbers the
+//! previous valid file and a reader only ever sees a complete old or new
+//! document.
 //!
 //! Any single bit flip anywhere in a sealed file is rejected at
 //! [`unseal`] with the failing byte offset — the property the chaos
@@ -158,7 +158,7 @@ pub fn unseal<'a>(magic: &str, text: &'a str) -> Result<&'a str, ContainerError>
     Ok(payload)
 }
 
-/// The temp-file path an atomic write uses before renaming: `<name>.tmp`
+/// The temp-file path an atomic replace uses before renaming: `<name>.tmp`
 /// in the same directory, so the rename never crosses a filesystem
 /// boundary.
 #[must_use]
@@ -169,32 +169,6 @@ pub fn tmp_sibling(path: &Path) -> PathBuf {
         .unwrap_or_default();
     name.push(".tmp");
     path.with_file_name(name)
-}
-
-/// Write `document` to `path` crash-safely: the bytes go to a `.tmp`
-/// sibling first, are flushed to disk (`fsync`), and only then renamed
-/// over `path`; the parent directory is synced best-effort so the rename
-/// itself survives a crash. Readers only ever see a complete old or new
-/// file.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the write, sync or rename.
-pub fn write_atomic(path: &Path, document: &str) -> std::io::Result<()> {
-    let tmp = tmp_sibling(path);
-    {
-        use std::io::Write as _;
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(document.as_bytes())?;
-        file.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    if let Some(dir) = path.parent() {
-        if let Ok(dir) = std::fs::File::open(dir) {
-            let _ = dir.sync_all();
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -265,18 +239,5 @@ mod tests {
             matches!(err, ContainerError::Corrupt { offset: 0, .. }),
             "{err}"
         );
-    }
-
-    #[test]
-    fn atomic_write_survives_a_stale_temp_file() {
-        let dir = std::env::temp_dir().join("hdd-json-container-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("doc.txt");
-        std::fs::write(tmp_sibling(&path), b"torn garbage").unwrap();
-        write_atomic(&path, &seal(MAGIC, "v1")).unwrap();
-        assert!(!tmp_sibling(&path).exists(), "write consumes its temp file");
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(unseal(MAGIC, &text).unwrap(), "v1");
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

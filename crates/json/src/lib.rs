@@ -14,6 +14,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod container;
+pub mod disk;
 
 use std::fmt;
 

@@ -12,6 +12,7 @@
 use crate::manager::{LifecycleConfig, LifecycleError, LifecycleFaults, LifecycleManager};
 use crate::promote::Recovery;
 use hdd_eval::{ModelError, SavedModel, VotingRule};
+use hdd_json::disk::{Disk, RealDisk};
 use hdd_par::{CancelToken, ParError, ThreadPool};
 use hdd_serve::{
     Backoff, BreakerState, CheckpointError, EngineConfig, ModelWatcher, MultiFeedIngest, SeqAlarm,
@@ -19,8 +20,7 @@ use hdd_serve::{
 };
 use hdd_stats::FeatureSet;
 use std::fmt;
-use std::fs::File;
-use std::io::{self, Seek as _, SeekFrom, Write as _};
+use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -55,6 +55,9 @@ pub struct DaemonConfig {
     pub retrain: Option<LifecycleConfig>,
     /// Seeded lifecycle faults, for fault-injection harnesses.
     pub faults: LifecycleFaults,
+    /// Where every durable write goes: the sink, checkpoints and the
+    /// model store. The real disk, except in fault-injection harnesses.
+    pub disk: Arc<dyn Disk>,
 }
 
 impl DaemonConfig {
@@ -75,6 +78,7 @@ impl DaemonConfig {
             max_quarantine: 0.1,
             retrain: None,
             faults: LifecycleFaults::default(),
+            disk: Arc::new(RealDisk),
         }
     }
 
@@ -223,14 +227,14 @@ pub struct Daemon {
     watcher: Option<ModelWatcher>,
     backoff: Backoff,
     pool: ThreadPool,
-    sink: File,
     sink_bytes: u64,
     recovery: Option<Recovery>,
     resumed: bool,
 }
 
 impl Daemon {
-    /// Validate, recover, load, resume and roll back the sink.
+    /// Validate, recover, load, resume and roll back the sink. Every
+    /// write, crash recovery's included, goes through `config.disk`.
     ///
     /// # Errors
     ///
@@ -244,9 +248,11 @@ impl Daemon {
             None => (None, None),
             Some(lc) => {
                 let model = config.model.clone();
-                let (manager, recovery) =
-                    LifecycleManager::resume(lc.clone(), model, config.faults.clone(), ckpt)
-                        .map_err(|e| DaemonError::Lifecycle("resume", e))?;
+                let mut manager = LifecycleManager::new(lc.clone(), model, config.faults.clone());
+                manager.set_disk(Arc::clone(&config.disk));
+                let recovery = manager
+                    .recover(ckpt)
+                    .map_err(|e| DaemonError::Lifecycle("resume", e))?;
                 (Some(manager), Some(recovery))
             }
         };
@@ -263,6 +269,7 @@ impl Daemon {
         )
         .map_err(model_err)?;
         topology.set_record_events(lifecycle.is_some());
+        topology.set_disk(Arc::clone(&config.disk));
         // An empty or missing checkpoint directory is a fresh start.
         let resumed = match ckpt {
             Some(dir) => topology
@@ -274,19 +281,22 @@ impl Daemon {
         // Replay re-emits everything past the checkpointed sink length,
         // which is what makes a killed run's output byte-identical.
         let sink_bytes = topology.merge_state().sink_bytes;
-        let io_err = |e| DaemonError::Io(config.out.clone(), e);
-        let mut sink = File::options()
-            .create(true)
-            .write(true)
-            .truncate(false)
-            .open(&config.out)
-            .map_err(io_err)?;
-        let len = sink.metadata().map_err(io_err)?.len();
+        let len = match std::fs::metadata(&config.out) {
+            Ok(meta) => meta.len(),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => 0,
+            Err(e) => return Err(DaemonError::Io(config.out, e)),
+        };
         if len < sink_bytes {
             return Err(DaemonError::SinkTooShort(config.out, len, sink_bytes));
         }
-        sink.set_len(sink_bytes).map_err(io_err)?;
-        sink.seek(SeekFrom::Start(sink_bytes)).map_err(io_err)?;
+        // A checkpoint will record the sink's length, so the sink (a new
+        // one's directory entry too) must be durable before it does.
+        // Without checkpoints nothing resumes and nothing need be.
+        let cut = match ckpt {
+            Some(_) => config.disk.truncate(&config.out, sink_bytes),
+            None => config.disk.set_len(&config.out, sink_bytes),
+        };
+        cut.map_err(|e| DaemonError::Io(config.out.clone(), e))?;
 
         let cursors = topology.ingest_resume_cursors();
         Ok(Daemon {
@@ -299,7 +309,6 @@ impl Daemon {
             lifecycle,
             backoff: Backoff::new(Duration::from_millis(50), Duration::from_secs(5)),
             pool: ThreadPool::global(),
-            sink,
             sink_bytes,
             recovery,
             resumed,
@@ -373,6 +382,8 @@ impl Daemon {
             let emitted = self.topology.merge_state().emitted();
             let (alarms, transitions) = (tick.alarms.len(), tick.transitions.len());
             report.notes = mgr.consume(&self.pool, &tick.events, alarms, transitions, emitted);
+            mgr.staged()
+                .map_err(|e| DaemonError::Lifecycle("stage", e))?;
         }
         report.progressed = tick.progressed;
         report.replayed = tick.replayed;
@@ -381,7 +392,7 @@ impl Daemon {
 
         report.idle = polled.lines_read == 0 && !self.topology.has_queued();
         if report.idle {
-            self.quiesce(&mut report)?;
+            self.quiesce(&mut report, sink_start)?;
         }
         if report.progressed || !report.idle {
             self.checkpoint(sink_start)?;
@@ -392,7 +403,7 @@ impl Daemon {
     /// Flush what a stalled watermark holds back (feeds of unequal length
     /// stall it at the shortest one), then land staged model swaps at
     /// this fully quiesced stream position.
-    fn quiesce(&mut self, report: &mut StepReport) -> Result<(), DaemonError> {
+    fn quiesce(&mut self, report: &mut StepReport, sink_start: u64) -> Result<(), DaemonError> {
         let flushed = self.topology.flush_pending();
         self.emit(&flushed)?;
         report.idle = flushed.is_empty();
@@ -402,31 +413,48 @@ impl Daemon {
             report
                 .notes
                 .extend(mgr.consume(&self.pool, &events, flushed.len(), 0, emitted));
-            while mgr.has_staged_swap() {
-                let swapped = mgr
-                    .apply_staged()
-                    .map_err(|e| DaemonError::Lifecycle("swap", e))?;
-                if let Some(next) = swapped {
-                    self.topology
-                        .swap_model(&next)
-                        .map_err(|e| DaemonError::Model(self.config.model.clone(), e))?;
-                    report.idle = false;
-                    let phase = mgr.phase().label();
-                    report
-                        .notes
-                        .push(format!("lifecycle: live model swapped ({phase})"));
-                }
-            }
+            mgr.staged()
+                .map_err(|e| DaemonError::Lifecycle("stage", e))?;
         }
         report.alarms.extend(flushed);
+        while self
+            .lifecycle
+            .as_ref()
+            .is_some_and(LifecycleManager::has_staged_swap)
+        {
+            // The swap rewrites the model store; checkpoint the decision
+            // first, so a crash part-way resumes knowing it was staged
+            // (recovery may complete the swap on disk).
+            self.checkpoint(sink_start)?;
+            let Some(mgr) = self.lifecycle.as_mut() else {
+                break;
+            };
+            let swapped = mgr
+                .apply_staged()
+                .map_err(|e| DaemonError::Lifecycle("swap", e))?;
+            if let Some(next) = swapped {
+                self.topology
+                    .swap_model(&next)
+                    .map_err(|e| DaemonError::Model(self.config.model.clone(), e))?;
+                report.idle = false;
+                let phase = mgr.phase().label();
+                report
+                    .notes
+                    .push(format!("lifecycle: live model swapped ({phase})"));
+            }
+        }
         Ok(())
     }
 
     /// Append alarm lines to the sink.
     fn emit(&mut self, alarms: &[SeqAlarm]) -> Result<(), DaemonError> {
+        if alarms.is_empty() {
+            return Ok(());
+        }
         let lines: String = alarms.iter().map(|a| format!("{}\n", a.alarm)).collect();
-        self.sink
-            .write_all(lines.as_bytes())
+        self.config
+            .disk
+            .append(&self.config.out, lines.as_bytes())
             .map_err(|e| DaemonError::Io(self.config.out.clone(), e))?;
         self.sink_bytes += lines.len() as u64;
         Ok(())
@@ -440,8 +468,9 @@ impl Daemon {
             return Ok(());
         };
         if self.sink_bytes > sink_start {
-            self.sink
-                .sync_data()
+            self.config
+                .disk
+                .sync(&self.config.out)
                 .map_err(|e| DaemonError::Io(self.config.out.clone(), e))?;
         }
         self.topology.note_sink_bytes(self.sink_bytes);

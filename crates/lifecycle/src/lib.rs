@@ -37,5 +37,5 @@ pub use manager::{
     lifecycle_path, LifecycleConfig, LifecycleCounters, LifecycleError, LifecycleFaults,
     LifecycleManager, Phase,
 };
-pub use promote::{fingerprint, ModelStore, PromoteError, PromoteOutcome, PromotionStep, Recovery};
+pub use promote::{fingerprint, ModelStore, PromoteError, Recovery};
 pub use shadow::{PromotionGate, ShadowComparison, ShadowMetrics, ShadowScorer};

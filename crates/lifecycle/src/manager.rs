@@ -30,10 +30,11 @@
 //! double-consuming events.
 
 use crate::buffer::{TrainingBuffer, WindowMode};
-use crate::promote::{ModelStore, PromoteError, PromoteOutcome, PromotionStep, Recovery};
+use crate::promote::{ModelStore, PromoteError, Recovery};
 use crate::shadow::{PromotionGate, ShadowScorer};
 use hdd_cart::ClassificationTreeBuilder;
 use hdd_eval::{ModelError, Predictor, SavedModel, VotingRule};
+use hdd_json::disk::Disk;
 use hdd_json::{JsonCodec, JsonError, Value};
 use hdd_par::ThreadPool;
 use hdd_serve::{Checkpoint, CheckpointError, CheckpointKind, MergeState, RowEvent};
@@ -108,9 +109,6 @@ pub struct LifecycleFaults {
     pub trainer_panic: Option<usize>,
     /// Poison the n-th buffered push (1-based) with a NaN feature.
     pub poison_buffer: Option<usize>,
-    /// Simulate `kill -9` after this promotion-protocol step, then
-    /// immediately run crash recovery as a restarted process would.
-    pub crash_at_step: Option<PromotionStep>,
     /// Train candidates on label-inverted samples — a genuinely bad
     /// model the gate must refuse.
     pub regressing_candidate: bool,
@@ -308,6 +306,8 @@ pub struct LifecycleManager {
     probation_rows_seen: usize,
     probation_alarms: usize,
     rollback_target: Option<u64>,
+    /// A failed candidate write, held for [`LifecycleManager::staged`].
+    disk_error: Option<PromoteError>,
 }
 
 impl LifecycleManager {
@@ -335,19 +335,35 @@ impl LifecycleManager {
             probation_rows_seen: 0,
             probation_alarms: 0,
             rollback_target: None,
+            disk_error: None,
         }
     }
 
-    /// Startup path: run crash recovery on the model store, restore
-    /// `lifecycle.ckpt` when present, and reconcile the two — the
-    /// resumed phase always refers to models that actually exist on
-    /// disk.
+    /// Write the model store and `lifecycle.ckpt` through `disk` instead
+    /// of the real disk.
+    pub fn set_disk(&mut self, disk: Arc<dyn Disk>) {
+        self.store = self.store.clone().with_disk(disk);
+    }
+
+    /// Whether the last [`LifecycleManager::consume`] staged its
+    /// candidate. A failed write is counted in `train_failures` and backed
+    /// off like any trainer error; a caller that persists state must also
+    /// check after each call and stop on an error rather than checkpoint
+    /// past a lost write.
     ///
     /// # Errors
     ///
-    /// Returns [`LifecycleError`] when recovery or the checkpoint read
-    /// fails (a *missing* checkpoint is a clean cold start, not an
-    /// error).
+    /// The write error that stopped the candidate from being staged.
+    pub fn staged(&mut self) -> Result<(), LifecycleError> {
+        self.disk_error.take().map_or(Ok(()), |e| Err(e.into()))
+    }
+
+    /// Startup path: [`LifecycleManager::new`], then
+    /// [`LifecycleManager::recover`] on the real disk.
+    ///
+    /// # Errors
+    ///
+    /// As [`LifecycleManager::recover`].
     pub fn resume(
         config: LifecycleConfig,
         model_path: PathBuf,
@@ -355,16 +371,30 @@ impl LifecycleManager {
         ckpt_dir: Option<&Path>,
     ) -> Result<(Self, Recovery), LifecycleError> {
         let mut manager = LifecycleManager::new(config, model_path, faults);
-        let recovery = manager.store.recover()?;
+        let recovery = manager.recover(ckpt_dir)?;
+        Ok((manager, recovery))
+    }
+
+    /// Run crash recovery on the model store, restore `lifecycle.ckpt`
+    /// from `ckpt_dir` when present, and reconcile the two — the resumed
+    /// phase always refers to models that actually exist on disk.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LifecycleError`] when recovery or the checkpoint read
+    /// fails (a *missing* checkpoint is a clean cold start, not an
+    /// error).
+    pub fn recover(&mut self, ckpt_dir: Option<&Path>) -> Result<Recovery, LifecycleError> {
+        let recovery = self.store.recover()?;
         if let Some(dir) = ckpt_dir {
             let path = lifecycle_path(dir);
             if path.exists() {
                 let ck = Checkpoint::load_expecting(&path, CheckpointKind::Lifecycle)?;
-                manager.restore_state(&ck.payload)?;
-                manager.reconcile()?;
+                self.restore_state(&ck.payload)?;
+                self.reconcile()?;
             }
         }
-        Ok((manager, recovery))
+        Ok(recovery)
     }
 
     /// Current phase.
@@ -614,13 +644,16 @@ impl LifecycleManager {
                                     self.buffer.len()
                                 ));
                             }
-                            Err(e) => fail(
-                                &mut self.counters.train_failures,
-                                &mut self.backoff_mult,
-                                format!(
-                                    "lifecycle: staging the candidate failed ({e}); backing off"
-                                ),
-                            ),
+                            Err(e) => {
+                                fail(
+                                    &mut self.counters.train_failures,
+                                    &mut self.backoff_mult,
+                                    format!(
+                                        "lifecycle: staging the candidate failed ({e}); backing off"
+                                    ),
+                                );
+                                self.disk_error = Some(e);
+                            }
                         }
                     }
                 }
@@ -640,12 +673,7 @@ impl LifecycleManager {
     pub fn apply_staged(&mut self) -> Result<Option<Arc<SavedModel>>, LifecycleError> {
         match self.phase {
             Phase::Promoting => {
-                let outcome = self.store.promote(self.faults.crash_at_step)?;
-                if let PromoteOutcome::Stopped(_) = outcome {
-                    // The injected crash landed mid-protocol; run the
-                    // exact repair a restarted process would.
-                    self.store.recover()?;
-                }
+                self.store.promote()?;
                 let live = self.store.live_fingerprint()?;
                 let model = Arc::new(SavedModel::load(self.store.model_path())?);
                 if Some(live) == self.candidate_fingerprint {
@@ -848,15 +876,14 @@ impl LifecycleManager {
     ///
     /// Returns [`LifecycleError::Checkpoint`] when the write fails.
     pub fn save_checkpoint(&self, dir: &Path) -> Result<(), LifecycleError> {
-        std::fs::create_dir_all(dir)
-            .map_err(CheckpointError::Io)
-            .map_err(LifecycleError::Checkpoint)?;
+        let disk = self.store.disk();
+        disk.create_dir(dir).map_err(CheckpointError::Io)?;
         Checkpoint {
             kind: CheckpointKind::Lifecycle,
             payload: self.state_to_json(),
         }
-        .save(&lifecycle_path(dir))
-        .map_err(LifecycleError::Checkpoint)
+        .save(disk, &lifecycle_path(dir))?;
+        Ok(())
     }
 }
 
@@ -864,6 +891,7 @@ impl LifecycleManager {
 mod tests {
     use super::*;
     use hdd_cart::{Class, ClassSample};
+    use hdd_json::disk::{Fault, FaultDisk};
 
     const FAIL_HOUR: u32 = 200;
 
@@ -1119,25 +1147,25 @@ mod tests {
     }
 
     #[test]
-    fn injected_crash_mid_promotion_still_lands_exactly_the_candidate() {
-        for (i, step) in PromotionStep::ALL.iter().enumerate() {
-            let dir = tempdir(&format!("crash-{i}"));
-            let model_path = seed_model(&dir);
-            let faults = LifecycleFaults {
-                crash_at_step: Some(*step),
-                ..LifecycleFaults::default()
-            };
-            let mut manager = LifecycleManager::new(config(), model_path.clone(), faults);
-            let store = ModelStore::new(model_path, 3);
-            let pool = ThreadPool::serial();
-            let mut feeder = Feeder::new();
-            feeder.feed(&mut manager, &pool, 8);
-            let staged_fp = manager.candidate_fingerprint().unwrap();
-            manager.apply_staged().unwrap().expect("a promoted model");
-            assert_eq!(manager.phase(), Phase::Probation, "step {step:?}");
-            assert_eq!(manager.counters().promotions, 1);
-            assert_eq!(store.live_fingerprint().unwrap(), staged_fp);
-        }
+    fn a_failed_candidate_write_backs_off_and_is_held_for_the_caller() {
+        let dir = tempdir("stage-eio");
+        let model_path = seed_model(&dir);
+        let mut manager = LifecycleManager::new(config(), model_path, LifecycleFaults::default());
+        // The candidate's first write boundary, its temp file, fails.
+        manager.set_disk(Arc::new(FaultDisk::failing_at(0, Fault::Eio)));
+        let pool = ThreadPool::serial();
+        let notes = Feeder::new().feed(&mut manager, &pool, 4);
+        assert!(notes
+            .iter()
+            .any(|n| n.contains("staging the candidate failed")));
+        assert!(matches!(
+            manager.staged(),
+            Err(LifecycleError::Promote(PromoteError::Io { .. }))
+        ));
+        assert!(manager.staged().is_ok());
+        assert_eq!(manager.counters().train_failures, 1);
+        assert_eq!(manager.backoff_mult, 2);
+        assert_eq!(manager.phase(), Phase::Idle);
     }
 
     #[test]

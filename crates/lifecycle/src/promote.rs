@@ -1,12 +1,12 @@
 //! Crash-safe two-phase model promotion with retained history.
 //!
 //! The live model file is only ever replaced through a fixed protocol
-//! whose every step is an atomic filesystem operation:
+//! whose every step is a durable [`Disk`] operation (each one syncs the
+//! directory before the next begins):
 //!
-//! 1. **Stage**: the candidate is written to `<model>.candidate` via the
-//!    checksummed atomic model writer.
-//! 2. **Marker**: `<model>.promote` is written (atomically) carrying the
-//!    candidate file's fingerprint — promotion intent is now durable.
+//! 1. **Stage**: the checksummed candidate replaces `<model>.candidate`.
+//! 2. **Marker**: `<model>.promote` is replaced, carrying the candidate
+//!    file's fingerprint — promotion intent is now durable.
 //! 3. **Rotate**: `<model>.prev-k` history shifts down and the live
 //!    model is renamed to `<model>.prev-1`.
 //! 4. **Rename**: the candidate is renamed over the live model path.
@@ -16,8 +16,9 @@
 //! point back to a consistent state: either the promotion completes
 //! (marker present, candidate intact) or it is abandoned and the
 //! last-known-good model keeps serving (marker present, candidate
-//! corrupt). A `kill -9` at *any* step therefore resumes with exactly
-//! the incumbent or exactly the candidate — never a torn model.
+//! corrupt). A crash or power loss at *any* write boundary therefore
+//! resumes with exactly the incumbent or exactly the candidate — never a
+//! torn model.
 //!
 //! [`ModelStore::rollback`] reuses the same protocol in reverse: the
 //! newest history entry is staged as a candidate and promoted, which
@@ -25,9 +26,11 @@
 //! still inspect it).
 
 use hdd_eval::{ModelError, SavedModel};
+use hdd_json::disk::{Disk, RealDisk};
 use hdd_json::{container, Value};
 use hdd_smart::rng::{fnv1a_extend, FNV1A_OFFSET};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Container magic for the promotion marker file.
 const MARKER_MAGIC: &str = "hddpred-promote";
@@ -36,40 +39,6 @@ const MARKER_MAGIC: &str = "hddpred-promote";
 #[must_use]
 pub fn fingerprint(bytes: &[u8]) -> u64 {
     fnv1a_extend(FNV1A_OFFSET, bytes)
-}
-
-/// Filesystem steps of the promotion protocol, used to inject a
-/// simulated `kill -9` *after* the named step in chaos tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PromotionStep {
-    /// Stop after the marker file is written.
-    AfterMarker,
-    /// Stop after history rotation (live model renamed to `.prev-1`).
-    AfterRotate,
-    /// Stop after the candidate is renamed over the live model.
-    AfterRename,
-}
-
-impl PromotionStep {
-    /// Every injectable stop point, in protocol order.
-    pub const ALL: [PromotionStep; 3] = [
-        PromotionStep::AfterMarker,
-        PromotionStep::AfterRotate,
-        PromotionStep::AfterRename,
-    ];
-}
-
-/// What [`ModelStore::promote`] did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PromoteOutcome {
-    /// The candidate is now the live model; its fingerprint.
-    Completed {
-        /// Fingerprint of the promoted model file.
-        fingerprint: u64,
-    },
-    /// An injected stop ended the protocol mid-flight (test-only); the
-    /// store is in exactly the state a `kill -9` there would leave.
-    Stopped(PromotionStep),
 }
 
 /// What [`ModelStore::recover`] found and did.
@@ -138,6 +107,7 @@ impl From<ModelError> for PromoteError {
 pub struct ModelStore {
     model_path: PathBuf,
     history: usize,
+    disk: Arc<dyn Disk>,
 }
 
 impl ModelStore {
@@ -149,7 +119,21 @@ impl ModelStore {
         ModelStore {
             model_path,
             history: history.max(1),
+            disk: Arc::new(RealDisk),
         }
+    }
+
+    /// The same store, writing through `disk` instead of the real disk.
+    #[must_use]
+    pub fn with_disk(mut self, disk: Arc<dyn Disk>) -> Self {
+        self.disk = disk;
+        self
+    }
+
+    /// The disk every write of this store goes through.
+    #[must_use]
+    pub fn disk(&self) -> &dyn Disk {
+        &*self.disk
     }
 
     /// The live model path.
@@ -218,7 +202,9 @@ impl ModelStore {
     /// Returns an error when saving or re-reading the candidate fails.
     pub fn stage_candidate(&self, model: &SavedModel) -> Result<u64, PromoteError> {
         let path = self.candidate_path();
-        model.save(&path)?;
+        self.disk
+            .replace(&path, model.document().as_bytes())
+            .map_err(io_at(&path))?;
         self.fingerprint_of(&path)
     }
 
@@ -229,47 +215,32 @@ impl ModelStore {
     /// Returns [`PromoteError::Io`] on any failure other than the file
     /// already being gone.
     pub fn drop_candidate(&self) -> Result<(), PromoteError> {
-        remove_if_present(&self.candidate_path())
+        let path = self.candidate_path();
+        self.disk.remove(&path).map_err(io_at(&path))
     }
 
-    /// Run protocol steps 2–5 over the already-staged candidate.
-    ///
-    /// `stop_at` injects a simulated crash after the named step; the
-    /// caller is expected to follow with [`ModelStore::recover`] exactly
-    /// as a restarted process would.
+    /// Run protocol steps 2–5 over the already-staged candidate and
+    /// return the promoted file's fingerprint. A crash part-way is
+    /// repaired by [`ModelStore::recover`] at the next start.
     ///
     /// # Errors
     ///
     /// [`PromoteError::NoCandidate`] when nothing is staged, otherwise
     /// I/O errors from the individual steps.
-    pub fn promote(&self, stop_at: Option<PromotionStep>) -> Result<PromoteOutcome, PromoteError> {
+    pub fn promote(&self) -> Result<u64, PromoteError> {
         let candidate = self.candidate_path();
         if !candidate.exists() {
             return Err(PromoteError::NoCandidate);
         }
         let fp = self.fingerprint_of(&candidate)?;
-
-        // Step 2: durable promotion intent.
         self.write_marker(fp)?;
-        if stop_at == Some(PromotionStep::AfterMarker) {
-            return Ok(PromoteOutcome::Stopped(PromotionStep::AfterMarker));
-        }
-
-        // Step 3: shift history and demote the live model.
         self.rotate_history()?;
-        if stop_at == Some(PromotionStep::AfterRotate) {
-            return Ok(PromoteOutcome::Stopped(PromotionStep::AfterRotate));
-        }
-
-        // Step 4: the candidate becomes the live model.
-        rename(&candidate, &self.model_path)?;
-        if stop_at == Some(PromotionStep::AfterRename) {
-            return Ok(PromoteOutcome::Stopped(PromotionStep::AfterRename));
-        }
-
-        // Step 5: promotion complete.
-        remove_if_present(&self.marker_path())?;
-        Ok(PromoteOutcome::Completed { fingerprint: fp })
+        self.disk
+            .rename(&candidate, &self.model_path)
+            .map_err(io_at(&candidate))?;
+        let marker = self.marker_path();
+        self.disk.remove(&marker).map_err(io_at(&marker))?;
+        Ok(fp)
     }
 
     /// Map any crash point back to a consistent state (see module docs).
@@ -289,8 +260,8 @@ impl ModelStore {
         let Some(expected) = self.read_marker() else {
             // The marker itself is unreadable: promotion intent cannot be
             // trusted, so abandon it conservatively.
-            remove_if_present(&candidate)?;
-            remove_if_present(&marker)?;
+            self.disk.remove(&candidate).map_err(io_at(&candidate))?;
+            self.disk.remove(&marker).map_err(io_at(&marker))?;
             return self.ensure_live_model();
         };
 
@@ -305,8 +276,10 @@ impl ModelStore {
             if self.model_path.exists() {
                 self.rotate_history()?;
             }
-            rename(&candidate, &self.model_path)?;
-            remove_if_present(&marker)?;
+            self.disk
+                .rename(&candidate, &self.model_path)
+                .map_err(io_at(&candidate))?;
+            self.disk.remove(&marker).map_err(io_at(&marker))?;
             return Ok(Recovery::Completed {
                 fingerprint: expected,
             });
@@ -316,7 +289,7 @@ impl ModelStore {
             // Step 4 completed, crash before step 5: check whether the
             // live model IS the promoted candidate.
             if self.live_fingerprint()? == expected {
-                remove_if_present(&marker)?;
+                self.disk.remove(&marker).map_err(io_at(&marker))?;
                 return Ok(Recovery::Completed {
                     fingerprint: expected,
                 });
@@ -324,8 +297,8 @@ impl ModelStore {
         }
 
         // Candidate corrupt (or vanished without completing): abandon.
-        remove_if_present(&candidate)?;
-        remove_if_present(&marker)?;
+        self.disk.remove(&candidate).map_err(io_at(&candidate))?;
+        self.disk.remove(&marker).map_err(io_at(&marker))?;
         self.ensure_live_model()
     }
 
@@ -345,15 +318,10 @@ impl ModelStore {
         SavedModel::load(&prev)?;
         let bytes = std::fs::read(&prev).map_err(io_at(&prev))?;
         let candidate = self.candidate_path();
-        let tmp = container::tmp_sibling(&candidate);
-        std::fs::write(&tmp, &bytes).map_err(io_at(&tmp))?;
-        rename(&tmp, &candidate)?;
-        match self.promote(None)? {
-            PromoteOutcome::Completed { fingerprint } => Ok(fingerprint),
-            // Unreachable: promote(None) never stops early; treat it as a
-            // missing candidate rather than panicking.
-            PromoteOutcome::Stopped(_) => Err(PromoteError::NoCandidate),
-        }
+        self.disk
+            .replace(&candidate, &bytes)
+            .map_err(io_at(&candidate))?;
+        self.promote()
     }
 
     fn write_marker(&self, fp: u64) -> Result<(), PromoteError> {
@@ -363,7 +331,9 @@ impl ModelStore {
         )]));
         let document = container::seal(MARKER_MAGIC, &payload);
         let path = self.marker_path();
-        container::write_atomic(&path, &document).map_err(io_at(&path))
+        self.disk
+            .replace(&path, document.as_bytes())
+            .map_err(io_at(&path))
     }
 
     /// The marker's recorded fingerprint, or `None` when the marker is
@@ -380,11 +350,15 @@ impl ModelStore {
         for k in (1..self.history).rev() {
             let from = self.prev_path(k);
             if from.exists() {
-                rename(&from, &self.prev_path(k + 1))?;
+                self.disk
+                    .rename(&from, &self.prev_path(k + 1))
+                    .map_err(io_at(&from))?;
             }
         }
         if self.model_path.exists() {
-            rename(&self.model_path, &self.prev_path(1))?;
+            self.disk
+                .rename(&self.model_path, &self.prev_path(1))
+                .map_err(io_at(&self.model_path))?;
         }
         Ok(())
     }
@@ -400,7 +374,9 @@ impl ModelStore {
         }
         let prev = self.prev_path(1);
         if prev.exists() {
-            rename(&prev, &self.model_path)?;
+            self.disk
+                .rename(&prev, &self.model_path)
+                .map_err(io_at(&prev))?;
             return Ok(Recovery::Aborted {
                 restored_from_history: true,
             });
@@ -431,25 +407,11 @@ fn io_at(path: &Path) -> impl Fn(std::io::Error) -> PromoteError + '_ {
     }
 }
 
-fn rename(from: &Path, to: &Path) -> Result<(), PromoteError> {
-    std::fs::rename(from, to).map_err(io_at(from))
-}
-
-fn remove_if_present(path: &Path) -> Result<(), PromoteError> {
-    match std::fs::remove_file(path) {
-        Ok(()) => Ok(()),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-        Err(source) => Err(PromoteError::Io {
-            path: path.to_path_buf(),
-            source,
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hdd_cart::{Class, ClassSample, ClassificationTreeBuilder};
+    use hdd_json::disk::{Fault, FaultDisk};
 
     fn model(shift: f64) -> SavedModel {
         let samples: Vec<ClassSample> = (0..40)
@@ -484,19 +446,35 @@ mod tests {
         dir
     }
 
+    /// Run `op` on `store` over a disk that loses power at boundary `k`
+    /// (or right after `op` when it has fewer boundaries); returns
+    /// whether `op` succeeded.
+    fn power_loss_at<T>(
+        store: &ModelStore,
+        k: usize,
+        op: impl FnOnce(&ModelStore) -> Result<T, PromoteError>,
+    ) -> bool {
+        let disk = Arc::new(FaultDisk::failing_at(k, Fault::PowerLoss));
+        let done = op(&store.clone().with_disk(disk.clone())).is_ok();
+        if !disk.fired() {
+            disk.power_loss().expect("losing power after the operation");
+        }
+        done
+    }
+
+    fn flip_a_bit(path: &Path, at: usize) {
+        let mut bytes = std::fs::read(path).unwrap();
+        bytes[at] ^= 0x08;
+        std::fs::write(path, &bytes).unwrap();
+    }
+
     #[test]
     fn promote_rotates_history_and_installs_candidate() {
         let dir = tempdir("basic");
         let store = store(&dir);
         let incumbent_fp = store.live_fingerprint().unwrap();
         let staged_fp = store.stage_candidate(&model(5.0)).unwrap();
-        let outcome = store.promote(None).unwrap();
-        assert_eq!(
-            outcome,
-            PromoteOutcome::Completed {
-                fingerprint: staged_fp
-            }
-        );
+        assert_eq!(store.promote().unwrap(), staged_fp);
         assert_eq!(store.live_fingerprint().unwrap(), staged_fp);
         assert_eq!(
             store.fingerprint_of(&store.prev_path(1)).unwrap(),
@@ -508,26 +486,37 @@ mod tests {
     }
 
     #[test]
-    fn crash_at_every_step_resumes_incumbent_or_candidate() {
-        for (i, step) in PromotionStep::ALL.iter().enumerate() {
-            let dir = tempdir(&format!("crash-{i}"));
+    fn power_loss_at_every_promotion_boundary_resumes_incumbent_or_candidate() {
+        let counting = Arc::new(FaultDisk::counting());
+        let dir = tempdir("count");
+        let probe = store(&dir);
+        probe.stage_candidate(&model(7.0)).unwrap();
+        probe.clone().with_disk(counting.clone()).promote().unwrap();
+        // Marker (write, sync, rename, dir sync), rotate, rename, unmark:
+        // two boundaries each.
+        assert_eq!(counting.boundaries(), 10);
+        for k in 0..=counting.boundaries() {
+            let dir = tempdir(&format!("power-{k}"));
             let store = store(&dir);
+            let incumbent_fp = store.live_fingerprint().unwrap();
             let staged_fp = store.stage_candidate(&model(7.0)).unwrap();
-            assert_eq!(
-                store.promote(Some(*step)).unwrap(),
-                PromoteOutcome::Stopped(*step)
-            );
+            power_loss_at(&store, k, ModelStore::promote);
             let recovered = store.recover().unwrap();
-            assert_eq!(
-                recovered,
-                Recovery::Completed {
-                    fingerprint: staged_fp
-                },
-                "step {step:?}"
-            );
-            assert_eq!(store.live_fingerprint().unwrap(), staged_fp);
+            // Intent is durable once the marker's directory sync ran.
+            let expected = if k >= 4 { staged_fp } else { incumbent_fp };
+            assert_eq!(store.live_fingerprint().unwrap(), expected, "boundary {k}");
+            if (4..10).contains(&k) {
+                assert_eq!(
+                    recovered,
+                    Recovery::Completed {
+                        fingerprint: staged_fp
+                    }
+                );
+            } else {
+                assert_eq!(recovered, Recovery::Clean, "boundary {k}");
+            }
             assert!(!store.marker_path().exists());
-            assert!(!store.candidate_path().exists());
+            assert_eq!(store.candidate_path().exists(), k < 4, "boundary {k}");
         }
     }
 
@@ -552,15 +541,14 @@ mod tests {
         let store = store(&dir);
         let incumbent_fp = store.live_fingerprint().unwrap();
         store.stage_candidate(&model(9.0)).unwrap();
-        // Crash right after the marker, then flip a bit in the candidate.
-        assert_eq!(
-            store.promote(Some(PromotionStep::AfterMarker)).unwrap(),
-            PromoteOutcome::Stopped(PromotionStep::AfterMarker)
-        );
-        let mut bytes = std::fs::read(store.candidate_path()).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x08;
-        std::fs::write(store.candidate_path(), &bytes).unwrap();
+        // Power loss right after the marker lands, then the candidate rots.
+        let disk = Arc::new(FaultDisk::failing_after(
+            store.marker_path(),
+            Fault::PowerLoss,
+        ));
+        assert!(store.clone().with_disk(disk).promote().is_err());
+        let len = std::fs::metadata(store.candidate_path()).unwrap().len();
+        flip_a_bit(&store.candidate_path(), len as usize / 2);
         assert_eq!(
             store.recover().unwrap(),
             Recovery::Aborted {
@@ -578,14 +566,11 @@ mod tests {
         let store = store(&dir);
         let incumbent_fp = store.live_fingerprint().unwrap();
         store.stage_candidate(&model(2.0)).unwrap();
-        assert_eq!(
-            store.promote(Some(PromotionStep::AfterRotate)).unwrap(),
-            PromoteOutcome::Stopped(PromotionStep::AfterRotate)
-        );
-        // Live model already demoted to prev-1; now the candidate rots.
-        let mut bytes = std::fs::read(store.candidate_path()).unwrap();
-        bytes[10] ^= 0x01;
-        std::fs::write(store.candidate_path(), &bytes).unwrap();
+        // Boundary 6 follows the marker (0-3) and the durable demotion of
+        // the live model to `.prev-1` (4-5).
+        power_loss_at(&store, 6, ModelStore::promote);
+        assert!(!store.model_path().exists() && store.prev_path(1).exists());
+        flip_a_bit(&store.candidate_path(), 10);
         assert_eq!(
             store.recover().unwrap(),
             Recovery::Aborted {
@@ -601,14 +586,45 @@ mod tests {
         let store = store(&dir);
         let good_fp = store.live_fingerprint().unwrap();
         store.stage_candidate(&model(4.0)).unwrap();
-        let bad_fp = match store.promote(None).unwrap() {
-            PromoteOutcome::Completed { fingerprint } => fingerprint,
-            PromoteOutcome::Stopped(_) => unreachable!(),
-        };
+        let bad_fp = store.promote().unwrap();
         let restored = store.rollback().unwrap();
         assert_eq!(restored, good_fp);
         assert_eq!(store.live_fingerprint().unwrap(), good_fp);
         assert_eq!(store.fingerprint_of(&store.prev_path(1)).unwrap(), bad_fp);
+    }
+
+    #[test]
+    fn a_finished_rollback_survives_power_loss_at_every_boundary() {
+        let setup = |tag: &str| {
+            let store = store(&tempdir(tag));
+            let good_fp = store.live_fingerprint().unwrap();
+            store.stage_candidate(&model(4.0)).unwrap();
+            let bad_fp = store.promote().unwrap();
+            (store, good_fp, bad_fp)
+        };
+        let (probe, ..) = setup("rollback-count");
+        let counting = Arc::new(FaultDisk::counting());
+        probe
+            .clone()
+            .with_disk(counting.clone())
+            .rollback()
+            .unwrap();
+        // The last case loses power right after rollback's final rename
+        // and marker removal returned.
+        for k in 0..=counting.boundaries() {
+            let (store, good_fp, bad_fp) = setup(&format!("rollback-{k}"));
+            let finished = power_loss_at(&store, k, ModelStore::rollback);
+            store.recover().unwrap();
+            let live = store.live_fingerprint().unwrap();
+            assert!(live == good_fp || live == bad_fp, "boundary {k}: torn");
+            if finished {
+                assert_eq!(
+                    live, good_fp,
+                    "boundary {k}: a finished rollback was undone"
+                );
+            }
+            SavedModel::load(store.model_path()).unwrap();
+        }
     }
 
     #[test]
@@ -619,7 +635,7 @@ mod tests {
             store
                 .stage_candidate(&model(10.0 + f64::from(round)))
                 .unwrap();
-            store.promote(None).unwrap();
+            store.promote().unwrap();
         }
         assert_eq!(store.history_on_disk().len(), 3);
         assert!(!store.prev_path(4).exists());

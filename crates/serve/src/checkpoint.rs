@@ -11,10 +11,11 @@
 //!
 //! Each file reuses the CRC-checked two-line container model files use
 //! ([`hdd_json::container`]) with its own magic string, and every write
-//! goes through the same atomic temp-file + rename protocol — a crash
-//! mid-checkpoint leaves the previous valid file in place.
+//! goes through [`Disk::replace`] — a crash mid-checkpoint leaves the
+//! previous valid file in place.
 
 use hdd_json::container::{self, ContainerError};
+use hdd_json::disk::Disk;
 use hdd_json::{JsonError, Value};
 use std::fmt;
 use std::path::Path;
@@ -134,12 +135,13 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Write the checkpoint atomically (temp sibling + fsync + rename).
+    /// Write the checkpoint to `path` with [`Disk::replace`] (temp
+    /// sibling, fsync, rename, directory sync).
     ///
     /// # Errors
     ///
     /// Returns [`CheckpointError::Io`] when the file cannot be written.
-    pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
+    pub fn save(&self, disk: &dyn Disk, path: &Path) -> Result<(), CheckpointError> {
         let doc = Value::Obj(vec![
             (
                 "format_version".to_string(),
@@ -153,7 +155,7 @@ impl Checkpoint {
         ]);
         let payload = hdd_json::to_string(&doc);
         let document = container::seal(CHECKPOINT_MAGIC, &payload);
-        container::write_atomic(path, &document)?;
+        disk.replace(path, document.as_bytes())?;
         Ok(())
     }
 
@@ -227,6 +229,7 @@ impl Checkpoint {
 mod tests {
     use super::*;
     use hdd_json::container::tmp_sibling;
+    use hdd_json::disk::RealDisk;
     use std::path::PathBuf;
 
     fn scratch(name: &str) -> PathBuf {
@@ -249,7 +252,7 @@ mod tests {
     fn round_trips_through_a_file() {
         let path = scratch("roundtrip.ckpt");
         let ck = sample();
-        ck.save(&path).unwrap();
+        ck.save(&RealDisk, &path).unwrap();
         assert_eq!(Checkpoint::load(&path).unwrap(), ck);
         std::fs::remove_file(&path).ok();
     }
@@ -257,7 +260,7 @@ mod tests {
     #[test]
     fn every_single_bit_flip_is_rejected() {
         let path = scratch("bitflip.ckpt");
-        sample().save(&path).unwrap();
+        sample().save(&RealDisk, &path).unwrap();
         let clean = std::fs::read(&path).unwrap();
         for byte in 0..clean.len() {
             for bit in 0..8 {
@@ -305,7 +308,7 @@ mod tests {
     #[test]
     fn load_expecting_refuses_a_kind_mismatch() {
         let path = scratch("kind.ckpt");
-        sample().save(&path).unwrap();
+        sample().save(&RealDisk, &path).unwrap();
         assert!(Checkpoint::load_expecting(&path, CheckpointKind::Shard).is_ok());
         let err = Checkpoint::load_expecting(&path, CheckpointKind::Topology).unwrap_err();
         assert!(matches!(err, CheckpointError::Incompatible(_)), "{err}");
@@ -316,10 +319,10 @@ mod tests {
     fn interrupted_save_never_clobbers_the_previous_checkpoint() {
         let path = scratch("interrupted.ckpt");
         let ck = sample();
-        ck.save(&path).unwrap();
+        ck.save(&RealDisk, &path).unwrap();
         std::fs::write(tmp_sibling(&path), b"torn che").unwrap();
         assert_eq!(Checkpoint::load(&path).unwrap(), ck);
-        ck.save(&path).unwrap();
+        ck.save(&RealDisk, &path).unwrap();
         assert!(
             !tmp_sibling(&path).exists(),
             "save must consume its temp file"

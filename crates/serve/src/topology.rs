@@ -33,6 +33,7 @@ use crate::merge::MergeState;
 use crate::queue::BoundedQueue;
 use crate::router::ShardRouter;
 use hdd_eval::{ModelError, SavedModel};
+use hdd_json::disk::{Disk, RealDisk};
 use hdd_json::{JsonCodec, Value};
 use hdd_par::{CancelToken, ParError, ThreadPool};
 use std::path::{Path, PathBuf};
@@ -102,6 +103,7 @@ pub struct ServeTopology {
     router: ShardRouter,
     merge: MergeState,
     n_feeds: usize,
+    disk: Arc<dyn Disk>,
 }
 
 impl ServeTopology {
@@ -140,7 +142,13 @@ impl ServeTopology {
             router,
             merge: MergeState::new(),
             n_feeds,
+            disk: Arc::new(RealDisk),
         })
+    }
+
+    /// Write checkpoints through `disk` instead of the real disk.
+    pub fn set_disk(&mut self, disk: Arc<dyn Disk>) {
+        self.disk = disk;
     }
 
     /// The router partitioning drive ids across these shards — build the
@@ -451,7 +459,7 @@ impl ServeTopology {
     ///
     /// Returns [`CheckpointError::Io`] when a file cannot be written.
     pub fn save_checkpoints(&mut self, dir: &Path) -> Result<(), CheckpointError> {
-        std::fs::create_dir_all(dir)?;
+        self.disk.create_dir(dir)?;
         let payload = Value::Obj(vec![
             ("n_shards".to_string(), Value::Num(self.slots.len() as f64)),
             ("n_feeds".to_string(), Value::Num(self.n_feeds as f64)),
@@ -465,7 +473,7 @@ impl ServeTopology {
             kind: CheckpointKind::Topology,
             payload,
         }
-        .save(&topology_path(dir))?;
+        .save(&*self.disk, &topology_path(dir))?;
         for (k, slot) in self.slots.iter_mut().enumerate() {
             if !slot.dirty {
                 continue;
@@ -474,7 +482,7 @@ impl ServeTopology {
                 kind: CheckpointKind::Shard,
                 payload: slot.engine.state_to_json(),
             }
-            .save(&shard_path(dir, k))?;
+            .save(&*self.disk, &shard_path(dir, k))?;
             slot.dirty = false;
         }
         Ok(())

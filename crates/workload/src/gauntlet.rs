@@ -28,10 +28,11 @@ use hdd_bench::report::Report;
 use hdd_cart::{ClassificationTreeBuilder, TrainError};
 use hdd_eval::{series_training_set, ModelError, SavedModel, VotingRule};
 use hdd_fault::FaultClass;
+use hdd_json::disk::{Fault, FaultDisk, RealDisk};
 use hdd_json::{JsonCodec as _, JsonError};
 use hdd_lifecycle::{
     Daemon, DaemonConfig, DaemonError, LifecycleConfig, LifecycleCounters, LifecycleError,
-    LifecycleFaults, PromotionStep,
+    LifecycleFaults, ModelStore,
 };
 use hdd_smart::rng::DeterministicRng;
 use hdd_smart::{DatasetGenerator, FamilyProfile, SmartSeries};
@@ -41,6 +42,7 @@ use std::fmt;
 use std::fs::File;
 use std::io::{self, BufWriter};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 /// Training window (hours before failure) for the inline model.
 const TRAIN_WINDOW_HOURS: u32 = 168;
 /// Salt separating the training fleet's seed from the scenario seed,
@@ -79,9 +81,6 @@ impl RetrainSpec {
         match self.fault {
             Some(FaultClass::TrainerPanic) => faults.trainer_panic = Some(1),
             Some(FaultClass::PoisonedBuffer) => faults.poison_buffer = Some(1),
-            Some(FaultClass::CrashDuringPromotion) => {
-                faults.crash_at_step = Some(PromotionStep::AfterMarker);
-            }
             Some(FaultClass::RegressingCandidate) => faults.regressing_candidate = true,
             _ => {}
         }
@@ -515,16 +514,28 @@ fn ensure(cond: bool, label: &str, msg: impl FnOnce() -> String) -> Result<(), G
 
 /// Serve `paths` with a [`Daemon`] writing `out` until the feeds are
 /// drained, returning it with its step wall times, breaker transitions
-/// and feed rotations. Feed read errors abort the run.
-fn serve_to_idle(config: DaemonConfig) -> Result<(Daemon, Vec<f64>, usize, usize), GauntletError> {
-    let mut daemon = Daemon::open(config).map_err(GauntletError::Daemon)?;
+/// and feed rotations. Feed read errors abort the run. When `power_loss`
+/// (the daemon's disk) fires, the failed daemon is dropped and reopened
+/// on the real disk, as after a reboot.
+fn serve_to_idle(
+    mut config: DaemonConfig,
+    mut power_loss: Option<&FaultDisk>,
+) -> Result<(Daemon, Vec<f64>, usize, usize), GauntletError> {
+    let mut daemon = Daemon::open(config.clone()).map_err(GauntletError::Daemon)?;
     let mut step_times = Vec::new();
     let mut transitions = 0usize;
     let mut rotations = 0usize;
     loop {
         let (step, ms) = time_ms(|| daemon.step());
-        let step = step.map_err(GauntletError::Daemon)?;
         step_times.push(ms);
+        let step = match step {
+            Err(_) if power_loss.take().is_some_and(FaultDisk::fired) => {
+                config.disk = Arc::new(RealDisk);
+                daemon = Daemon::open(config.clone()).map_err(GauntletError::Daemon)?;
+                continue;
+            }
+            step => step.map_err(GauntletError::Daemon)?,
+        };
         if let Some((path, source)) = step.feed_errors.into_iter().next() {
             return Err(GauntletError::Io {
                 path: path.display().to_string(),
@@ -569,6 +580,7 @@ fn drive(
 ) -> Result<ScenarioOutcome, GauntletError> {
     let label = manifest.scenario.label();
     let out = config.work_dir.join(format!("{label}-{n_shards}.alarms"));
+    let mut power_loss = None;
     let mut served = daemon_config(
         config,
         paths,
@@ -577,10 +589,16 @@ fn drive(
         n_shards,
     );
     if let Some(spec) = &config.retrain {
-        // The lifecycle promotes over its model file: give every run its own.
+        // The lifecycle promotes over its model file: give every run its
+        // own, fresh, so a rerun resumes no earlier run's checkpoints or
+        // model store.
         let dir = config
             .work_dir
             .join(format!("lifecycle-{label}-{n_shards}"));
+        match std::fs::remove_dir_all(&dir) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(io_at(&dir)(e)),
+            _ => {}
+        }
         std::fs::create_dir_all(&dir).map_err(io_at(&dir))?;
         served.model = dir.join("model.bin");
         std::fs::copy(model_path, &served.model).map_err(io_at(&served.model))?;
@@ -590,8 +608,18 @@ fn drive(
         lc.probation_rows = spec.probation_rows;
         served.retrain = Some(lc);
         served.faults = spec.faults();
+        if spec.fault == Some(FaultClass::CrashDuringPromotion) {
+            // Lose power at the first write after the promotion marker
+            // lands; the run then resumes from its checkpoints.
+            let marker = ModelStore::new(served.model.clone(), 1).marker_path();
+            let disk = Arc::new(FaultDisk::failing_after(marker, Fault::PowerLoss));
+            served.disk = disk.clone();
+            served.checkpoint = Some(dir.join("ckpt"));
+            power_loss = Some(disk);
+        }
     }
-    let (daemon, step_times, transitions, rotations) = serve_to_idle(served)?;
+    let (daemon, step_times, transitions, rotations) =
+        serve_to_idle(served, power_loss.as_deref())?;
     let sink = std::fs::read_to_string(&out).map_err(io_at(&out))?;
     let topology = daemon.topology();
 
@@ -693,6 +721,13 @@ fn drive(
     if let (Some(spec), Some(lc)) = (&config.retrain, &lifecycle) {
         assert_lifecycle(label, manifest.scenario, spec, lc)?;
     }
+    if let (Some(disk), Some(lc)) = (&power_loss, &lifecycle) {
+        ensure(
+            disk.fired() || lc.counters.gate_clearances == 0,
+            label,
+            || "a promotion ran but the injected power loss never fired".to_string(),
+        )?;
+    }
     let wall_ms = step_times.iter().sum();
     Ok(ScenarioOutcome {
         scenario: manifest.scenario,
@@ -726,13 +761,10 @@ fn rescore(
     label: &str,
 ) -> Result<f64, GauntletError> {
     let out = config.work_dir.join(format!("{label}-promoted.alarms"));
-    serve_to_idle(daemon_config(
-        config,
-        paths,
-        model.to_path_buf(),
-        out.clone(),
-        1,
-    ))?;
+    serve_to_idle(
+        daemon_config(config, paths, model.to_path_buf(), out.clone(), 1),
+        None,
+    )?;
     let sink = std::fs::read_to_string(&out).map_err(io_at(&out))?;
     let (fdr, _, _, _) = score_sink(&sink, summary);
     Ok(fdr)
@@ -973,12 +1005,10 @@ mod tests {
                 ..LifecycleFaults::default()
             }
         );
+        // The promotion crash is a disk fault, injected in `drive`.
         assert_eq!(
             RetrainSpec::new(Some(FaultClass::CrashDuringPromotion)).faults(),
-            LifecycleFaults {
-                crash_at_step: Some(PromotionStep::AfterMarker),
-                ..LifecycleFaults::default()
-            }
+            LifecycleFaults::default()
         );
         assert!(
             RetrainSpec::new(Some(FaultClass::RegressingCandidate))

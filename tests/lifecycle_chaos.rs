@@ -1,9 +1,10 @@
 //! Chaos tests for the online model lifecycle.
 //!
-//! The two-phase promotion protocol is crashed at every injectable step
-//! across 20 seeds — half of which also bit-flip the staged candidate —
-//! and recovery must always land on *exactly* the incumbent or *exactly*
-//! the candidate, never a torn model. Automatic rollback is exercised
+//! The two-phase promotion protocol is failed at every write boundary —
+//! power loss, ENOSPC, EIO and short writes — across 20 seeds, half of
+//! which also bit-flip the staged candidate, and recovery must always
+//! land on *exactly* the incumbent or *exactly* the candidate, never a
+//! torn model. Automatic rollback is exercised
 //! end-to-end through the public facade, and the gauntlet's seeded
 //! lifecycle fault corpus is driven to its specified outcomes: a
 //! regressing candidate is refused at the gate and the firmware-drift
@@ -11,13 +12,14 @@
 //! detection rate, identically at every shard count.
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use hddpred::cart::{Class, ClassSample, ClassificationTreeBuilder};
 use hddpred::eval::{Predictor, SavedModel, VotingRule};
 use hddpred::fault::FaultClass;
+use hddpred::hdd_json::disk::{Fault, FaultDisk};
 use hddpred::lifecycle::{
-    LifecycleConfig, LifecycleFaults, LifecycleManager, ModelStore, Phase, PromoteOutcome,
-    PromotionStep, Recovery,
+    LifecycleConfig, LifecycleFaults, LifecycleManager, ModelStore, Phase, Recovery,
 };
 use hddpred::par::ThreadPool;
 use hddpred::serve::RowEvent;
@@ -61,59 +63,91 @@ fn seeded_store(dir: &Path) -> ModelStore {
     ModelStore::new(path, 3)
 }
 
+/// Run `promote` over a disk that injects `fault` at boundary `k`;
+/// past the last boundary, lose power after `promote` returns.
+fn promote_failing_at(store: &ModelStore, k: usize, fault: Fault) {
+    let disk = Arc::new(FaultDisk::failing_at(k, fault));
+    let promoted = store.clone().with_disk(disk.clone()).promote();
+    assert_eq!(promoted.is_err(), disk.fired(), "boundary {k}");
+    if !disk.fired() {
+        disk.power_loss().expect("lose power after the promotion");
+    }
+}
+
 #[test]
 fn promotion_crash_at_every_step_across_20_seeds_is_never_torn() {
-    for step in PromotionStep::ALL {
-        for seed in 0..20u64 {
-            let dir = tempdir(&format!("cut-{step:?}-{seed}"));
-            let store = seeded_store(&dir);
-            let incumbent_fp = store.live_fingerprint().expect("incumbent fingerprint");
-            let staged_fp = store
-                .stage_candidate(&model(1.0 + seed as f64))
-                .expect("stage candidate");
-            assert_eq!(
-                store.promote(Some(step)).expect("promote to the cut point"),
-                PromoteOutcome::Stopped(step)
-            );
+    let counting = Arc::new(FaultDisk::counting());
+    let probe = seeded_store(&tempdir("count"));
+    probe.stage_candidate(&model(1.0)).expect("stage candidate");
+    probe
+        .clone()
+        .with_disk(counting.clone())
+        .promote()
+        .expect("promote");
+    let boundaries = counting.boundaries();
+    // The marker is a replace: temp write, sync, rename, directory sync.
+    let marker_durable = 4;
+    for seed in 0..20u64 {
+        for k in 0..=boundaries {
+            for fault in Fault::ALL {
+                let at = format!("{fault:?} at boundary {k}, seed {seed}");
+                let dir = tempdir(&format!("cut-{seed}-{k}-{fault:?}"));
+                let store = seeded_store(&dir);
+                let incumbent_fp = store.live_fingerprint().expect("incumbent fingerprint");
+                let staged_fp = store
+                    .stage_candidate(&model(1.0 + seed as f64))
+                    .expect("stage candidate");
+                promote_failing_at(&store, k, fault);
 
-            // Odd seeds additionally rot the candidate while the process
-            // is "down" — a crash plus disk corruption in one window. At
-            // AfterRename the candidate is already the live model, so
-            // there is nothing left to rot.
-            let candidate = store.candidate_path();
-            let corrupted = seed % 2 == 1 && candidate.exists();
-            if corrupted {
-                let mut bytes = std::fs::read(&candidate).expect("read candidate");
-                let at = (seed as usize * 7919) % bytes.len();
-                bytes[at] ^= 1 << (seed % 8);
-                std::fs::write(&candidate, &bytes).expect("write corrupt candidate");
-            }
+                // Odd seeds additionally rot the candidate while the
+                // process is down — a crash plus disk corruption in one
+                // window. Once the candidate is the live model there is
+                // nothing left to rot.
+                let candidate = store.candidate_path();
+                let corrupted = seed % 2 == 1 && candidate.exists();
+                if corrupted {
+                    let mut bytes = std::fs::read(&candidate).expect("read candidate");
+                    let at = (seed as usize * 7919) % bytes.len();
+                    bytes[at] ^= 1 << (seed % 8);
+                    std::fs::write(&candidate, &bytes).expect("write corrupt candidate");
+                }
 
-            // Restart: recovery must land on exactly one of the two
-            // models, and a second recovery must be a clean no-op.
-            let recovery = store.recover().expect("recover");
-            let live_fp = store.live_fingerprint().expect("live fingerprint");
-            assert!(
-                live_fp == incumbent_fp || live_fp == staged_fp,
-                "step {step:?} seed {seed}: live model is neither incumbent nor candidate"
-            );
-            SavedModel::load(store.model_path()).expect("live model must load");
-            if corrupted {
-                assert_eq!(live_fp, incumbent_fp, "step {step:?} seed {seed}");
-                assert!(matches!(recovery, Recovery::Aborted { .. }));
-            } else {
-                assert_eq!(live_fp, staged_fp, "step {step:?} seed {seed}");
-                assert_eq!(
-                    recovery,
-                    Recovery::Completed {
-                        fingerprint: staged_fp
-                    }
+                // Restart: recovery must land on exactly one of the two
+                // models, and a second recovery must be a clean no-op.
+                let recovery = store.recover().expect("recover");
+                let live_fp = store.live_fingerprint().expect("live fingerprint");
+                assert!(
+                    live_fp == incumbent_fp || live_fp == staged_fp,
+                    "{at}: live model is neither incumbent nor candidate"
                 );
+                SavedModel::load(store.model_path()).expect("live model must load");
+                if fault == Fault::PowerLoss {
+                    // Exactly the durable intent decides the outcome.
+                    let intent = k >= marker_durable;
+                    let expected = if intent && !corrupted {
+                        staged_fp
+                    } else {
+                        incumbent_fp
+                    };
+                    assert_eq!(live_fp, expected, "{at}");
+                    match (intent && k < boundaries, corrupted) {
+                        (true, true) => assert!(matches!(recovery, Recovery::Aborted { .. })),
+                        (true, false) => assert_eq!(
+                            recovery,
+                            Recovery::Completed {
+                                fingerprint: staged_fp
+                            },
+                            "{at}"
+                        ),
+                        (false, _) => assert_eq!(recovery, Recovery::Clean, "{at}"),
+                    }
+                } else if corrupted {
+                    assert_eq!(live_fp, incumbent_fp, "{at}");
+                }
+                assert!(!store.marker_path().exists(), "{at}");
+                assert_eq!(store.recover().expect("second recover"), Recovery::Clean);
+                let _ = std::fs::remove_dir_all(&dir);
             }
-            assert!(!store.marker_path().exists());
-            assert!(!store.candidate_path().exists());
-            assert_eq!(store.recover().expect("second recover"), Recovery::Clean);
-            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 }
@@ -124,12 +158,12 @@ fn corrupt_candidate_after_rotation_restores_last_known_good_from_history() {
     let store = seeded_store(&dir);
     let incumbent_fp = store.live_fingerprint().expect("incumbent fingerprint");
     store.stage_candidate(&model(9.0)).expect("stage candidate");
-    // Crash after the live model was demoted into history, then flip a
-    // bit in the candidate: recovery has to pull the incumbent back out
-    // of `.prev-1`.
-    store
-        .promote(Some(PromotionStep::AfterRotate))
-        .expect("promote to the cut point");
+    // Lose power once the live model's demotion into history is durable
+    // (boundaries 0-3 write the marker, 4-5 rename the live model to
+    // `.prev-1`), then flip a bit in the candidate: recovery has to pull
+    // the incumbent back out of `.prev-1`.
+    promote_failing_at(&store, 6, Fault::PowerLoss);
+    assert!(!store.model_path().exists());
     let candidate = store.candidate_path();
     let mut bytes = std::fs::read(&candidate).expect("read candidate");
     let mid = bytes.len() / 2;
@@ -346,25 +380,42 @@ fn trainer_panic_is_contained_and_the_run_completes() {
 
 #[test]
 fn crash_during_promotion_recovers_and_still_promotes() {
-    let config = drift_config("cutover", Some(FaultClass::CrashDuringPromotion));
+    // The crash run checkpoints every step so it can reopen, and each
+    // checkpoint carries the row events a stalled watermark holds back:
+    // a small rack-failures fleet with a deep queue keeps that cheap in
+    // a debug build, and still clears the gate.
+    let mut config = drift_config("cutover", Some(FaultClass::CrashDuringPromotion));
+    config.scenario = Some(Scenario::RackFailures);
+    config.scale = 0.0015;
+    config.rate = 4096;
+    if let Some(spec) = config.retrain.as_mut() {
+        (spec.retrain_rows, spec.shadow_rows, spec.probation_rows) = (512, 256, 256);
+    }
     let outcomes = run(&config).expect("gauntlet run failed");
+    assert_eq!(outcomes.len(), 2);
     for outcome in &outcomes {
         let lc = outcome.lifecycle.as_ref().expect("lifecycle outcome");
-        // The injected kill lands after the marker is durable, so
-        // recovery must carry the promotion to completion.
+        // The injected power loss lands after the marker is durable, so
+        // recovery in the reopened daemon must carry the promotion to
+        // completion.
         assert!(lc.counters.promotions >= 1, "{:?}", lc.counters);
     }
-    assert_eq!(
-        outcomes[0]
-            .lifecycle
-            .as_ref()
-            .expect("lifecycle")
-            .live_fingerprint,
-        outcomes[1]
-            .lifecycle
-            .as_ref()
-            .expect("lifecycle")
-            .live_fingerprint,
-    );
+    assert_eq!(outcomes[0].sink, outcomes[1].sink, "sink diverged");
+    let fingerprint = |o: &hddpred::workload::gauntlet::ScenarioOutcome| {
+        o.lifecycle.as_ref().expect("lifecycle").live_fingerprint
+    };
+    assert_eq!(fingerprint(&outcomes[0]), fingerprint(&outcomes[1]));
+
+    // A rerun in the same work dir starts afresh: nothing resumes from
+    // the first run's checkpoints or model store.
+    let rerun = run(&config).expect("gauntlet rerun failed");
+    for (first, again) in outcomes.iter().zip(&rerun) {
+        assert_eq!(first.sink, again.sink, "the rerun's sink differs");
+        assert_eq!(fingerprint(first), fingerprint(again));
+        assert_eq!(
+            first.lifecycle.as_ref().map(|lc| &lc.counters),
+            again.lifecycle.as_ref().map(|lc| &lc.counters),
+        );
+    }
     let _ = std::fs::remove_dir_all(&config.work_dir);
 }
