@@ -1,8 +1,9 @@
 //! The Classification Tree model (Algorithm 1 of the paper).
 
+use crate::grow::{grow, Limits, TreeKind};
 use crate::sample::{validate_features, Class, ClassSample, TrainError};
-use crate::split::{FeatureMatrix, SplitCriterion, SplitWorkspace};
-use crate::tree::{Node, NodeId, SplitNode, Tree};
+use crate::split::{class_totals, FeatureMatrix, SplitCriterion, SplitSpec, SplitWorkspace};
+use crate::tree::Tree;
 use hdd_par::ThreadPool;
 use std::fmt;
 
@@ -45,12 +46,9 @@ impl fmt::Display for ClassLeaf {
 /// total, false alarms costed 10× misses.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClassificationTreeBuilder {
-    min_split: usize,
-    min_bucket: usize,
-    complexity: f64,
+    limits: Limits,
     failed_weight_fraction: Option<f64>,
     false_alarm_loss: f64,
-    max_depth: Option<usize>,
     criterion: SplitCriterion,
     threads: Option<usize>,
 }
@@ -58,12 +56,9 @@ pub struct ClassificationTreeBuilder {
 impl Default for ClassificationTreeBuilder {
     fn default() -> Self {
         ClassificationTreeBuilder {
-            min_split: 20,
-            min_bucket: 7,
-            complexity: 0.001,
+            limits: Limits::default(),
             failed_weight_fraction: Some(0.2),
             false_alarm_loss: 10.0,
-            max_depth: None,
             criterion: SplitCriterion::InformationGain,
             threads: None,
         }
@@ -80,13 +75,13 @@ impl ClassificationTreeBuilder {
     /// `Minsplit`: the minimum number of samples a node needs before a
     /// split is even considered.
     pub fn min_split(&mut self, n: usize) -> &mut Self {
-        self.min_split = n.max(2);
+        self.limits.min_split = n.max(2);
         self
     }
 
     /// `Minbucket`: the minimum number of samples in any leaf.
     pub fn min_bucket(&mut self, n: usize) -> &mut Self {
-        self.min_bucket = n.max(1);
+        self.limits.min_bucket = n.max(1);
         self
     }
 
@@ -94,7 +89,7 @@ impl ClassificationTreeBuilder {
     /// subtree whose split's scaled information gain is below `cp` is
     /// pruned back (Algorithm 1, lines 18–22).
     pub fn complexity(&mut self, cp: f64) -> &mut Self {
-        self.complexity = cp.max(0.0);
+        self.limits.complexity = cp.max(0.0);
         self
     }
 
@@ -123,7 +118,7 @@ impl ClassificationTreeBuilder {
 
     /// Optional hard depth cap (not in the paper; useful for ablations).
     pub fn max_depth(&mut self, depth: Option<usize>) -> &mut Self {
-        self.max_depth = depth;
+        self.limits.max_depth = depth;
         self
     }
 
@@ -228,20 +223,14 @@ impl ClassificationTreeBuilder {
         if n_failed == 0 || n_failed == classes.len() {
             return Err(TrainError::SingleClass);
         }
-        let tree = grow(
+        let kind = Classification {
             classes,
             weights,
-            self.min_split,
-            self.min_bucket,
-            self.max_depth,
-            workspace.n_features(),
-            self.criterion,
-            self.complexity,
-            pool,
-            workspace,
-        );
-        let tree = crate::prune::prune(&tree, self.complexity);
-        Ok(ClassificationTree { tree })
+            criterion: self.criterion,
+        };
+        Ok(ClassificationTree {
+            tree: grow(&kind, self.limits, workspace, pool),
+        })
     }
 
     /// Per-sample weights implementing the class re-weighting and the
@@ -323,40 +312,28 @@ impl ClassificationTree {
     }
 }
 
-/// Grow a full classification tree (stack-based, like Algorithm 1).
-///
-/// The descent runs entirely on the [`SplitWorkspace`]'s presorted
-/// stripes: each node's per-feature order is a slice, each accepted split
-/// one stable partition pass — no per-node sorts, masks, or allocations.
-/// The stripe order equals what the legacy sort-per-node and
-/// membership-filter searches produce (see [`crate::split`]), so the
-/// grown tree does not depend on the strategy or the thread count.
-#[allow(clippy::too_many_arguments)]
-fn grow(
-    classes: &[Class],
-    weights: &[f64],
-    min_split: usize,
-    min_bucket: usize,
-    max_depth: Option<usize>,
-    n_features: usize,
+/// Algorithm 1's part of the shared descent: nodes carry their
+/// `(good, failed)` weight totals and split by information gain (or
+/// Gini).
+struct Classification<'a> {
+    classes: &'a [Class],
+    weights: &'a [f64],
     criterion: SplitCriterion,
-    complexity: f64,
-    pool: ThreadPool,
-    ws: &mut SplitWorkspace,
-) -> Tree<ClassLeaf> {
-    let n_rows = ws.n_rows();
-    let root_weight: f64 = weights.iter().sum();
-    let mut nodes: Vec<Node<ClassLeaf>> = Vec::new();
+}
 
-    let make_leaf = |idx: &[u32]| {
-        let mut w_good = 0.0;
-        let mut w_failed = 0.0;
-        for &i in idx {
-            match classes[i as usize] {
-                Class::Good => w_good += weights[i as usize],
-                Class::Failed => w_failed += weights[i as usize],
-            }
-        }
+impl TreeKind for Classification<'_> {
+    type Stats = (f64, f64);
+    type Leaf = ClassLeaf;
+
+    fn weights(&self) -> &[f64] {
+        self.weights
+    }
+
+    fn stats(&self, members: &[u32]) -> (f64, f64) {
+        class_totals(members, self.classes, self.weights)
+    }
+
+    fn leaf((w_good, w_failed): (f64, f64)) -> ClassLeaf {
         ClassLeaf {
             class: if w_failed > w_good {
                 Class::Failed
@@ -366,77 +343,37 @@ fn grow(
             w_good,
             w_failed,
         }
-    };
-
-    // Stack entries: (node id, index range, depth).
-    let root_leaf = make_leaf(ws.members(0, n_rows));
-    nodes.push(Node {
-        prediction: root_leaf,
-        weight: root_leaf.w_good + root_leaf.w_failed,
-        fraction: 1.0,
-        gain: 0.0,
-        split: None,
-    });
-    let mut stack = vec![(NodeId::ROOT, 0usize, n_rows, 1usize)];
-
-    while let Some((id, start, end, depth)) = stack.pop() {
-        if end - start < min_split
-            || max_depth.is_some_and(|d| depth >= d)
-            || nodes[id.0 as usize].prediction.failed_fraction() == 0.0
-            || nodes[id.0 as usize].prediction.failed_fraction() == 1.0
-        {
-            continue; // leaf
-        }
-        let split =
-            ws.best_classification_split(start, end, classes, weights, min_bucket, criterion, pool);
-        let Some(split) = split else {
-            continue;
-        };
-        // Pre-prune: `prune` collapses any split whose scaled gain falls
-        // below the complexity parameter, looking only at the node's own
-        // gain — so a subtree under a below-`cp` split can never survive.
-        // Declining the split here grows the post-prune tree directly
-        // (bit-identical output) instead of building hundreds of nodes
-        // pruning will throw away.
-        if split.gain * nodes[id.0 as usize].fraction < complexity {
-            continue;
-        }
-
-        let mid = ws.partition(start, end, split.feature, split.threshold);
-        debug_assert!(mid > start && mid < end, "split produced an empty child");
-
-        let left_leaf = make_leaf(ws.members(start, mid));
-        let right_leaf = make_leaf(ws.members(mid, end));
-        let left_id = NodeId(nodes.len() as u32);
-        let right_id = NodeId(nodes.len() as u32 + 1);
-        for leaf in [left_leaf, right_leaf] {
-            let w = leaf.w_good + leaf.w_failed;
-            nodes.push(Node {
-                prediction: leaf,
-                weight: w,
-                fraction: w / root_weight,
-                gain: 0.0,
-                split: None,
-            });
-        }
-        let node = &mut nodes[id.0 as usize];
-        node.split = Some(SplitNode {
-            feature: split.feature,
-            threshold: split.threshold,
-            left: left_id,
-            right: right_id,
-            // Missing-value policy: NaN follows the heavier child.
-            nan_left: left_leaf.w_good + left_leaf.w_failed
-                >= right_leaf.w_good + right_leaf.w_failed,
-        });
-        // Scaled gain: local information gain × the node's weight share,
-        // the quantity the complexity parameter is compared against.
-        node.gain = split.gain * node.fraction;
-        stack.push((left_id, start, mid, depth + 1));
-        stack.push((right_id, mid, end, depth + 1));
     }
 
-    Tree::from_nodes(nodes, n_features)
+    fn weight((w_good, w_failed): (f64, f64)) -> f64 {
+        w_good + w_failed
+    }
+
+    fn search(
+        &self,
+        ws: &SplitWorkspace,
+        start: usize,
+        end: usize,
+        totals: (f64, f64),
+        min_bucket: usize,
+        pool: ThreadPool,
+    ) -> Option<SplitSpec> {
+        ws.best_classification_split(
+            start,
+            end,
+            totals,
+            self.classes,
+            self.weights,
+            min_bucket,
+            self.criterion,
+            pool,
+        )
+    }
+
+    /// Local information gain × the node's weight share.
+    fn scaled_gain(gain: f64, fraction: f64, _root: (f64, f64)) -> f64 {
+        gain * fraction
+    }
 }
 
 #[cfg(test)]

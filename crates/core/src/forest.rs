@@ -21,7 +21,7 @@
 use crate::classifier::{ClassificationTree, ClassificationTreeBuilder};
 use crate::compact::{CompactForest, CompactTree};
 use crate::sample::{Class, ClassSample, TrainError};
-use crate::split::{FeatureMatrix, PresortedColumns, SplitWorkspace};
+use crate::split::{FeatureMatrix, SplitWorkspace};
 use hdd_par::ThreadPool;
 use hdd_smart::rng::splitmix64;
 use std::ops::Range;
@@ -165,10 +165,13 @@ impl RandomForestBuilder {
         let classes: Vec<Class> = samples.iter().map(|s| s.class).collect();
         let matrix = FeatureMatrix::from_rows(samples.iter().map(|s| s.features.as_slice()));
         // The expensive part of starting a tree is sorting every feature
-        // column. Sort the *root* matrix once, share it read-only across
-        // all tree tasks, and derive each tree's bootstrap stripes from it
-        // in O(n) per feature instead of O(n log n).
-        let root = PresortedColumns::with_pool(&matrix, pool);
+        // column. Sort the *root* matrix once into a pristine workspace,
+        // share it read-only across all tree tasks, and derive each tree's
+        // bootstrap stripes from it in O(n) per feature instead of
+        // O(n log n).
+        let mut root = SplitWorkspace::new();
+        root.reset_sorted(&matrix, pool);
+        let root = &root;
 
         // One task per chunk of tree ids (see FOREST_MIN_TASK_ROWS).
         let chunk = self
@@ -242,23 +245,23 @@ impl RandomForestBuilder {
                 }
 
                 // Derive the bootstrap's sorted stripes from the shared
-                // root order: walk each chosen column in root-sorted order
-                // and expand every source row into its bootstrap
-                // duplicates. The result is value-sorted, so the split
-                // search behaves exactly as if the stripe had been sorted
-                // from scratch.
+                // root stripes: walk each chosen column's `(row id, value)`
+                // pairs in root-sorted order and expand every source row
+                // into its bootstrap duplicates. The result is
+                // value-sorted, so the split search behaves exactly as if
+                // the stripe had been sorted from scratch.
                 let (orders, fvalues) = workspace.begin_fill(n, per_tree);
                 for (local, &global) in chosen.iter().enumerate() {
                     let ids_stripe = &mut orders[local * n..(local + 1) * n];
                     let vals_stripe = &mut fvalues[local * n..(local + 1) * n];
                     let mut out = 0usize;
-                    for &src in root.feature_order(global) {
+                    let (root_ids, root_vals) = root.stripe(global, 0, n);
+                    for (&src, &value) in root_ids.iter().zip(root_vals) {
                         let count = counts[src as usize] as usize;
                         if count == 0 {
                             continue;
                         }
                         let end = offsets[src as usize] as usize;
-                        let value = matrix.value(src as usize, global);
                         for &boot_row in &slots[end - count..end] {
                             ids_stripe[out] = boot_row;
                             vals_stripe[out] = value;

@@ -44,6 +44,7 @@ pub mod boosting;
 pub mod classifier;
 pub mod compact;
 pub mod forest;
+mod grow;
 pub mod health;
 pub mod prune;
 pub mod regressor;

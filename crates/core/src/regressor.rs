@@ -1,8 +1,9 @@
 //! The Regression Tree model (Algorithm 2 of the paper).
 
+use crate::grow::{grow, Limits, TreeKind};
 use crate::sample::{validate_features, RegSample, TrainError};
-use crate::split::{FeatureMatrix, SplitWorkspace};
-use crate::tree::{Node, NodeId, SplitNode, Tree};
+use crate::split::{moments, FeatureMatrix, SplitSpec, SplitWorkspace};
+use crate::tree::Tree;
 use hdd_par::ThreadPool;
 use std::fmt;
 
@@ -23,25 +24,10 @@ impl fmt::Display for RegLeaf {
 ///
 /// Split conditions and the pruning parameter default to the same values
 /// as the classification tree, as in §V-C of the paper.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RegressionTreeBuilder {
-    min_split: usize,
-    min_bucket: usize,
-    complexity: f64,
-    max_depth: Option<usize>,
+    limits: Limits,
     threads: Option<usize>,
-}
-
-impl Default for RegressionTreeBuilder {
-    fn default() -> Self {
-        RegressionTreeBuilder {
-            min_split: 20,
-            min_bucket: 7,
-            complexity: 0.001,
-            max_depth: None,
-            threads: None,
-        }
-    }
 }
 
 impl RegressionTreeBuilder {
@@ -53,26 +39,26 @@ impl RegressionTreeBuilder {
 
     /// `Minsplit`: minimum samples at a node before it may be split.
     pub fn min_split(&mut self, n: usize) -> &mut Self {
-        self.min_split = n.max(2);
+        self.limits.min_split = n.max(2);
         self
     }
 
     /// `Minbucket`: minimum samples at any leaf.
     pub fn min_bucket(&mut self, n: usize) -> &mut Self {
-        self.min_bucket = n.max(1);
+        self.limits.min_bucket = n.max(1);
         self
     }
 
     /// Complexity parameter: subtrees whose relative sum-of-squares
     /// reduction falls below `cp` are pruned (Algorithm 2, lines 19–23).
     pub fn complexity(&mut self, cp: f64) -> &mut Self {
-        self.complexity = cp.max(0.0);
+        self.limits.complexity = cp.max(0.0);
         self
     }
 
     /// Optional hard depth cap (ablation aid; not in the paper).
     pub fn max_depth(&mut self, depth: Option<usize>) -> &mut Self {
-        self.max_depth = depth;
+        self.limits.max_depth = depth;
         self
     }
 
@@ -119,7 +105,7 @@ impl RegressionTreeBuilder {
             weights.iter().all(|w| w.is_finite() && *w > 0.0),
             "weights must be positive and finite"
         );
-        let n_features = validate_features(samples.iter().map(|s| s.features.as_slice()))?;
+        validate_features(samples.iter().map(|s| s.features.as_slice()))?;
         if let Some(bad) = samples.iter().position(|s| !s.target.is_finite()) {
             return Err(TrainError::InvalidFeatures {
                 sample: bad,
@@ -133,19 +119,13 @@ impl RegressionTreeBuilder {
             .map_or_else(ThreadPool::global, ThreadPool::new);
         let mut workspace = SplitWorkspace::new();
         workspace.reset_sorted(&matrix, pool);
-        let tree = grow(
-            &targets,
+        let kind = Regression {
+            targets: &targets,
             weights,
-            self.min_split,
-            self.min_bucket,
-            self.max_depth,
-            n_features,
-            self.complexity,
-            pool,
-            &mut workspace,
-        );
-        let tree = crate::prune::prune(&tree, self.complexity);
-        Ok(RegressionTree { tree })
+        };
+        Ok(RegressionTree {
+            tree: grow(&kind, self.limits, &mut workspace, pool),
+        })
     }
 }
 
@@ -186,110 +166,66 @@ impl RegressionTree {
     }
 }
 
-/// Grow a full regression tree (stack-based, like Algorithm 2). Split
-/// search strategy and parallelism as in the classification grower: the
-/// descent runs on the [`SplitWorkspace`]'s presorted stripes, which are
-/// bit-identical to the legacy sort-per-node search at any thread count.
-#[allow(clippy::too_many_arguments)]
-fn grow(
-    targets: &[f64],
-    weights: &[f64],
-    min_split: usize,
-    min_bucket: usize,
-    max_depth: Option<usize>,
-    n_features: usize,
-    complexity: f64,
-    pool: ThreadPool,
-    ws: &mut SplitWorkspace,
-) -> Tree<RegLeaf> {
-    let n_rows = ws.n_rows();
-    let root_weight: f64 = weights.iter().sum();
+/// Algorithm 2's part of the shared descent: nodes carry their weighted
+/// target moments `(Σw, Σwy, Σwy²)` and split by sum-of-squares
+/// reduction (eq. 4).
+struct Regression<'a> {
+    targets: &'a [f64],
+    weights: &'a [f64],
+}
 
-    let node_stats = |idx: &[u32]| {
-        let mut sw = 0.0;
-        let mut swy = 0.0;
-        let mut swy2 = 0.0;
-        for &i in idx {
-            let (w, y) = (weights[i as usize], targets[i as usize]);
-            sw += w;
-            swy += w * y;
-            swy2 += w * y * y;
-        }
-        let mean = if sw > 0.0 { swy / sw } else { 0.0 };
-        let sq = (swy2 - swy * swy / sw.max(f64::MIN_POSITIVE)).max(0.0);
-        (mean, sq, sw)
-    };
+impl TreeKind for Regression<'_> {
+    type Stats = (f64, f64, f64);
+    type Leaf = RegLeaf;
 
-    let (root_mean, root_sq, _) = node_stats(ws.members(0, n_rows));
-    let mut nodes = vec![Node {
-        prediction: RegLeaf { mean: root_mean },
-        weight: root_weight,
-        fraction: 1.0,
-        gain: 0.0,
-        split: None,
-    }];
-    let mut stack = vec![(NodeId::ROOT, 0usize, n_rows, 1usize)];
-
-    while let Some((id, start, end, depth)) = stack.pop() {
-        if end - start < min_split || max_depth.is_some_and(|d| depth >= d) {
-            continue;
-        }
-        let split = ws.best_regression_split(start, end, targets, weights, min_bucket, pool);
-        let Some(split) = split else {
-            continue;
-        };
-        // Pre-prune: `prune` collapses any split whose relative gain falls
-        // below the complexity parameter based on that gain alone, so a
-        // below-`cp` split's subtree can never survive — decline it now
-        // and grow the post-prune tree directly (bit-identical output).
-        let scaled = if root_sq > 0.0 {
-            split.gain / root_sq
-        } else {
-            0.0
-        };
-        if scaled < complexity {
-            continue;
-        }
-        let mid = ws.partition(start, end, split.feature, split.threshold);
-        debug_assert!(mid > start && mid < end);
-
-        let left_id = NodeId(nodes.len() as u32);
-        let right_id = NodeId(nodes.len() as u32 + 1);
-        let mut child_weights = [0.0f64; 2];
-        for (slot, range) in [ws.members(start, mid), ws.members(mid, end)]
-            .into_iter()
-            .enumerate()
-        {
-            let (mean, _, sw) = node_stats(range);
-            child_weights[slot] = sw;
-            nodes.push(Node {
-                prediction: RegLeaf { mean },
-                weight: sw,
-                fraction: sw / root_weight,
-                gain: 0.0,
-                split: None,
-            });
-        }
-        let node = &mut nodes[id.0 as usize];
-        node.split = Some(SplitNode {
-            feature: split.feature,
-            threshold: split.threshold,
-            left: left_id,
-            right: right_id,
-            // Missing-value policy: NaN follows the heavier child.
-            nan_left: child_weights[0] >= child_weights[1],
-        });
-        // Relative sum-of-squares reduction, comparable against CP.
-        node.gain = if root_sq > 0.0 {
-            split.gain / root_sq
-        } else {
-            0.0
-        };
-        stack.push((left_id, start, mid, depth + 1));
-        stack.push((right_id, mid, end, depth + 1));
+    fn weights(&self) -> &[f64] {
+        self.weights
     }
 
-    Tree::from_nodes(nodes, n_features)
+    fn stats(&self, members: &[u32]) -> (f64, f64, f64) {
+        moments(members, self.targets, self.weights)
+    }
+
+    fn leaf((sw, swy, _): (f64, f64, f64)) -> RegLeaf {
+        RegLeaf {
+            mean: if sw > 0.0 { swy / sw } else { 0.0 },
+        }
+    }
+
+    fn weight((sw, _, _): (f64, f64, f64)) -> f64 {
+        sw
+    }
+
+    fn search(
+        &self,
+        ws: &SplitWorkspace,
+        start: usize,
+        end: usize,
+        moments: (f64, f64, f64),
+        min_bucket: usize,
+        pool: ThreadPool,
+    ) -> Option<SplitSpec> {
+        ws.best_regression_split(
+            start,
+            end,
+            moments,
+            self.targets,
+            self.weights,
+            min_bucket,
+            pool,
+        )
+    }
+
+    /// Sum-of-squares reduction relative to the root's, so it compares
+    /// against CP on the same scale at every depth.
+    fn scaled_gain(gain: f64, _fraction: f64, (sw, swy, swy2): (f64, f64, f64)) -> f64 {
+        let root_sq = (swy2 - swy * swy / sw.max(f64::MIN_POSITIVE)).max(0.0);
+        if root_sq > 0.0 {
+            gain / root_sq
+        } else {
+            0.0
+        }
+    }
 }
 
 #[cfg(test)]

@@ -7,17 +7,16 @@
 //! sum-of-squares reduction (eq. 4) for regression. `Minbucket` is
 //! enforced on raw sample counts, as in rpart.
 //!
-//! Two interchangeable search strategies produce bit-identical
-//! [`SplitSpec`]s (both feed the same per-feature threshold sweep, so
-//! every floating-point accumulation happens in the same order):
-//!
-//! * [`best_classification_split`] / [`best_regression_split`] — the
-//!   legacy sort-per-node search: copy the node's indices and sort them
-//!   per feature, O(n log n) per feature per node;
-//! * [`PresortedColumns`] — the rpart/XGBoost-style presorted-column
-//!   index: one argsort per feature at the tree root, filtered by a node
-//!   membership bitmask during descent, with the per-feature sweeps
-//!   fanned out across a [`ThreadPool`].
+//! Tree growth searches with one strategy, [`SplitWorkspace`]: every
+//! feature is argsorted once at the root, and each accepted split stably
+//! partitions the sorted stripes, so a node's feature order is always a
+//! contiguous slice. [`best_classification_split`] /
+//! [`best_regression_split`] are the legacy sort-per-node search (copy
+//! the node's indices and sort them per feature, O(n log n) per feature
+//! per node), kept as the reference the workspace is tested against. Both
+//! feed the same per-feature threshold sweep, so every floating-point
+//! accumulation happens in the same order and the two return
+//! bit-identical [`SplitSpec`]s.
 
 use crate::sample::Class;
 use hdd_par::ThreadPool;
@@ -77,19 +76,21 @@ impl FeatureMatrix {
     ///
     /// # Panics
     ///
-    /// Panics if rows disagree on length (callers validate first).
+    /// Panics if rows disagree on length (callers validate first); the
+    /// first row fixes the width, even when it is empty.
     #[must_use]
     pub fn from_rows<'a, I: IntoIterator<Item = &'a [f64]>>(rows: I) -> Self {
         let mut data = Vec::new();
-        let mut n_features = 0;
+        let mut width = None;
         for row in rows {
-            if n_features == 0 {
-                n_features = row.len();
-            }
+            let n_features = *width.get_or_insert(row.len());
             assert_eq!(row.len(), n_features, "inconsistent row length");
             data.extend_from_slice(row);
         }
-        FeatureMatrix { data, n_features }
+        FeatureMatrix {
+            data,
+            n_features: width.unwrap_or(0),
+        }
     }
 
     /// Number of rows.
@@ -167,6 +168,34 @@ pub fn entropy(w_good: f64, w_failed: f64) -> f64 {
     h
 }
 
+/// Classification node statistics: the `(good, failed)` weight totals of
+/// the rows in `indices`, summed in the given order.
+#[must_use]
+pub fn class_totals(indices: &[u32], classes: &[Class], weights: &[f64]) -> (f64, f64) {
+    let mut totals = (0.0, 0.0);
+    for &i in indices {
+        match classes[i as usize] {
+            Class::Good => totals.0 += weights[i as usize],
+            Class::Failed => totals.1 += weights[i as usize],
+        }
+    }
+    totals
+}
+
+/// Regression node statistics: the weighted moments `(Σw, Σwy, Σwy²)` of
+/// the rows in `indices`, summed in the given order.
+#[must_use]
+pub fn moments(indices: &[u32], targets: &[f64], weights: &[f64]) -> (f64, f64, f64) {
+    let (mut sw, mut swy, mut swy2) = (0.0, 0.0, 0.0);
+    for &i in indices {
+        let (w, y) = (weights[i as usize], targets[i as usize]);
+        sw += w;
+        swy += w * y;
+        swy2 += w * y * y;
+    }
+    (sw, swy, swy2)
+}
+
 /// Find the best information-gain split of the node containing `indices`.
 ///
 /// Returns `None` when no split satisfies `min_bucket` or improves purity.
@@ -179,13 +208,7 @@ pub fn best_classification_split(
     min_bucket: usize,
     criterion: SplitCriterion,
 ) -> Option<SplitSpec> {
-    let mut totals = (0.0, 0.0); // (good, failed)
-    for &i in indices {
-        match classes[i as usize] {
-            Class::Good => totals.0 += weights[i as usize],
-            Class::Failed => totals.1 += weights[i as usize],
-        }
-    }
+    let totals = class_totals(indices, classes, weights);
     let parent_info = criterion.impurity(totals.0, totals.1);
     if parent_info == 0.0 {
         return None;
@@ -198,7 +221,7 @@ pub fn best_classification_split(
     for feature in 0..matrix.n_features() {
         // Restart from the node's (ascending) order before every sort so
         // ties resolve to ascending row id for each feature — the
-        // canonical order the presorted index produces. Chaining sorts
+        // canonical order the workspace stripes hold. Chaining sorts
         // would leak the previous feature's order into this one's ties.
         order.copy_from_slice(indices);
         order.sort_by(|&a, &b| {
@@ -236,8 +259,8 @@ pub fn best_classification_split(
 /// matrix); return the best candidate whose gain strictly exceeds `floor`
 /// (earlier thresholds win ties, exactly like the legacy loop).
 ///
-/// All search strategies call this, so their floating-point
-/// accumulations — and therefore the chosen splits — are bit-identical.
+/// Both searches call this, so their floating-point accumulations — and
+/// therefore the chosen splits — are bit-identical.
 #[allow(clippy::too_many_arguments)]
 fn sweep_classification_feature(
     order: &[u32],
@@ -299,14 +322,7 @@ pub fn best_regression_split(
     weights: &[f64],
     min_bucket: usize,
 ) -> Option<SplitSpec> {
-    let (mut sw, mut swy, mut swy2) = (0.0, 0.0, 0.0);
-    for &i in indices {
-        let idx = i as usize;
-        let (w, y) = (weights[idx], targets[idx]);
-        sw += w;
-        swy += w * y;
-        swy2 += w * y * y;
-    }
+    let (sw, swy, swy2) = moments(indices, targets, weights);
     let parent_sq = sq_from_moments(sw, swy, swy2);
     if parent_sq <= 0.0 {
         return None;
@@ -394,261 +410,33 @@ fn sweep_regression_feature(
     best
 }
 
-/// The presorted-column split index: one argsort per feature, computed
-/// once at the tree root and reused at every node of the descent.
-///
-/// The classic CART inner loop re-sorts the node's samples for every
-/// feature at every node — O(n log n) per feature per node. Presorting
-/// (as in rpart and the GBDT systems' "exact greedy" mode) moves all of
-/// the sorting to the root: during descent a node's feature order is
-/// recovered by filtering the global order through a membership bitmask,
-/// an O(total rows) scan with no comparisons. The per-feature threshold
-/// sweeps are independent, so they fan out across a [`ThreadPool`];
-/// per-feature results are merged in feature order with the same
-/// strict-greater comparison the serial loop uses, which keeps the chosen
-/// split bit-identical for every thread count.
-///
-/// Ties are broken toward lower row indices. Node index sets must be
-/// passed in ascending order (tree growth maintains this invariant via
-/// its stable partition), which makes the filtered order equal — sample
-/// by sample — to what the legacy search's stable sort produces, so both
-/// strategies accumulate in the same order and return the same
-/// [`SplitSpec`] down to the last bit.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PresortedColumns {
-    /// `n_features` stripes of `n_rows` row ids, each sorted by the
-    /// feature's value (ties by row id).
-    order: Vec<u32>,
-    n_rows: usize,
-    n_features: usize,
-}
-
-impl PresortedColumns {
-    /// Build the index serially.
-    #[must_use]
-    pub fn new(matrix: &FeatureMatrix) -> Self {
-        Self::with_pool(matrix, ThreadPool::serial())
-    }
-
-    /// Build the index with the per-feature argsorts fanned out across
-    /// `pool`.
-    #[must_use]
-    pub fn with_pool(matrix: &FeatureMatrix, pool: ThreadPool) -> Self {
-        let n_rows = matrix.n_rows();
-        let n_features = matrix.n_features();
-        let columns = pool.parallel_map_range(n_features, |feature| {
-            let mut order: Vec<u32> = (0..n_rows as u32).collect();
-            order.sort_unstable_by(|&a, &b| {
-                matrix
-                    .value(a as usize, feature)
-                    .total_cmp(&matrix.value(b as usize, feature))
-                    .then(a.cmp(&b))
-            });
-            order
-        });
-        PresortedColumns {
-            order: columns.concat(),
-            n_rows,
-            n_features,
-        }
-    }
-
-    /// Number of rows the index covers.
-    #[must_use]
-    pub fn n_rows(&self) -> usize {
-        self.n_rows
-    }
-
-    /// Number of feature columns the index covers.
-    #[must_use]
-    pub fn n_features(&self) -> usize {
-        self.n_features
-    }
-
-    /// All row ids sorted by `feature`'s value (ties by row id).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `feature` is out of bounds.
-    #[must_use]
-    pub fn feature_order(&self, feature: usize) -> &[u32] {
-        &self.order[feature * self.n_rows..(feature + 1) * self.n_rows]
-    }
-
-    /// Find the best classification split of the node containing
-    /// `indices` (ascending row ids) — same contract and same result as
-    /// [`best_classification_split`], without the per-node sorts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `matrix` does not match the dimensions this index was
-    /// built from.
-    #[must_use]
-    #[allow(clippy::too_many_arguments)]
-    pub fn best_classification_split(
-        &self,
-        matrix: &FeatureMatrix,
-        indices: &[u32],
-        classes: &[Class],
-        weights: &[f64],
-        min_bucket: usize,
-        criterion: SplitCriterion,
-        pool: ThreadPool,
-    ) -> Option<SplitSpec> {
-        self.check_node(matrix, indices);
-        let mut totals = (0.0, 0.0); // (good, failed)
-        for &i in indices {
-            match classes[i as usize] {
-                Class::Good => totals.0 += weights[i as usize],
-                Class::Failed => totals.1 += weights[i as usize],
-            }
-        }
-        let parent_info = criterion.impurity(totals.0, totals.1);
-        if parent_info == 0.0 {
-            return None;
-        }
-        let total_w = totals.0 + totals.1;
-
-        let mask = self.membership_mask(indices);
-        let mask = &mask;
-        let per_feature = pool.parallel_map_range(self.n_features, |feature| {
-            let order = self.node_order(feature, mask, indices.len());
-            let vals: Vec<f64> = order
-                .iter()
-                .map(|&i| matrix.value(i as usize, feature))
-                .collect();
-            sweep_classification_feature(
-                &order,
-                &vals,
-                feature,
-                classes,
-                weights,
-                totals,
-                parent_info,
-                total_w,
-                min_bucket,
-                criterion,
-                MIN_GAIN,
-            )
-        });
-        merge_feature_candidates(per_feature)
-    }
-
-    /// Find the best regression split of the node containing `indices`
-    /// (ascending row ids) — same contract and same result as
-    /// [`best_regression_split`], without the per-node sorts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `matrix` does not match the dimensions this index was
-    /// built from.
-    #[must_use]
-    pub fn best_regression_split(
-        &self,
-        matrix: &FeatureMatrix,
-        indices: &[u32],
-        targets: &[f64],
-        weights: &[f64],
-        min_bucket: usize,
-        pool: ThreadPool,
-    ) -> Option<SplitSpec> {
-        self.check_node(matrix, indices);
-        let (mut sw, mut swy, mut swy2) = (0.0, 0.0, 0.0);
-        for &i in indices {
-            let idx = i as usize;
-            let (w, y) = (weights[idx], targets[idx]);
-            sw += w;
-            swy += w * y;
-            swy2 += w * y * y;
-        }
-        let parent_sq = sq_from_moments(sw, swy, swy2);
-        if parent_sq <= 0.0 {
-            return None;
-        }
-
-        let mask = self.membership_mask(indices);
-        let mask = &mask;
-        let per_feature = pool.parallel_map_range(self.n_features, |feature| {
-            let order = self.node_order(feature, mask, indices.len());
-            let vals: Vec<f64> = order
-                .iter()
-                .map(|&i| matrix.value(i as usize, feature))
-                .collect();
-            sweep_regression_feature(
-                &order,
-                &vals,
-                feature,
-                targets,
-                weights,
-                (sw, swy, swy2),
-                parent_sq,
-                min_bucket,
-                MIN_GAIN,
-            )
-        });
-        merge_feature_candidates(per_feature)
-    }
-
-    /// The node membership bitmask over all rows.
-    fn membership_mask(&self, indices: &[u32]) -> Vec<bool> {
-        let mut mask = vec![false; self.n_rows];
-        for &i in indices {
-            mask[i as usize] = true;
-        }
-        mask
-    }
-
-    /// One feature's presorted order filtered down to the node's members.
-    fn node_order(&self, feature: usize, mask: &[bool], n_node: usize) -> Vec<u32> {
-        let mut order = Vec::with_capacity(n_node);
-        order.extend(
-            self.feature_order(feature)
-                .iter()
-                .copied()
-                .filter(|&i| mask[i as usize]),
-        );
-        order
-    }
-
-    fn check_node(&self, matrix: &FeatureMatrix, indices: &[u32]) {
-        assert_eq!(matrix.n_rows(), self.n_rows, "matrix/index row mismatch");
-        assert_eq!(
-            matrix.n_features(),
-            self.n_features,
-            "matrix/index feature mismatch"
-        );
-        debug_assert!(
-            indices.windows(2).all(|w| w[0] < w[1]),
-            "node indices must be strictly ascending for bit-exact parity"
-        );
-    }
-}
-
 /// Minimum `node_size × n_features` before a node's per-feature sweeps
 /// are fanned out across the pool: below this the work is too small to
 /// amortise spawn/join, and the serial merge is bit-identical anyway.
-const PARALLEL_SWEEP_MIN_WORK: usize = 1 << 15;
+pub const PARALLEL_SWEEP_MIN_WORK: usize = 1 << 15;
 
 /// Stripe-partitioned split-search state: the zero-allocation descent
 /// engine behind tree growth.
 ///
-/// [`PresortedColumns`] recovers a node's per-feature order by filtering
-/// the root order through a membership bitmask — an O(total rows) scan
-/// per feature *per node*, plus a fresh `Vec` per sweep. This workspace
-/// keeps the presorted stripes **mutable** and maintains one invariant
-/// instead: after every split, each feature stripe is stably partitioned
-/// so that a node occupying index range `[start, end)` holds exactly its
-/// member rows, still in feature-value order (ties toward lower row id),
-/// in that range of every stripe. Recovering a node's order is then free
-/// — it *is* the slice — and a split costs one stable partition pass over
-/// the node's rows per stripe, touching nothing outside `[start, end)`.
+/// The classic CART inner loop re-sorts the node's samples for every
+/// feature at every node — O(n log n) per feature per node. The workspace
+/// instead argsorts every feature once at the root (as rpart and the GBDT
+/// systems' "exact greedy" mode do) and keeps the sorted stripes
+/// **mutable**, maintaining one invariant: after every split, each
+/// feature stripe is stably partitioned so that a node occupying index
+/// range `[start, end)` holds exactly its member rows, still in
+/// feature-value order (ties toward lower row id), in that range of every
+/// stripe. Recovering a node's order is then free — it *is* the slice —
+/// and a split costs one stable partition pass over the node's rows per
+/// stripe, touching nothing outside `[start, end)`.
 ///
 /// Stably partitioning a sorted sequence preserves the relative order of
 /// both sides, so the slice a node sees is equal, element by element, to
-/// the membership-filtered root order [`PresortedColumns`] would produce
-/// — and therefore to the legacy sort-per-node order. All three
-/// strategies feed the same sweep kernels, so grown trees are
-/// bit-identical regardless of strategy or thread count.
+/// what the legacy search's per-node stable sort of the ascending member
+/// ids produces. Both searches feed the same sweep kernels, so grown
+/// trees are bit-identical to the legacy search at any thread count: the
+/// per-feature sweeps of a large node fan out across the pool and merge
+/// in feature order with the serial loop's strict-greater comparison.
 ///
 /// Feature values ride along in a parallel `f64` stripe, so sweeps read
 /// values sequentially instead of gathering rows through the matrix.
@@ -710,9 +498,8 @@ impl SplitWorkspace {
         self.scratch_vals.reserve(n_rows);
     }
 
-    /// Reset for `matrix`: argsort every feature stripe (same comparator
-    /// as [`PresortedColumns`] — value order, ties toward lower row id),
-    /// fanned out across `pool`.
+    /// Reset for `matrix`: argsort every feature stripe (value order, ties
+    /// toward lower row id), fanned out across `pool`.
     pub fn reset_sorted(&mut self, matrix: &FeatureMatrix, pool: ThreadPool) {
         let n_rows = matrix.n_rows();
         self.begin(n_rows, matrix.n_features());
@@ -757,8 +544,8 @@ impl SplitWorkspace {
 
     /// Size the workspace and hand out the raw `(row id, value)` stripe
     /// buffers for direct filling — the forest trainer derives bootstrap
-    /// stripes from a shared root index straight into these, skipping the
-    /// per-tree argsorts entirely. Each feature `f` owns
+    /// stripes from a shared pristine root workspace straight into these,
+    /// skipping the per-tree argsorts entirely. Each feature `f` owns
     /// `[f·n_rows, (f+1)·n_rows)`; rows must be written in feature-value
     /// order with ties toward lower row id.
     pub(crate) fn begin_fill(
@@ -778,7 +565,7 @@ impl SplitWorkspace {
     }
 
     /// One feature's `(row id, value)` stripe slice for a node range.
-    fn stripe(&self, feature: usize, start: usize, end: usize) -> (&[u32], &[f64]) {
+    pub(crate) fn stripe(&self, feature: usize, start: usize, end: usize) -> (&[u32], &[f64]) {
         let base = feature * self.n_rows;
         (
             &self.orders[base + start..base + end],
@@ -786,28 +573,24 @@ impl SplitWorkspace {
         )
     }
 
-    /// Best classification split of the node occupying `[start, end)` —
-    /// same result, bit for bit, as [`best_classification_split`] over
-    /// the node's members.
+    /// Best classification split of the node occupying `[start, end)`,
+    /// whose [`class_totals`] over [`members`](SplitWorkspace::members)
+    /// the caller passes in as `totals` — same result, bit for bit, as
+    /// [`best_classification_split`] over the node's members. `None` for
+    /// a pure node.
     #[must_use]
     #[allow(clippy::too_many_arguments)]
     pub fn best_classification_split(
         &self,
         start: usize,
         end: usize,
+        totals: (f64, f64),
         classes: &[Class],
         weights: &[f64],
         min_bucket: usize,
         criterion: SplitCriterion,
         pool: ThreadPool,
     ) -> Option<SplitSpec> {
-        let mut totals = (0.0, 0.0); // (good, failed)
-        for &i in self.members(start, end) {
-            match classes[i as usize] {
-                Class::Good => totals.0 += weights[i as usize],
-                Class::Failed => totals.1 += weights[i as usize],
-            }
-        }
         let parent_info = criterion.impurity(totals.0, totals.1);
         if parent_info == 0.0 {
             return None;
@@ -833,27 +616,23 @@ impl SplitWorkspace {
         merge_feature_candidates(per_feature)
     }
 
-    /// Best regression split of the node occupying `[start, end)` — same
-    /// result, bit for bit, as [`best_regression_split`] over the node's
-    /// members.
+    /// Best regression split of the node occupying `[start, end)`, whose
+    /// [`moments`] over [`members`](SplitWorkspace::members) the caller
+    /// passes in — same result, bit for bit, as [`best_regression_split`]
+    /// over the node's members. `None` for a constant-target node.
     #[must_use]
+    #[allow(clippy::too_many_arguments)]
     pub fn best_regression_split(
         &self,
         start: usize,
         end: usize,
+        moments: (f64, f64, f64),
         targets: &[f64],
         weights: &[f64],
         min_bucket: usize,
         pool: ThreadPool,
     ) -> Option<SplitSpec> {
-        let (mut sw, mut swy, mut swy2) = (0.0, 0.0, 0.0);
-        for &i in self.members(start, end) {
-            let idx = i as usize;
-            let (w, y) = (weights[idx], targets[idx]);
-            sw += w;
-            swy += w * y;
-            swy2 += w * y * y;
-        }
+        let (sw, swy, swy2) = moments;
         let parent_sq = sq_from_moments(sw, swy, swy2);
         if parent_sq <= 0.0 {
             return None;
@@ -862,15 +641,7 @@ impl SplitWorkspace {
         let per_feature = pool.parallel_map_range(self.n_features, |feature| {
             let (order, vals) = self.stripe(feature, start, end);
             sweep_regression_feature(
-                order,
-                vals,
-                feature,
-                targets,
-                weights,
-                (sw, swy, swy2),
-                parent_sq,
-                min_bucket,
-                MIN_GAIN,
+                order, vals, feature, targets, weights, moments, parent_sq, min_bucket, MIN_GAIN,
             )
         });
         merge_feature_candidates(per_feature)
@@ -1179,79 +950,6 @@ mod tests {
     }
 
     #[test]
-    fn presorted_matches_legacy_classification() {
-        // Quantized values force ties; feature 2 is constant.
-        let rows: Vec<Vec<f64>> = (0..40)
-            .map(|i| vec![f64::from((i * 7) % 5), f64::from((i * 3) % 11), 4.0])
-            .collect();
-        let m = FeatureMatrix::from_rows(rows.iter().map(Vec::as_slice));
-        let classes: Vec<Class> = (0..40)
-            .map(|i| {
-                if (i * 13) % 3 == 0 {
-                    Class::Failed
-                } else {
-                    Class::Good
-                }
-            })
-            .collect();
-        let weights: Vec<f64> = (0..40).map(|i| 1.0 + f64::from(i % 4) * 0.25).collect();
-        let indices: Vec<u32> = (0..40).collect();
-        let presorted = PresortedColumns::new(&m);
-        for criterion in [SplitCriterion::InformationGain, SplitCriterion::Gini] {
-            for min_bucket in [1, 3, 7] {
-                let legacy = best_classification_split(
-                    &m, &indices, &classes, &weights, min_bucket, criterion,
-                );
-                for threads in [1, 4] {
-                    let got = presorted.best_classification_split(
-                        &m,
-                        &indices,
-                        &classes,
-                        &weights,
-                        min_bucket,
-                        criterion,
-                        ThreadPool::new(threads),
-                    );
-                    assert_eq!(got, legacy, "criterion={criterion:?} mb={min_bucket}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn presorted_matches_legacy_on_sub_node() {
-        let rows: Vec<Vec<f64>> = (0..30)
-            .map(|i| vec![f64::from((i * 5) % 9), f64::from(i % 2)])
-            .collect();
-        let m = FeatureMatrix::from_rows(rows.iter().map(Vec::as_slice));
-        let targets: Vec<f64> = (0..30).map(|i| f64::from((i * 11) % 7) - 3.0).collect();
-        let weights = vec![1.0; 30];
-        // An ascending sub-node, as tree descent produces.
-        let indices: Vec<u32> = (0..30).filter(|i| i % 3 != 1).collect();
-        let presorted = PresortedColumns::new(&m);
-        let legacy = best_regression_split(&m, &indices, &targets, &weights, 2);
-        let got = presorted.best_regression_split(
-            &m,
-            &indices,
-            &targets,
-            &weights,
-            2,
-            ThreadPool::new(3),
-        );
-        assert_eq!(got, legacy);
-        assert!(got.is_some(), "this node should be splittable");
-    }
-
-    #[test]
-    fn presorted_orders_are_sorted_with_index_tiebreak() {
-        let m = matrix(&[&[2.0], &[1.0], &[2.0], &[1.0]]);
-        let presorted = PresortedColumns::new(&m);
-        assert_eq!(presorted.n_rows(), 4);
-        assert_eq!(presorted.n_features(), 1);
-        assert_eq!(presorted.feature_order(0), &[1, 3, 0, 2]);
-    }
-
-    #[test]
     fn workspace_matches_legacy_through_a_descent() {
         // Quantized values force ties; simulate a two-level descent and
         // check the workspace's search + partition reproduce the legacy
@@ -1298,10 +996,12 @@ mod tests {
                 3,
                 SplitCriterion::InformationGain,
             );
+            let totals = class_totals(&members, &classes, &weights);
             for threads in [1, 4] {
                 let got = ws.best_classification_split(
                     start,
                     end,
+                    totals,
                     &classes,
                     &weights,
                     3,
@@ -1329,6 +1029,19 @@ mod tests {
         assert!(splits_seen >= 2, "descent must actually split");
     }
 
+    /// The workspace regression search over the node `[start, end)`.
+    fn ws_regression(
+        ws: &SplitWorkspace,
+        (start, end): (usize, usize),
+        targets: &[f64],
+        weights: &[f64],
+        min_bucket: usize,
+        pool: ThreadPool,
+    ) -> Option<SplitSpec> {
+        let node = moments(ws.members(start, end), targets, weights);
+        ws.best_regression_split(start, end, node, targets, weights, min_bucket, pool)
+    }
+
     #[test]
     fn workspace_regression_matches_legacy() {
         let rows: Vec<Vec<f64>> = (0..50)
@@ -1341,15 +1054,91 @@ mod tests {
         ws.reset_sorted(&m, ThreadPool::new(2));
         let legacy_indices: Vec<u32> = (0..50).collect();
         let legacy = best_regression_split(&m, &legacy_indices, &targets, &weights, 2);
-        let got = ws.best_regression_split(0, 50, &targets, &weights, 2, ThreadPool::serial());
+        let got = ws_regression(&ws, (0, 50), &targets, &weights, 2, ThreadPool::serial());
         assert_eq!(got, legacy);
         let split = got.unwrap();
         let mid = ws.partition(0, 50, split.feature, split.threshold);
         let legacy_sub: Vec<u32> = ws.members(0, mid).to_vec();
         assert_eq!(
-            ws.best_regression_split(0, mid, &targets, &weights, 2, ThreadPool::serial()),
+            ws_regression(&ws, (0, mid), &targets, &weights, 2, ThreadPool::serial()),
             best_regression_split(&m, &legacy_sub, &targets, &weights, 2)
         );
+    }
+
+    #[test]
+    fn workspace_matches_legacy_classification() {
+        // Quantized values force ties; feature 2 is constant.
+        let rows: Vec<Vec<f64>> = (0..40)
+            .map(|i| vec![f64::from((i * 7) % 5), f64::from((i * 3) % 11), 4.0])
+            .collect();
+        let m = FeatureMatrix::from_rows(rows.iter().map(Vec::as_slice));
+        let classes: Vec<Class> = (0..40)
+            .map(|i| {
+                if (i * 13) % 3 == 0 {
+                    Class::Failed
+                } else {
+                    Class::Good
+                }
+            })
+            .collect();
+        let weights: Vec<f64> = (0..40).map(|i| 1.0 + f64::from(i % 4) * 0.25).collect();
+        let indices: Vec<u32> = (0..40).collect();
+        let totals = class_totals(&indices, &classes, &weights);
+        let mut ws = SplitWorkspace::new();
+        ws.reset_sorted(&m, ThreadPool::serial());
+        for criterion in [SplitCriterion::InformationGain, SplitCriterion::Gini] {
+            for min_bucket in [1, 3, 7] {
+                let legacy = best_classification_split(
+                    &m, &indices, &classes, &weights, min_bucket, criterion,
+                );
+                for threads in [1, 4] {
+                    let got = ws.best_classification_split(
+                        0,
+                        40,
+                        totals,
+                        &classes,
+                        &weights,
+                        min_bucket,
+                        criterion,
+                        ThreadPool::new(threads),
+                    );
+                    assert_eq!(got, legacy, "criterion={criterion:?} mb={min_bucket}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn workspace_matches_legacy_on_sub_node() {
+        let rows: Vec<Vec<f64>> = (0..30)
+            .map(|i| vec![f64::from((i * 5) % 9), f64::from(i % 2)])
+            .collect();
+        let m = FeatureMatrix::from_rows(rows.iter().map(Vec::as_slice));
+        let targets: Vec<f64> = (0..30).map(|i| f64::from((i * 11) % 7) - 3.0).collect();
+        let weights = vec![1.0; 30];
+        let mut ws = SplitWorkspace::new();
+        ws.reset_sorted(&m, ThreadPool::serial());
+        // A sub-node reached by partition, as tree descent produces.
+        let mid = ws.partition(0, 30, 0, 6.5);
+        for node in [(0, mid), (mid, 30)] {
+            let indices = ws.members(node.0, node.1).to_vec();
+            let legacy = best_regression_split(&m, &indices, &targets, &weights, 2);
+            let got = ws_regression(&ws, node, &targets, &weights, 2, ThreadPool::new(3));
+            assert_eq!(got, legacy, "node {node:?}");
+            assert!(got.is_some(), "node {node:?} should be splittable");
+        }
+    }
+
+    #[test]
+    fn workspace_stripes_are_sorted_with_index_tiebreak() {
+        let m = matrix(&[&[2.0], &[1.0], &[2.0], &[1.0]]);
+        let mut ws = SplitWorkspace::new();
+        ws.reset_sorted(&m, ThreadPool::serial());
+        assert_eq!(ws.n_rows(), 4);
+        assert_eq!(ws.n_features(), 1);
+        let (ids, vals) = ws.stripe(0, 0, 4);
+        assert_eq!(ids, &[1, 3, 0, 2]);
+        assert_eq!(vals, &[1.0, 1.0, 2.0, 2.0]);
     }
 
     #[test]
@@ -1380,6 +1169,19 @@ mod tests {
     #[should_panic(expected = "multiple of the feature count")]
     fn matrix_from_vec_rejects_ragged_buffer() {
         let _ = FeatureMatrix::from_vec(vec![1.0, 2.0, 3.0], 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "inconsistent row length")]
+    fn matrix_from_rows_rejects_ragged_rows_after_empty_ones() {
+        let _ = matrix(&[&[], &[], &[1.0, 2.0]]);
+    }
+
+    #[test]
+    fn matrix_from_rows_of_empty_rows_is_empty() {
+        let m = matrix(&[&[], &[]]);
+        assert_eq!(m.n_features(), 0);
+        assert_eq!(m.n_rows(), 0);
     }
 
     #[test]
