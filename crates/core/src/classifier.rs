@@ -288,7 +288,7 @@ impl ClassificationTree {
         &self.tree
     }
 
-    /// Decision rules as text (Figure 1 of the paper).
+    /// The decision rules as text (Figure 1 of the paper).
     #[must_use]
     pub fn rules(&self, feature_names: &[String]) -> String {
         self.tree.rules(feature_names)

@@ -153,7 +153,7 @@ impl RegressionTree {
         &self.tree
     }
 
-    /// Decision rules as text.
+    /// The decision rules as text.
     #[must_use]
     pub fn rules(&self, feature_names: &[String]) -> String {
         self.tree.rules(feature_names)

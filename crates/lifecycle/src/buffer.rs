@@ -138,7 +138,10 @@ impl TrainingBuffer {
             None => false,
             // Outside the failure window a failed drive's row is neither
             // class — the paper trains only on the pre-failure window.
-            Some(fail) if event.hour + self.window_hours < fail => return BufferPush::Skipped,
+            // (A distance: the sum `hour + window` overflows near `u32::MAX`.)
+            Some(fail) if fail.saturating_sub(event.hour) > self.window_hours => {
+                return BufferPush::Skipped
+            }
             Some(_) => true,
         };
         if self.rows.len() == self.capacity {
@@ -299,6 +302,25 @@ mod tests {
         let inverted = buf.inverted_samples();
         assert_eq!(inverted[0].class, Class::Failed);
         assert_eq!(inverted[1].class, Class::Good);
+    }
+
+    #[test]
+    fn labels_hold_at_the_end_of_time() {
+        let top = u32::MAX;
+        let mut buf = TrainingBuffer::new(WindowMode::Accumulation, 16, 168);
+        // Inside the window, at and after the failure hour.
+        for hour in [top - 168, top - 1, top] {
+            assert_eq!(
+                buf.push(&event(3, hour, Some(top), vec![1.0])),
+                BufferPush::Buffered,
+                "hour {hour}"
+            );
+        }
+        assert_eq!(
+            buf.push(&event(3, top - 169, Some(top), vec![1.0])),
+            BufferPush::Skipped
+        );
+        assert_eq!(buf.failed_rows(), 3);
     }
 
     #[test]

@@ -166,7 +166,9 @@ pub enum DaemonError {
     Lifecycle(&'static str, LifecycleError),
     /// The sink (path, length) is shorter than the checkpoint records.
     SinkTooShort(PathBuf, u64, u64),
-    /// The model panicked while scoring.
+    /// The model panicked while scoring. The shard it hit is left part
+    /// way through a sub-batch, so the daemon must be dropped (nothing
+    /// of that step was emitted or checkpointed) and reopened from disk.
     Scoring(ParError),
 }
 

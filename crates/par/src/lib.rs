@@ -60,9 +60,9 @@ pub enum ParError {
         /// case); `"<non-string panic payload>"` otherwise.
         message: String,
     },
-    /// [`CancelToken::cancel`] was called before every chunk started.
+    /// [`CancelToken::check`] found the token cancelled.
     Cancelled,
-    /// The token's deadline passed before every chunk started.
+    /// [`CancelToken::check`] found the token's deadline passed.
     DeadlineExceeded,
 }
 
@@ -96,10 +96,9 @@ impl std::error::Error for ParError {}
 /// A cooperative cancellation handle: cloneable, checkable, optionally
 /// carrying a wall-clock deadline.
 ///
-/// Workers are not pre-empted: the fan-out checks the token before each
-/// chunk starts, so a caller that needs a tick budget honoured should
-/// keep its work items small (the streaming engine bounds batches with
-/// its ingest queue cap).
+/// Nothing is pre-empted: the holder checks the token between units of
+/// work, so a caller that needs a tick budget honoured should keep its
+/// units small (the serve topology checks it before each sub-batch).
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     inner: Arc<TokenInner>,
@@ -199,23 +198,17 @@ fn resolve_threads() -> usize {
 /// Run `run` over `chunks`, in parallel when there is more than one, and
 /// concatenate the per-chunk results in submission order.
 ///
-/// `token`, when given, is checked before each chunk starts. A panic in
-/// a chunk is caught, every worker is joined before the merge, and the
-/// earliest failing chunk's error wins, so the same input always yields
-/// the same result or the same error. On failure no partial results are
-/// returned.
-fn fan_out<C, R, F>(
-    chunks: impl ExactSizeIterator<Item = C>,
-    token: Option<&CancelToken>,
-    run: F,
-) -> Result<Vec<R>, ParError>
+/// A panic in a chunk is caught, every worker is joined before the
+/// merge, and the earliest failing chunk's error wins, so the same input
+/// always yields the same result or the same error. On failure no
+/// partial results are returned.
+fn fan_out<C, R, F>(chunks: impl ExactSizeIterator<Item = C>, run: F) -> Result<Vec<R>, ParError>
 where
     C: Send,
     R: Send,
     F: Fn(C) -> Vec<R> + Sync,
 {
     let attempt = |(chunk, part): (usize, C)| {
-        token.map_or(Ok(()), CancelToken::check)?;
         std::panic::catch_unwind(AssertUnwindSafe(|| run(part)))
             .map_err(|p| ParError::panic(chunk, &*p))
     };
@@ -351,7 +344,7 @@ impl ThreadPool {
         F: Fn(&T) -> R + Sync,
     {
         let chunks = items.chunks(self.chunk_len(items.len()));
-        fan_out(chunks, None, |part| part.iter().map(&f).collect())
+        fan_out(chunks, |part| part.iter().map(&f).collect())
     }
 
     /// Map `f` over the index range `0..n`, returning results in index
@@ -365,37 +358,7 @@ impl ThreadPool {
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        reraise(fan_out(self.ranges(n), None, |range| {
-            range.map(&f).collect()
-        }))
-    }
-
-    /// [`ThreadPool::parallel_map_range`] with panic containment and
-    /// cooperative cancellation: `token` is checked once before each
-    /// chunk starts, so an expired deadline or an explicit cancel stops
-    /// the call at the next chunk boundary.
-    ///
-    /// On interrupt **no partial results are returned** — the caller
-    /// retries the same input later (the streaming engine leaves the
-    /// batch queued), which keeps outputs a pure function of the input
-    /// regardless of where the interrupt landed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParError::Cancelled`] / [`ParError::DeadlineExceeded`]
-    /// when the token tripped before every chunk ran, or
-    /// [`ParError::Panic`] when `f` panicked.
-    pub fn try_parallel_map_range_cancel<R, F>(
-        &self,
-        token: &CancelToken,
-        n: usize,
-        f: F,
-    ) -> Result<Vec<R>, ParError>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        fan_out(self.ranges(n), Some(token), |range| range.map(&f).collect())
+        reraise(fan_out(self.ranges(n), |range| range.map(&f).collect()))
     }
 
     /// Split `items` into at most `n_threads` contiguous chunks, apply
@@ -415,7 +378,7 @@ impl ThreadPool {
         F: Fn(&[T]) -> R + Sync,
     {
         let chunks = items.chunks(self.chunk_len(items.len()));
-        reraise(fan_out(chunks, None, |part| vec![f(part)]))
+        reraise(fan_out(chunks, |part| vec![f(part)]))
     }
 
     /// Apply `f(index, item)` to every item through an **exclusive**
@@ -425,9 +388,9 @@ impl ThreadPool {
     ///
     /// The items are split with `chunks_mut`, so no two workers alias. A
     /// panic is contained like [`ThreadPool::try_parallel_map`].
-    /// Mutations made by `f` before a panic are kept — callers that need
-    /// all-or-nothing semantics must make `f` itself transactional, as
-    /// the engine shards do.
+    /// Mutations made by `f` before a panic are kept, so a caller must
+    /// treat the items as torn after an error (the serve topology is
+    /// dropped and reopened from its checkpoint).
     ///
     /// # Errors
     ///
@@ -440,7 +403,7 @@ impl ThreadPool {
     {
         let len = self.chunk_len(items.len());
         let chunks = items.chunks_mut(len).enumerate();
-        fan_out(chunks, None, |(c, part)| {
+        fan_out(chunks, |(c, part)| {
             let base = c * len;
             part.iter_mut()
                 .enumerate()
@@ -605,10 +568,10 @@ mod tests {
         // Chunks 1 and 3 both panic; the reported chunk must always be
         // the earliest in submission order, regardless of thread timing.
         let pool = ThreadPool::new(4);
-        let token = CancelToken::new();
+        let items: Vec<usize> = (0..8).collect();
         for _ in 0..20 {
             let err = pool
-                .try_parallel_map_range_cancel(&token, 8, |i| {
+                .try_parallel_map(&items, |&i| {
                     if i == 3 || i == 7 {
                         panic!("unit {i} failed");
                     }
@@ -651,13 +614,7 @@ mod tests {
 
     #[test]
     fn fresh_token_lets_work_through() {
-        let pool = ThreadPool::new(4);
-        let token = CancelToken::new();
-        assert_eq!(
-            pool.try_parallel_map_range_cancel(&token, 10, |i| i + 1)
-                .unwrap(),
-            (1..11).collect::<Vec<usize>>()
-        );
+        assert_eq!(CancelToken::new().check(), Ok(()));
     }
 
     #[test]
@@ -665,36 +622,18 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         assert_eq!(token.check(), Err(ParError::Cancelled));
-        for threads in [1, 4] {
-            let pool = ThreadPool::new(threads);
-            assert_eq!(
-                pool.try_parallel_map_range_cancel(&token, 100, |i| i),
-                Err(ParError::Cancelled)
-            );
-        }
     }
 
     #[test]
     fn expired_deadline_is_a_typed_error() {
         let token = CancelToken::with_budget(Duration::ZERO);
         assert_eq!(token.check(), Err(ParError::DeadlineExceeded));
-        let pool = ThreadPool::new(2);
-        assert_eq!(
-            pool.try_parallel_map_range_cancel(&token, 50, |i| i),
-            Err(ParError::DeadlineExceeded)
-        );
     }
 
     #[test]
     fn generous_deadline_does_not_interrupt() {
         let token = CancelToken::with_budget(Duration::from_secs(3600));
         assert!(token.check().is_ok());
-        let pool = ThreadPool::new(3);
-        assert_eq!(
-            pool.try_parallel_map_range_cancel(&token, 200, |i| i + 1)
-                .unwrap(),
-            (1..201).collect::<Vec<usize>>()
-        );
     }
 
     #[test]

@@ -17,21 +17,22 @@
 //! window, or voting, or a resumed run would diverge from an
 //! uninterrupted one.
 //!
-//! A batch is processed in three steps:
+//! A batch is one pass in routing order. The cancel token is checked
+//! once, before any line commits, so a deadline or cancellation leaves
+//! the whole batch queued for the next tick. Then each line commits as
+//! it is read, as the paper's detector steps through samples: the
+//! cursor advances, counters and the breaker record the line, and an
+//! accepted sample is pushed into its drive's pruned history, turned
+//! into a feature vector, scored, and voted into the drive's window. An
+//! alarm is produced (or suppressed while degraded) exactly where a
+//! serial run would produce it, tagged with its line's seq and buffered
+//! in the shard's *unmerged* list until the topology merge emits it in
+//! global seq order.
 //!
-//! 1. **Decide** (read-only): classify every line — replay skips,
-//!    quarantine kinds, stale/conflicting drops — and extract feature
-//!    vectors for the accepted samples against a *preview* of each
-//!    drive's history.
-//! 2. **Score**: the feature vectors go to the worker pool under the
-//!    tick's [`CancelToken`]; on deadline or cancellation *nothing* has
-//!    been committed and the whole batch stays queued for the next tick.
-//! 3. **Commit** (in routing order): counters, breaker, histories,
-//!    voting windows and feed cursors advance line by line; alarms are
-//!    produced (or suppressed while degraded) exactly where a serial
-//!    run would produce them, tagged with their line's seq and buffered
-//!    in the shard's *unmerged* list until the topology merge emits
-//!    them in global seq order.
+//! A model panic part-way through a batch leaves the shard partly
+//! advanced. Nothing partial persists: the topology's fan-out turns the
+//! panic into [`ParError::Panic`], the daemon stops before it emits or
+//! checkpoints anything, and the shard is dropped with the daemon.
 //!
 //! Streaming deviates from the batch reader in one documented way: the
 //! batch reader buffers a whole drive, sorts, and resolves duplicate
@@ -41,21 +42,16 @@
 
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 use crate::ingest::{FeedCursor, RoutedLine};
-use crate::monitor::{prune_history, Decision, DriveMonitor};
+use crate::monitor::{prune_history, DriveMonitor};
 use crate::stats::ShardStats;
-use hdd_eval::{FeatureMatrix, ModelError, Predictor, SavedModel, VotingRule, VotingState};
+use hdd_eval::{ModelError, Predictor, SavedModel, VotingRule, VotingState};
 use hdd_json::{JsonCodec, JsonError, Value};
-use hdd_par::{CancelToken, ParError, ThreadPool};
+use hdd_par::{CancelToken, ParError};
 use hdd_smart::csv::{parse_data_line, ValueFault};
-use hdd_smart::{DriveClass, SmartSeries};
+use hdd_smart::SmartSeries;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
-
-/// Rows per scoring chunk in [`EngineShard::process`]. Fixed (not derived
-/// from the thread count) so chunk contents — and therefore the exact
-/// floating-point scores — are a pure function of the batch.
-const SCORE_CHUNK_ROWS: usize = 256;
 
 /// Sizing for an [`EngineShard`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -194,12 +190,10 @@ impl JsonCodec for SeqAlarm {
     }
 }
 
-/// What one committed batch produced.
+/// What one committed batch produced besides its alarms, which go to
+/// the shard's unmerged list.
 #[derive(Debug, Clone, Default)]
 pub struct BatchOutcome {
-    /// Alarms produced by this batch, in routing order (also appended
-    /// to the shard's unmerged list).
-    pub alarms: Vec<SeqAlarm>,
     /// Breaker transitions that happened inside the batch, in order.
     pub transitions: Vec<BreakerState>,
     /// Lines skipped because a cursor showed them already committed
@@ -267,10 +261,10 @@ impl EngineShard {
         })
     }
 
-    /// Turn [`RowEvent`] recording on or off. Off (the default) keeps
-    /// the commit path allocation-free for deployments without a model
-    /// lifecycle; the flag is configuration, not stream state, so it is
-    /// not checkpointed.
+    /// Turn [`RowEvent`] recording on or off. Off (the default) drops
+    /// each row's feature vector once it is scored, for deployments
+    /// without a model lifecycle; the flag is configuration, not stream
+    /// state, so it is not checkpointed.
     pub fn set_record_events(&mut self, on: bool) {
         self.record_events = on;
     }
@@ -374,216 +368,130 @@ impl EngineShard {
 
     /// Process a batch of routed lines under the tick's cancel token.
     ///
-    /// All-or-nothing: on `Cancelled`/`DeadlineExceeded` *no* state has
-    /// changed and the caller retries the same lines next tick; the
+    /// All-or-nothing on interrupts: the token is checked once, before
+    /// any line commits, so on `Cancelled`/`DeadlineExceeded` *no* state
+    /// has changed and the caller retries the same lines next tick; the
     /// committed outcome is therefore independent of how lines were
     /// grouped into batches.
     ///
     /// # Errors
     ///
     /// Returns [`ParError::Cancelled`] / [`ParError::DeadlineExceeded`]
-    /// from the token, or [`ParError::Panic`] if the model panicked
-    /// while scoring (a bug, not an operational condition).
+    /// from the token.
+    ///
+    /// # Panics
+    ///
+    /// A model panic propagates, leaving the lines before it committed
+    /// (see the module docs).
     pub fn process(
         &mut self,
-        pool: &ThreadPool,
         token: &CancelToken,
         lines: &[RoutedLine],
     ) -> Result<BatchOutcome, ParError> {
         token.check()?;
-        let (decisions, rows) = self.decide(lines);
-        let scores = if rows.is_empty() {
-            Vec::new()
-        } else {
-            // Score with the model's batched row walk in fixed-size
-            // chunks: chunk boundaries depend only on the row count, each
-            // chunk's scores are bit-identical to scoring its rows alone,
-            // and the token is checked per chunk — so the outcome never
-            // depends on thread count or timing.
-            let model = &self.model;
-            let n_chunks = rows.len().div_ceil(SCORE_CHUNK_ROWS);
-            let chunk_scores = pool.try_parallel_map_range_cancel(token, n_chunks, |c| {
-                let start = c * SCORE_CHUNK_ROWS;
-                let end = (start + SCORE_CHUNK_ROWS).min(rows.len());
-                // audit:allow(R3) reason="start < end <= rows.len() by construction: end is clamped with min(rows.len())"
-                let matrix = FeatureMatrix::from_rows(rows[start..end].iter().map(Vec::as_slice));
-                let mut out = vec![0.0; end - start];
-                model.predict_batch(&matrix, &mut out);
-                out
-            })?;
-            chunk_scores.into_iter().flatten().collect()
-        };
-        Ok(self.commit(lines, &decisions, &rows, &scores))
-    }
-
-    /// Split a seq into `(feed index, line index)`.
-    fn feed_of(&self, seq: u64) -> (usize, u64) {
-        let n = self.n_feeds as u64;
-        ((seq % n) as usize, seq / n)
-    }
-
-    /// Step 1: classify every line read-only and extract feature rows
-    /// for accepted samples against per-drive history previews.
-    fn decide(&self, lines: &[RoutedLine]) -> (Vec<Decision>, Vec<Vec<f64>>) {
-        let mut decisions = Vec::with_capacity(lines.len());
-        let mut rows: Vec<Vec<f64>> = Vec::new();
-        // Drive id → (class, samples incl. rows accepted earlier in this
-        // same batch) — the commit phase will arrive at exactly this.
-        let mut previews: BTreeMap<u32, (DriveClass, Vec<hdd_smart::SmartSample>)> =
-            BTreeMap::new();
-        for line in lines {
-            let (feed, index) = self.feed_of(line.seq);
-            // audit:allow(R3) reason="feed_of() maps seq into 0..n_feeds and cursors is sized to n_feeds at construction"
-            if index < self.cursors[feed].next_line {
-                decisions.push(Decision::Replayed);
-                continue;
-            }
-            if line.text.trim().is_empty() {
-                decisions.push(Decision::Blank);
-                continue;
-            }
-            let (row, fault) = match parse_data_line(&line.text) {
-                Ok(parsed) => parsed,
-                Err(_) => {
-                    decisions.push(Decision::ParseFailure);
-                    continue;
-                }
-            };
-            if let Some(fault) = fault {
-                decisions.push(Decision::BadValue(fault));
-                continue;
-            }
-            let preview = previews.entry(row.drive.0).or_insert_with(|| {
-                match self.drives.get(&row.drive.0) {
-                    Some(monitor) => (monitor.class, monitor.history.clone()),
-                    None => (row.class, Vec::new()),
-                }
-            });
-            if preview.0 != row.class {
-                decisions.push(Decision::Conflicting);
-                continue;
-            }
-            if preview.1.last().is_some_and(|s| row.sample.hour <= s.hour) {
-                decisions.push(Decision::Stale);
-                continue;
-            }
-            preview.1.push(row.sample);
-            prune_history(&mut preview.1, self.features.max_lookback_hours());
-            let series = SmartSeries::new(row.drive, row.class, preview.1.clone());
-            let scored = self
-                .features
-                .extract(&series, series.len() - 1)
-                .map(|features| {
-                    rows.push(features);
-                    rows.len() - 1
-                });
-            decisions.push(Decision::Accept { row, scored });
-        }
-        (decisions, rows)
-    }
-
-    /// Step 3: advance counters, breaker, histories, voting windows and
-    /// cursors line by line, in routing order.
-    fn commit(
-        &mut self,
-        lines: &[RoutedLine],
-        decisions: &[Decision],
-        rows: &[Vec<f64>],
-        scores: &[f64],
-    ) -> BatchOutcome {
         let mut outcome = BatchOutcome::default();
-        for (line, decision) in lines.iter().zip(decisions) {
-            if matches!(decision, Decision::Replayed) {
-                outcome.replayed += 1;
-                continue;
+        for line in lines {
+            self.commit(line, &mut outcome);
+        }
+        Ok(outcome)
+    }
+
+    /// Commit one line: replay skip, cursor, counters, breaker, history,
+    /// score, vote and alarm, in that order.
+    fn commit(&mut self, line: &RoutedLine, outcome: &mut BatchOutcome) {
+        let n = self.n_feeds as u64;
+        let (feed, index) = ((line.seq % n) as usize, line.seq / n);
+        // audit:allow(R3) reason="seq % n_feeds is below n_feeds and cursors is sized to n_feeds at construction"
+        let cursor = &mut self.cursors[feed];
+        if index < cursor.next_line {
+            outcome.replayed += 1;
+            return;
+        }
+        *cursor = FeedCursor {
+            next_line: index + 1,
+            offset: line.end_offset,
+            generation: line.generation,
+        };
+        if line.text.trim().is_empty() {
+            return;
+        }
+        self.stats.rows_seen += 1;
+        let row = match parse_data_line(&line.text) {
+            Ok((row, None)) => row,
+            Ok((_, Some(fault))) => {
+                match fault {
+                    ValueFault::NonFinite => self.stats.non_finite_rows += 1,
+                    ValueFault::OutOfRange => self.stats.out_of_range_rows += 1,
+                }
+                return self.record_breaker(true, outcome);
             }
-            let (feed, index) = self.feed_of(line.seq);
-            // audit:allow(R3) reason="feed_of() maps seq into 0..n_feeds and cursors is sized to n_feeds at construction"
-            self.cursors[feed] = FeedCursor {
-                next_line: index + 1,
-                offset: line.end_offset,
-                generation: line.generation,
-            };
-            match decision {
-                Decision::Replayed => unreachable!("handled above"),
-                Decision::Blank => {}
-                Decision::ParseFailure => {
-                    self.stats.rows_seen += 1;
-                    self.stats.parse_failures += 1;
-                    self.record_breaker(true, &mut outcome);
-                }
-                Decision::BadValue(fault) => {
-                    self.stats.rows_seen += 1;
-                    match fault {
-                        ValueFault::NonFinite => self.stats.non_finite_rows += 1,
-                        ValueFault::OutOfRange => self.stats.out_of_range_rows += 1,
-                    }
-                    self.record_breaker(true, &mut outcome);
-                }
-                Decision::Conflicting => {
-                    self.stats.rows_seen += 1;
-                    self.stats.conflicting_rows += 1;
-                    self.record_breaker(true, &mut outcome);
-                }
-                Decision::Stale => {
-                    self.stats.rows_seen += 1;
-                    self.stats.stale_rows += 1;
-                    // Stale rows parsed fine — ordering jitter is not
-                    // corruption, so the breaker sees a clean row.
-                    self.record_breaker(false, &mut outcome);
-                }
-                Decision::Accept { row, scored } => {
-                    self.stats.rows_seen += 1;
-                    self.stats.rows_accepted += 1;
-                    self.record_breaker(false, &mut outcome);
-                    let monitor = self
-                        .drives
-                        .entry(row.drive.0)
-                        .or_insert_with(|| DriveMonitor {
-                            class: row.class,
-                            history: Vec::new(),
-                            voting: VotingState::new(self.config.voters, self.config.rule),
-                            alarmed: false,
-                        });
-                    monitor.history.push(row.sample);
-                    prune_history(&mut monitor.history, self.features.max_lookback_hours());
-                    if let Some(idx) = scored {
-                        // audit:allow(R3) reason="idx was pushed while scoring this same batch; scores has one entry per scored row"
-                        let score = scores[*idx];
-                        if self.record_events {
-                            self.events.push(RowEvent {
-                                seq: line.seq,
-                                drive: row.drive.0,
-                                hour: row.sample.hour.0,
-                                fail_hour: row.class.fail_hour().map(|h| h.0),
-                                // audit:allow(R3) reason="idx was pushed while scoring this same batch; rows has one entry per scored row"
-                                features: rows[*idx].clone(),
-                                incumbent_score: score,
-                            });
-                        }
-                        let alarm_vote = monitor.voting.push(score);
-                        if alarm_vote && !monitor.alarmed {
-                            if self.breaker.suppressing() {
-                                self.stats.alarms_suppressed += 1;
-                            } else {
-                                monitor.alarmed = true;
-                                self.stats.alarms_emitted += 1;
-                                let alarm = SeqAlarm {
-                                    seq: line.seq,
-                                    alarm: Alarm {
-                                        drive: row.drive.0,
-                                        hour: row.sample.hour.0,
-                                    },
-                                };
-                                self.unmerged.push(alarm);
-                                outcome.alarms.push(alarm);
-                            }
-                        }
-                    }
-                }
+            Err(_) => {
+                self.stats.parse_failures += 1;
+                return self.record_breaker(true, outcome);
+            }
+        };
+        if let Some(monitor) = self.drives.get(&row.drive.0) {
+            if monitor.class != row.class {
+                self.stats.conflicting_rows += 1;
+                return self.record_breaker(true, outcome);
+            }
+            if monitor
+                .history
+                .last()
+                .is_some_and(|s| row.sample.hour <= s.hour)
+            {
+                self.stats.stale_rows += 1;
+                // Stale rows parsed fine — ordering jitter is not
+                // corruption, so the breaker sees a clean row.
+                return self.record_breaker(false, outcome);
             }
         }
-        outcome
+        self.stats.rows_accepted += 1;
+        self.record_breaker(false, outcome);
+
+        let monitor = self
+            .drives
+            .entry(row.drive.0)
+            .or_insert_with(|| DriveMonitor {
+                class: row.class,
+                history: Vec::new(),
+                voting: VotingState::new(self.config.voters, self.config.rule),
+                alarmed: false,
+            });
+        monitor.history.push(row.sample);
+        prune_history(&mut monitor.history, self.features.max_lookback_hours());
+        // Extraction reads a copy: lending the history itself instead
+        // measured a bimodal backfill peak RSS (OPTIMIZATION_LOG entry 11).
+        let series = SmartSeries::new(row.drive, row.class, monitor.history.clone());
+        let Some(features) = self.features.extract(&series, series.len() - 1) else {
+            return;
+        };
+        let score = self.model.score(&features);
+        if self.record_events {
+            self.events.push(RowEvent {
+                seq: line.seq,
+                drive: row.drive.0,
+                hour: row.sample.hour.0,
+                fail_hour: row.class.fail_hour().map(|h| h.0),
+                features,
+                incumbent_score: score,
+            });
+        }
+        if monitor.voting.push(score) && !monitor.alarmed {
+            if self.breaker.suppressing() {
+                self.stats.alarms_suppressed += 1;
+            } else {
+                monitor.alarmed = true;
+                self.stats.alarms_emitted += 1;
+                self.unmerged.push(SeqAlarm {
+                    seq: line.seq,
+                    alarm: Alarm {
+                        drive: row.drive.0,
+                        hour: row.sample.hour.0,
+                    },
+                });
+            }
+        }
     }
 
     fn record_breaker(&mut self, quarantined: bool, outcome: &mut BatchOutcome) {
@@ -709,6 +617,7 @@ pub(crate) mod tests {
     use hdd_smart::rng::DeterministicRng;
     use hdd_smart::{DatasetGenerator, FamilyProfile, Hour, NUM_ATTRIBUTES};
     use hdd_stats::FeatureSet;
+    use std::time::Duration;
 
     const VOTERS: usize = 11;
 
@@ -794,23 +703,15 @@ pub(crate) mod tests {
             .collect()
     }
 
-    /// Run lines through a shard in batches of `batch`, concatenating
-    /// the produced alarms.
+    /// Run lines through a shard in batches of `batch`, returning the
+    /// alarms they produced.
     fn run(shard: &mut EngineShard, lines: &[RoutedLine], batch: usize) -> Vec<Alarm> {
-        let pool = ThreadPool::global();
         let token = CancelToken::new();
-        let mut alarms = Vec::new();
+        let before = shard.unmerged().len();
         for chunk in lines.chunks(batch.max(1)) {
-            alarms.extend(
-                shard
-                    .process(&pool, &token, chunk)
-                    .unwrap()
-                    .alarms
-                    .iter()
-                    .map(|a| a.alarm),
-            );
+            shard.process(&token, chunk).unwrap();
         }
-        alarms
+        shard.unmerged()[before..].iter().map(|a| a.alarm).collect()
     }
 
     #[test]
@@ -845,10 +746,19 @@ pub(crate) mod tests {
         let series = fleet();
         let model = model(&series, &features);
         let lines = feed_lines(&series);
-        let reference = run(&mut shard(model.clone(), &features), &lines, usize::MAX);
-        for batch in [1, 3, 64] {
+        let recording = || {
             let mut eng = shard(model.clone(), &features);
+            eng.set_record_events(true);
+            eng
+        };
+        let mut whole = recording();
+        let reference = run(&mut whole, &lines, usize::MAX);
+        assert!(!whole.events().is_empty());
+        // 255, 256 and 257 straddle the topology's sub-batch size.
+        for batch in [1, 3, 64, 255, 256, 257] {
+            let mut eng = recording();
             assert_eq!(run(&mut eng, &lines, batch), reference, "batch={batch}");
+            assert_eq!(eng.events(), whole.events(), "batch={batch}");
         }
     }
 
@@ -887,7 +797,6 @@ pub(crate) mod tests {
         let series = fleet();
         let model = model(&series, &features);
         let lines = feed_lines(&series);
-        let pool = ThreadPool::global();
         let token = CancelToken::new();
 
         let mut reference_shard = shard(model.clone(), &features);
@@ -903,7 +812,7 @@ pub(crate) mod tests {
         replay.extend_from_slice(&lines);
         let mut replayed = 0usize;
         for chunk in replay.chunks(64) {
-            replayed += eng.process(&pool, &token, chunk).unwrap().replayed;
+            replayed += eng.process(&token, chunk).unwrap().replayed;
         }
         assert_eq!(replayed, lines.len(), "the stale prefix is skipped");
         assert_eq!(
@@ -1031,12 +940,11 @@ pub(crate) mod tests {
         let series = fleet();
         let model = model(&series, &features);
         let mut eng = always_alarm_shard(&features, model);
-        let pool = ThreadPool::global();
         let token = CancelToken::new();
 
         // Trip the breaker (4-row window, 0.25 ceiling, cooldown 16).
         let garbage: Vec<String> = (0..4).map(|i| format!("garbage-{i}")).collect();
-        let outcome = eng.process(&pool, &token, &routed(&garbage)).unwrap();
+        let outcome = eng.process(&token, &routed(&garbage)).unwrap();
         assert_eq!(outcome.transitions.len(), 1);
         assert!(eng.breaker_state() != BreakerState::Healthy);
 
@@ -1045,10 +953,8 @@ pub(crate) mod tests {
         // continue after the garbage batch.
         let mut all: Vec<String> = garbage.clone();
         all.extend((0..=8).map(|h| data_row(7, h)));
-        let outcome = eng
-            .process(&pool, &token, &routed(&all)[garbage.len()..])
-            .unwrap();
-        assert!(outcome.alarms.is_empty(), "degraded mode must suppress");
+        eng.process(&token, &routed(&all)[garbage.len()..]).unwrap();
+        assert!(eng.unmerged().is_empty(), "degraded mode must suppress");
         assert!(eng.stats().alarms_suppressed >= 1);
 
         // A long clean stretch exhausts the cooldown (half-open at hour
@@ -1057,10 +963,10 @@ pub(crate) mod tests {
         // for real, exactly once.
         all.extend((9..40).map(|h| data_row(7, h)));
         let start = all.len() - 31;
-        let outcome = eng.process(&pool, &token, &routed(&all)[start..]).unwrap();
+        eng.process(&token, &routed(&all)[start..]).unwrap();
         assert_eq!(eng.breaker_state(), BreakerState::Healthy);
         assert_eq!(
-            outcome.alarms.iter().map(|a| a.alarm).collect::<Vec<_>>(),
+            eng.unmerged().iter().map(|a| a.alarm).collect::<Vec<_>>(),
             vec![Alarm { drive: 7, hour: 15 }],
             "first vote after recovery fires once"
         );
@@ -1074,7 +980,6 @@ pub(crate) mod tests {
         let series = fleet();
         let model = model(&series, &features);
         let mut eng = shard(model, &features);
-        let pool = ThreadPool::global();
         let token = CancelToken::new();
 
         let mut failed_row = data_row(5, 3);
@@ -1087,8 +992,8 @@ pub(crate) mod tests {
             failed_row,     // class conflict
             data_row(5, 3),
         ];
-        let outcome = eng.process(&pool, &token, &routed(&lines)).unwrap();
-        assert!(outcome.alarms.is_empty());
+        eng.process(&token, &routed(&lines)).unwrap();
+        assert!(eng.unmerged().is_empty());
         let stats = eng.stats();
         assert_eq!(stats.rows_seen, 6);
         assert_eq!(stats.rows_accepted, 3);
@@ -1101,22 +1006,41 @@ pub(crate) mod tests {
         let features = FeatureSet::critical13();
         let series = fleet();
         let model = model(&series, &features);
-        let mut eng = shard(model, &features);
-        let pool = ThreadPool::global();
+        let lines = feed_lines(&series);
+        let (head, tail) = lines.split_at(lines.len() / 2);
+        let recording = || {
+            let mut eng = shard(model.clone(), &features);
+            eng.set_record_events(true);
+            eng
+        };
+        let mut eng = recording();
+        run(&mut eng, head, 64);
+        assert!(!eng.events().is_empty());
+        let before = hdd_json::to_string(&eng.state_to_json());
 
-        let lines = routed(&(0..20).map(|h| data_row(9, h)).collect::<Vec<_>>());
-        let token = CancelToken::new();
-        token.cancel();
-        let err = eng.process(&pool, &token, &lines).unwrap_err();
-        assert!(matches!(err, ParError::Cancelled), "{err}");
-        assert_eq!(eng.stats(), ShardStats::default(), "nothing committed");
-        assert_eq!(eng.cursors()[0], FeedCursor::default());
+        for token in [CancelToken::new(), CancelToken::with_budget(Duration::ZERO)] {
+            token.cancel();
+            let err = eng.process(&token, tail).unwrap_err();
+            assert!(matches!(err, ParError::Cancelled), "{err}");
+            assert_eq!(
+                hdd_json::to_string(&eng.state_to_json()),
+                before,
+                "nothing committed"
+            );
+        }
+        let expired = CancelToken::with_budget(Duration::ZERO);
+        let err = eng.process(&expired, tail).unwrap_err();
+        assert!(matches!(err, ParError::DeadlineExceeded), "{err}");
+        assert_eq!(hdd_json::to_string(&eng.state_to_json()), before);
 
         // The identical retry under a fresh token commits normally.
-        let retried = eng.process(&pool, &CancelToken::new(), &lines).unwrap();
-        let _ = retried;
-        assert_eq!(eng.stats().rows_seen, 20);
-        assert_eq!(eng.cursors()[0].next_line, 20);
+        eng.process(&CancelToken::new(), tail).unwrap();
+        let mut whole = recording();
+        run(&mut whole, &lines, usize::MAX);
+        assert_eq!(
+            hdd_json::to_string(&eng.state_to_json()),
+            hdd_json::to_string(&whole.state_to_json())
+        );
     }
 
     #[test]

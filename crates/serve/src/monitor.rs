@@ -7,7 +7,6 @@
 
 use hdd_eval::VotingState;
 use hdd_json::{JsonCodec, JsonError, Value};
-use hdd_smart::csv::{CsvRow, ValueFault};
 use hdd_smart::{DriveClass, Hour, SmartSample, NUM_ATTRIBUTES};
 
 /// Live state of one drive the feed has mentioned.
@@ -116,35 +115,15 @@ impl JsonCodec for DriveMonitor {
     }
 }
 
-/// How one feed line will be handled; computed read-only, committed in
-/// feed order.
-#[derive(Debug, Clone)]
-pub(crate) enum Decision {
-    /// A line this shard already committed before a crash; replay must
-    /// skip it with zero effect on counters, breaker or voting.
-    Replayed,
-    /// Blank line: ignored entirely.
-    Blank,
-    /// Structurally unparseable row.
-    ParseFailure,
-    /// Parsed row carrying an unusable measurement.
-    BadValue(ValueFault),
-    /// Row contradicting its drive's class metadata.
-    Conflicting,
-    /// Row at or before the drive's latest seen hour.
-    Stale,
-    /// Usable row; `scored` indexes into the batch's feature rows when
-    /// the sample had enough history to extract.
-    Accept { row: CsvRow, scored: Option<usize> },
-}
-
 /// Drop samples too old for any feature lookback from `newest`: a sample
-/// is kept iff `hour + lookback >= newest.hour`, exactly the
+/// is kept iff `newest.hour - hour <= lookback`, exactly the
 /// `change_rate_at` search bound, so extraction over the pruned history
-/// is bit-identical to extraction over the full series.
+/// is bit-identical to extraction over the full series. The history is
+/// increasing, so the distance cannot underflow, and unlike the sum
+/// `hour + lookback` it cannot overflow near `u32::MAX`.
 pub(crate) fn prune_history(history: &mut Vec<SmartSample>, lookback: u32) {
     if let Some(newest) = history.last().map(|s| s.hour.0) {
-        history.retain(|s| s.hour.0 + lookback >= newest);
+        history.retain(|s| newest - s.hour.0 <= lookback);
     }
 }
 
@@ -200,5 +179,18 @@ mod tests {
         prune_history(&mut history, 25);
         let hours: Vec<u32> = history.iter().map(|s| s.hour.0).collect();
         assert_eq!(hours, vec![70, 80, 90]);
+    }
+
+    #[test]
+    fn prune_keeps_the_newest_sample_at_the_end_of_time() {
+        let mut history: Vec<SmartSample> = (0..=20)
+            .map(|back| SmartSample {
+                hour: Hour(u32::MAX - 20 + back),
+                values: [0.0; NUM_ATTRIBUTES],
+            })
+            .collect();
+        prune_history(&mut history, 12);
+        let hours: Vec<u32> = history.iter().map(|s| s.hour.0).collect();
+        assert_eq!(hours, ((u32::MAX - 12)..=u32::MAX).collect::<Vec<_>>());
     }
 }

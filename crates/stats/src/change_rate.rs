@@ -30,11 +30,13 @@ pub fn change_rate_at(
     let samples = series.samples();
     let current = &samples[idx];
     let target = current.hour.0.checked_sub(interval_hours)?;
-    // Most recent sample at hour <= target, searching backwards from idx.
+    // Most recent sample at hour <= target, searching backwards from idx
+    // while it lies within `2 * interval_hours`. Samples increase in
+    // time, so the distance cannot underflow (a sum could overflow).
     let reference = samples[..idx]
         .iter()
         .rev()
-        .take_while(|s| s.hour.0 + 2 * interval_hours >= current.hour.0)
+        .take_while(|s| current.hour.0 - s.hour.0 <= 2 * interval_hours)
         .find(|s| s.hour.0 <= target)?;
     let elapsed = f64::from(current.hour.0 - reference.hour.0);
     let delta = current.value(attr) - reference.value(attr);
@@ -92,6 +94,23 @@ mod tests {
         // target hour = 2; sample at hour 2 qualifies (not hour 0).
         let cr = change_rate_at(&s, 2, Attribute::RawReadErrorRate, 6).unwrap();
         assert!((cr - 12.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn works_at_the_end_of_time() {
+        let top = u32::MAX;
+        let s = series_from(&[
+            (top - 13, 0.0),
+            (top - 6, 7.0),
+            (top - 1, 12.0),
+            (top, 14.0),
+        ]);
+        // The reference is the sample at top - 6; the one 13 h back lies
+        // outside the 12 h search bound.
+        let cr = change_rate_at(&s, 3, Attribute::RawReadErrorRate, 6).unwrap();
+        assert!((cr - 7.0).abs() < 1e-9);
+        let s = series_from(&[(top - 13, 0.0), (top, 14.0)]);
+        assert!(change_rate_at(&s, 1, Attribute::RawReadErrorRate, 6).is_none());
     }
 
     #[test]

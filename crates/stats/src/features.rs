@@ -207,10 +207,13 @@ impl FeatureSet {
     /// if any change rate lacks history there.
     #[must_use]
     pub fn extract(&self, series: &SmartSeries, idx: usize) -> Option<Vec<f64>> {
-        self.features
-            .iter()
-            .map(|f| f.evaluate(series, idx))
-            .collect()
+        // Sized exactly: a collected `Option<Vec<_>>` would round the
+        // capacity up, and the serve engine keeps these vectors.
+        let mut out = Vec::with_capacity(self.features.len());
+        for f in &self.features {
+            out.push(f.evaluate(series, idx)?);
+        }
+        Some(out)
     }
 
     /// Human-readable feature names, in input-vector order.

@@ -557,3 +557,71 @@ fn a_sink_shorter_than_the_checkpoint_is_refused() {
     }
     let _ = std::fs::remove_dir_all(&fx.dir);
 }
+
+#[test]
+fn hours_at_the_end_of_time_serve_like_the_batch_detector() {
+    // The slice's failing drive fails at hour 720: shift that to the last
+    // hour a `u32` holds, and add a drive whose rows fill the last four.
+    let fx = fixture("end-of-time", 1);
+    let shift = u32::MAX - HOURS.2;
+    let shifted = |line: &str| -> String {
+        let mut fields: Vec<String> = line.split(',').map(str::to_string).collect();
+        for i in [2, 3] {
+            if let Ok(hour) = fields[i].parse::<u32>() {
+                fields[i] = (hour + shift).to_string();
+            }
+        }
+        fields.join(",")
+    };
+    let mut rows: Vec<String> = fx
+        .phases
+        .iter()
+        .flatten()
+        .flat_map(|r| r.lines())
+        .map(shifted)
+        .collect();
+    let values = rows[0]
+        .splitn(5, ',')
+        .nth(4)
+        .expect("row values")
+        .to_string();
+    rows.extend((u32::MAX - 3..=u32::MAX).map(|h| format!("999999,0,,{h},{values}")));
+    rows.sort_unstable_by_key(|line| hour_and_drive(line));
+    let fx = Fixture {
+        phases: vec![vec![format!("{}\n", rows.join("\n"))], vec![String::new()]],
+        ..fx
+    };
+
+    rows.sort_unstable_by_key(|line| {
+        let (hour, drive) = hour_and_drive(line);
+        (drive, hour)
+    });
+    let fleet = format!("{}\n{}\n", fx.header, rows.join("\n"));
+    let series = read_series_quarantined(fleet.as_bytes(), &IngestPolicy::default())
+        .expect("read the fleet")
+        .series;
+    let model = hddpred::eval::SavedModel::load(&fx.model).expect("load model");
+    let features = FeatureSet::critical13();
+    let detector = VotingDetector::new(&model, &features, 11, VotingRule::Majority);
+    let batch: Vec<String> = series
+        .iter()
+        .filter_map(|s| {
+            let hour = detector.first_alarm(s, Hour(0)..Hour(u32::MAX))?;
+            Some(format!("{},{}\n", s.drive.0, hour.0))
+        })
+        .collect();
+    assert!(!batch.is_empty(), "the shifted slice must raise alarms");
+
+    let config = config(&fx, "end-of-time", 1, false);
+    let books = serve(&fx, config, &[], Cut::None).books;
+    assert_eq!(books.stats.rows_accepted, rows.len());
+    let mut streamed: Vec<&str> = std::str::from_utf8(&books.sink)
+        .expect("sink is UTF-8")
+        .split_inclusive('\n')
+        .collect();
+    streamed.sort_unstable();
+    let mut batch: Vec<&str> = batch.iter().map(String::as_str).collect();
+    batch.sort_unstable();
+    assert_eq!(streamed, batch);
+    let _ = std::fs::remove_dir_all(&fx.dir);
+}
