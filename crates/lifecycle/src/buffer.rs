@@ -81,6 +81,8 @@ pub struct TrainingBuffer {
     capacity: usize,
     window_hours: u32,
     rows: VecDeque<BufferedRow>,
+    /// How many of `rows` are `Failed` samples.
+    failed_rows: usize,
     /// Non-finite rows refused at the gate (never buffered).
     poisoned_rows: usize,
 }
@@ -100,6 +102,7 @@ impl TrainingBuffer {
             capacity,
             window_hours,
             rows: VecDeque::new(),
+            failed_rows: 0,
             poisoned_rows: 0,
         }
     }
@@ -119,7 +122,7 @@ impl TrainingBuffer {
     /// Buffered `Failed`-class samples.
     #[must_use]
     pub fn failed_rows(&self) -> usize {
-        self.rows.iter().filter(|r| r.failed).count()
+        self.failed_rows
     }
 
     /// Rows refused for non-finite features.
@@ -148,10 +151,13 @@ impl TrainingBuffer {
             match self.mode {
                 WindowMode::Accumulation => return BufferPush::Skipped,
                 WindowMode::Replacing => {
-                    self.rows.pop_front();
+                    if self.rows.pop_front().is_some_and(|r| r.failed) {
+                        self.failed_rows -= 1;
+                    }
                 }
             }
         }
+        self.failed_rows += usize::from(failed);
         self.rows.push_back(BufferedRow {
             features: event.features.clone(),
             failed,
@@ -256,6 +262,7 @@ impl JsonCodec for TrainingBuffer {
             mode,
             capacity,
             window_hours: value.usize_field("window_hours")? as u32,
+            failed_rows: rows.iter().filter(|r| r.failed).count(),
             rows,
             poisoned_rows: value.usize_field("poisoned_rows")?,
         })
@@ -352,6 +359,28 @@ mod tests {
         let first = |b: &TrainingBuffer| b.samples()[0].features[0];
         assert_eq!(first(&acc), 0.0, "accumulation keeps the head");
         assert_eq!(first(&rep), 2.0, "replacing keeps the tail");
+    }
+
+    #[test]
+    fn the_failed_count_follows_rows_in_and_out() {
+        let mut buf = TrainingBuffer::new(WindowMode::Replacing, 3, 168);
+        // Failed, good, failed, then goods that slide the failed rows out.
+        let pushes = [Some(500), None, Some(500), None, None, None];
+        let expected = [1, 1, 2, 1, 1, 0];
+        for (i, (fail, want)) in pushes.into_iter().zip(expected).enumerate() {
+            buf.push(&event(i as u32, 400, fail, vec![1.0]));
+            assert_eq!(buf.failed_rows(), want, "after push {i}");
+            let counted = buf
+                .samples()
+                .iter()
+                .filter(|s| s.class == Class::Failed)
+                .count();
+            assert_eq!(buf.failed_rows(), counted);
+        }
+        buf.push(&event(9, 400, Some(500), vec![1.0]));
+        let text = hdd_json::to_string(&buf.to_json());
+        let back = TrainingBuffer::from_json(&hdd_json::parse(&text).unwrap()).unwrap();
+        assert_eq!(back.failed_rows(), 1, "a restored buffer recounts");
     }
 
     #[test]

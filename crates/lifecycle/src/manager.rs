@@ -444,6 +444,11 @@ impl LifecycleManager {
     /// merge's emitted low-water mark (`merge_state().emitted()`), which
     /// keeps the replay filter aligned with the alarm stream. Returns
     /// human-readable transition notes.
+    ///
+    /// The shadow gate and the retraining trigger are checked after every
+    /// event, so a decision lands at the event that crosses its threshold
+    /// whatever the batch boundaries; probation is judged once per call,
+    /// on the tick's alarm count and breaker transitions.
     pub fn consume(
         &mut self,
         pool: &ThreadPool,
@@ -481,19 +486,23 @@ impl LifecycleManager {
                 Phase::Probation => self.probation_rows_seen += 1,
                 _ => {}
             }
+            // Decide at the event that crosses a threshold, so the
+            // outcome cannot depend on where a tick's batch ends.
+            self.judge_shadow(&mut notes);
+            if self.phase == Phase::Idle
+                && self.disk_error.is_none()
+                && self.rows_since_train
+                    >= self.config.retrain_rows.saturating_mul(self.backoff_mult)
+                && self.buffer.failed_rows() >= 1
+                && self.buffer.failed_rows() < self.buffer.len()
+            {
+                self.attempt_training(pool, &mut notes);
+            }
         }
         self.consumed.record_ahead(processed);
         self.consumed.advance(watermark);
 
-        self.judge_shadow(&mut notes);
         self.watch_probation(alarms_this_tick, breaker_transitions, &mut notes);
-        if self.phase == Phase::Idle
-            && self.rows_since_train >= self.config.retrain_rows.saturating_mul(self.backoff_mult)
-            && self.buffer.failed_rows() >= 1
-            && self.buffer.failed_rows() < self.buffer.len()
-        {
-            self.attempt_training(pool, &mut notes);
-        }
         notes
     }
 

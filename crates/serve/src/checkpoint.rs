@@ -142,19 +142,16 @@ impl Checkpoint {
     ///
     /// Returns [`CheckpointError::Io`] when the file cannot be written.
     pub fn save(&self, disk: &dyn Disk, path: &Path) -> Result<(), CheckpointError> {
-        let doc = Value::Obj(vec![
-            (
-                "format_version".to_string(),
-                Value::Num(CHECKPOINT_FORMAT_VERSION as f64),
-            ),
-            (
-                "kind".to_string(),
-                Value::Str(self.kind.as_str().to_string()),
-            ),
-            ("payload".to_string(), self.payload.clone()),
-        ]);
-        let payload = hdd_json::to_string(&doc);
-        let document = container::seal(CHECKPOINT_MAGIC, &payload);
+        // The document `{"format_version":…,"kind":…,"payload":…}`,
+        // framed around the payload in place rather than around a copy
+        // of its tree (kind names are plain ASCII: nothing to escape).
+        let mut doc = format!(
+            "{{\"format_version\":{CHECKPOINT_FORMAT_VERSION},\"kind\":\"{}\",\"payload\":",
+            self.kind.as_str()
+        );
+        hdd_json::write_value(&self.payload, &mut doc);
+        doc.push('}');
+        let document = container::seal(CHECKPOINT_MAGIC, &doc);
         disk.replace(path, document.as_bytes())?;
         Ok(())
     }
@@ -246,6 +243,30 @@ mod tests {
                 ("drives".to_string(), Value::Arr(vec![Value::Num(1.0)])),
             ]),
         }
+    }
+
+    #[test]
+    fn the_frame_is_the_document_the_value_tree_would_encode() {
+        let path = scratch("frame.ckpt");
+        for kind in [
+            CheckpointKind::Shard,
+            CheckpointKind::Topology,
+            CheckpointKind::Lifecycle,
+        ] {
+            let ck = Checkpoint { kind, ..sample() };
+            ck.save(&RealDisk, &path).unwrap();
+            let doc = Value::Obj(vec![
+                (
+                    "format_version".to_string(),
+                    Value::Num(CHECKPOINT_FORMAT_VERSION as f64),
+                ),
+                ("kind".to_string(), Value::Str(kind.as_str().to_string())),
+                ("payload".to_string(), ck.payload.clone()),
+            ]);
+            let expected = container::seal(CHECKPOINT_MAGIC, &hdd_json::to_string(&doc));
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), expected);
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

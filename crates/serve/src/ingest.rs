@@ -103,13 +103,69 @@ pub struct PollOutcome {
 /// their owning shards; see the module docs.
 #[derive(Debug)]
 pub struct MultiFeedIngest {
-    tailers: Vec<FeedTailer>,
-    /// Per feed: index of the next routed line.
-    routed: Vec<u64>,
-    /// Per feed: byte position just past the last consumed line, used to
-    /// tell a file-start header from a mid-stream (rotation) header.
-    pos: Vec<u64>,
+    feeds: Vec<Feed>,
     router: ShardRouter,
+}
+
+/// One tailed feed and its routing position.
+#[derive(Debug)]
+struct Feed {
+    tailer: FeedTailer,
+    /// Index of the next routed line.
+    routed: u64,
+    /// Byte position just past the last consumed line, used to tell a
+    /// file-start header from a mid-stream (rotation) header.
+    pos: u64,
+}
+
+impl Feed {
+    /// Read up to `max_lines` lines of feed `f` (of `n_feeds`) and route
+    /// its data lines into `out`. Returns whether the feed filled the
+    /// request, i.e. may have more lines right now.
+    fn poll(
+        &mut self,
+        f: usize,
+        n_feeds: u64,
+        max_lines: usize,
+        router: ShardRouter,
+        out: &mut PollOutcome,
+    ) -> std::io::Result<bool> {
+        let events = self.tailer.poll(max_lines)?;
+        let mut lines = 0;
+        for event in events {
+            let TailEvent::Line { text, end_offset } = event else {
+                // The file shrank: a rotation.
+                out.rotations += 1;
+                self.pos = 0;
+                continue;
+            };
+            lines += 1;
+            let line_start = std::mem::replace(&mut self.pos, end_offset);
+            if text.trim().is_empty() {
+                continue;
+            }
+            if is_header_line(&text) {
+                // Expected at a generation's start; a header mid-stream
+                // marks a copy-truncate rotation.
+                if line_start != 0 {
+                    out.rotations += 1;
+                }
+                continue;
+            }
+            let seq = self.routed * n_feeds + f as u64;
+            self.routed += 1;
+            out.lines_read += 1;
+            let shard = router.shard_of_line(&text);
+            // audit:allow(R3) reason="shard_of_line() reduces the hash modulo n_shards; out.routed is sized to n_shards"
+            out.routed[shard].push(RoutedLine {
+                seq,
+                text,
+                end_offset,
+                generation: self.tailer.generation(),
+            });
+        }
+        Ok(lines == max_lines)
+    }
 }
 
 impl MultiFeedIngest {
@@ -135,13 +191,15 @@ impl MultiFeedIngest {
         assert!(!paths.is_empty(), "at least one feed is required");
         assert_eq!(paths.len(), cursors.len(), "one cursor per feed");
         MultiFeedIngest {
-            tailers: paths
+            feeds: paths
                 .iter()
                 .zip(cursors)
-                .map(|(p, c)| FeedTailer::resume(p, c.offset, c.generation))
+                .map(|(p, c)| Feed {
+                    tailer: FeedTailer::resume(p, c.offset, c.generation),
+                    routed: c.next_line,
+                    pos: c.offset,
+                })
                 .collect(),
-            routed: cursors.iter().map(|c| c.next_line).collect(),
-            pos: cursors.iter().map(|c| c.offset).collect(),
             router,
         }
     }
@@ -149,20 +207,19 @@ impl MultiFeedIngest {
     /// How many feeds are being tailed.
     #[must_use]
     pub fn n_feeds(&self) -> usize {
-        self.tailers.len()
+        self.feeds.len()
     }
 
     /// The current per-feed positions — the snapshot shards adopt once
     /// their queue drains.
     #[must_use]
     pub fn cursors(&self) -> Vec<FeedCursor> {
-        self.tailers
+        self.feeds
             .iter()
-            .zip(&self.routed)
-            .map(|(t, &next_line)| FeedCursor {
-                next_line,
-                offset: t.offset(),
-                generation: t.generation(),
+            .map(|feed| FeedCursor {
+                next_line: feed.routed,
+                offset: feed.tailer.offset(),
+                generation: feed.tailer.generation(),
             })
             .collect()
     }
@@ -171,80 +228,56 @@ impl MultiFeedIngest {
     /// routed, the seq at it has not.
     #[must_use]
     pub fn watermark(&self) -> u64 {
-        let n = self.tailers.len() as u64;
-        self.routed
+        let n = self.feeds.len() as u64;
+        self.feeds
             .iter()
             .enumerate()
-            .map(|(f, &c)| c * n + f as u64)
+            .map(|(f, feed)| feed.routed * n + f as u64)
             .min()
             .unwrap_or(0)
     }
 
-    /// Poll every feed in order, routing at most `budget` data lines in
-    /// total (callers pass the minimum free shard-queue capacity, so no
-    /// shard can overflow no matter how routing lands).
+    /// Route at most `budget` data lines in total (callers pass the
+    /// minimum free shard-queue capacity, so no shard can overflow no
+    /// matter how routing lands), split evenly across the feeds.
+    ///
+    /// Each round offers every feed still open an equal share of what is
+    /// left of the budget (the first `left % open` feeds one line more).
+    /// A feed that reads fewer lines than its share — it reached the end
+    /// of its file, or failed — closes for this poll, and the next round
+    /// hands its unused share to the others. Polling feeds evenly keeps
+    /// the merge watermark, which the slowest feed sets, within one poll
+    /// of the fastest feed, so shards hold back few alarms and row
+    /// events. Seqs depend on feed content alone, never on the split.
     pub fn poll(&mut self, budget: usize) -> PollOutcome {
-        let n_feeds = self.tailers.len() as u64;
+        let n_feeds = self.feeds.len() as u64;
         let mut out = PollOutcome {
             routed: (0..self.router.n_shards()).map(|_| Vec::new()).collect(),
             ..PollOutcome::default()
         };
-        let mut remaining = budget;
-        for f in 0..self.tailers.len() {
-            if remaining == 0 {
-                break;
+        let mut open = vec![true; self.feeds.len()];
+        loop {
+            let left = budget - out.lines_read;
+            let n_open = open.iter().filter(|&&o| o).count();
+            if left == 0 || n_open == 0 {
+                return out;
             }
-            // audit:allow(R3) reason="f ranges over 0..tailers.len(); pos and routed are sized to tailers at construction"
-            let events = match self.tailers[f].poll(remaining) {
-                Ok(events) => events,
-                Err(e) => {
-                    out.errors.push((f, e));
+            let (share, extra) = (left / n_open, left % n_open);
+            let feeds = self.feeds.iter_mut().zip(&mut open).enumerate();
+            for (i, (f, (feed, is_open))) in feeds.filter(|(_, (_, o))| **o).enumerate() {
+                let quota = share + usize::from(i < extra);
+                if quota == 0 {
                     continue;
                 }
-            };
-            for event in events {
-                match event {
-                    TailEvent::Rotation => {
-                        out.rotations += 1;
-                        // audit:allow(R3) reason="f ranges over 0..tailers.len(); pos and routed are sized to tailers at construction"
-                        self.pos[f] = 0;
-                    }
-                    TailEvent::Line { text, end_offset } => {
-                        // audit:allow(R3) reason="f ranges over 0..tailers.len(); pos and routed are sized to tailers at construction"
-                        let line_start = self.pos[f];
-                        // audit:allow(R3) reason="f ranges over 0..tailers.len(); pos and routed are sized to tailers at construction"
-                        self.pos[f] = end_offset;
-                        if text.trim().is_empty() {
-                            continue;
-                        }
-                        if is_header_line(&text) {
-                            // Expected at a generation's start; a header
-                            // mid-stream marks a copy-truncate rotation.
-                            if line_start != 0 {
-                                out.rotations += 1;
-                            }
-                            continue;
-                        }
-                        // audit:allow(R3) reason="f ranges over 0..tailers.len(); pos and routed are sized to tailers at construction"
-                        let seq = self.routed[f] * n_feeds + f as u64;
-                        // audit:allow(R3) reason="f ranges over 0..tailers.len(); pos and routed are sized to tailers at construction"
-                        self.routed[f] += 1;
-                        remaining -= 1;
-                        out.lines_read += 1;
-                        let shard = self.router.shard_of_line(&text);
-                        // audit:allow(R3) reason="shard_of_line() reduces the hash modulo n_shards; out.routed is sized to n_shards"
-                        out.routed[shard].push(RoutedLine {
-                            seq,
-                            text,
-                            end_offset,
-                            // audit:allow(R3) reason="f ranges over 0..tailers.len(); pos and routed are sized to tailers at construction"
-                            generation: self.tailers[f].generation(),
-                        });
+                match feed.poll(f, n_feeds, quota, self.router, &mut out) {
+                    Ok(filled) => *is_open = filled,
+                    Err(e) => {
+                        out.errors.push((f, e));
+                        *is_open = false;
                     }
                 }
             }
         }
-        out
     }
 }
 
@@ -351,6 +384,94 @@ mod tests {
         // The rest arrives on the next poll.
         let out = ingest.poll(64);
         assert_eq!(out.lines_read, 2);
+    }
+
+    /// `(seq, text)` of every routed line, in seq order.
+    fn by_seq(out: &PollOutcome) -> Vec<(u64, String)> {
+        let mut lines: Vec<(u64, String)> = out
+            .routed
+            .iter()
+            .flatten()
+            .map(|l| (l.seq, l.text.clone()))
+            .collect();
+        lines.sort_unstable();
+        lines
+    }
+
+    fn feed_body(tag: &str, n: usize) -> String {
+        (0..n).map(|i| format!("{i},{tag}\n")).collect()
+    }
+
+    #[test]
+    fn the_budget_is_split_evenly_across_feeds() {
+        let a = scratch("even-a.csv");
+        let b = scratch("even-b.csv");
+        fs::write(&a, feed_body("a", 10)).unwrap();
+        fs::write(&b, feed_body("b", 10)).unwrap();
+        let mut ingest = MultiFeedIngest::new(&[a, b], ShardRouter::new(2));
+        let out = ingest.poll(6);
+        assert_eq!(out.lines_read, 6);
+        let seqs: Vec<u64> = by_seq(&out).iter().map(|(s, _)| *s).collect();
+        assert_eq!(seqs, vec![0, 1, 2, 3, 4, 5], "three lines from each feed");
+        assert_eq!(ingest.watermark(), 6);
+        // An odd budget gives the first open feed the extra line.
+        let out = ingest.poll(3);
+        let seqs: Vec<u64> = by_seq(&out).iter().map(|(s, _)| *s).collect();
+        assert_eq!(seqs, vec![6, 7, 8]);
+    }
+
+    #[test]
+    fn a_short_feed_hands_its_share_to_the_others() {
+        let a = scratch("short-a.csv");
+        let b = scratch("short-b.csv");
+        let c = scratch("short-c.csv");
+        fs::write(&a, format!("{}{}", header(), feed_body("a", 2))).unwrap();
+        fs::write(&b, feed_body("b", 20)).unwrap();
+        fs::write(&c, feed_body("c", 20)).unwrap();
+        let mut ingest = MultiFeedIngest::new(&[a, b, c], ShardRouter::new(1));
+        let out = ingest.poll(14);
+        assert_eq!(out.lines_read, 14);
+        let per_feed = |f: u64| by_seq(&out).iter().filter(|(s, _)| s % 3 == f).count();
+        // Shares 5, 5, 4; feed a routes 2 and closes, and its 3 unused
+        // lines go out as 2 and 1 in the next round.
+        assert_eq!((per_feed(0), per_feed(1), per_feed(2)), (2, 7, 5));
+        // Feed a is done, so the whole next budget goes to b and c.
+        let out = ingest.poll(10);
+        let per_feed = |f: u64| by_seq(&out).iter().filter(|(s, _)| s % 3 == f).count();
+        assert_eq!((per_feed(0), per_feed(1), per_feed(2)), (0, 5, 5));
+    }
+
+    #[test]
+    fn any_budget_sequence_routes_the_same_seqs_within_budget() {
+        let paths = [
+            scratch("split-a.csv"),
+            scratch("split-b.csv"),
+            scratch("split-c.csv"),
+        ];
+        // Unequal feeds with headers and blank lines mixed in.
+        fs::write(&paths[0], format!("{}{}", header(), feed_body("a", 37))).unwrap();
+        fs::write(&paths[1], feed_body("b", 5) + "\n\n" + &feed_body("bb", 40)).unwrap();
+        fs::write(&paths[2], feed_body("c", 11)).unwrap();
+        let whole = by_seq(&MultiFeedIngest::new(&paths, ShardRouter::new(2)).poll(1000));
+        assert_eq!(whole.len(), 37 + 45 + 11);
+        for budgets in [&[1usize, 2, 3][..], &[7, 1, 64], &[4, 5, 6, 2], &[100]] {
+            let mut ingest = MultiFeedIngest::new(&paths, ShardRouter::new(2));
+            let mut got = Vec::new();
+            for &budget in budgets.iter().cycle() {
+                let out = ingest.poll(budget);
+                assert!(out.lines_read <= budget, "{budgets:?}");
+                assert_eq!(
+                    out.routed.iter().map(Vec::len).sum::<usize>(),
+                    out.lines_read
+                );
+                if out.lines_read == 0 {
+                    break;
+                }
+                got.extend(by_seq(&out));
+            }
+            got.sort_unstable();
+            assert_eq!(got, whole, "budgets {budgets:?}");
+        }
     }
 
     #[test]

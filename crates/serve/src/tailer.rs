@@ -7,6 +7,11 @@
 //! its newline arrives, so an in-flight write is never misread as a
 //! corrupt row.
 //!
+//! A poll reads 64 KiB at a time into one buffer the tailer keeps, and
+//! stops once it has its line budget or reaches the end of the file.
+//! [`MAX_LINE_BYTES`] bytes with no newline are cut off as one line, at
+//! any budget.
+//!
 //! Rotation is detected by shrinkage: when the file is suddenly shorter
 //! than the saved offset, a rotation event is emitted, the generation
 //! counter bumps and reading restarts at byte zero. (A rotation that
@@ -19,10 +24,20 @@ use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom};
 use std::path::PathBuf;
 
-/// Upper bound on bytes read per requested line; a "line" longer than
-/// this without a newline is consumed anyway (and will quarantine as a
-/// parse failure) so a garbage flood cannot stall the tailer.
+/// The longest line the tailer waits for: `MAX_LINE_BYTES` bytes with no
+/// newline among them are cut off and emitted as one line (which will
+/// quarantine as a parse failure), so a garbage flood cannot stall the
+/// tailer. The cut does not depend on the poll's line budget.
 pub const MAX_LINE_BYTES: u64 = 4096;
+
+/// Bytes read from the feed per `read` call, into a buffer the tailer
+/// keeps between polls. A poll reads chunks until it has its lines or
+/// reaches the end of the file, so its I/O and memory follow the lines
+/// it returns, not its budget.
+const READ_CHUNK_BYTES: usize = 64 * 1024;
+
+// A cut line must fit in the buffer next to a fresh read.
+const _: () = assert!(MAX_LINE_BYTES as usize <= READ_CHUNK_BYTES);
 
 /// What a poll observed, in feed order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,6 +61,10 @@ pub struct FeedTailer {
     path: PathBuf,
     offset: u64,
     generation: u64,
+    /// Read buffer, allocated on the first poll and reused by every
+    /// later one. It holds no state between polls: each poll re-reads
+    /// from `offset`, so a partial trailing line stays in the file.
+    buf: Vec<u8>,
 }
 
 impl FeedTailer {
@@ -62,6 +81,7 @@ impl FeedTailer {
             path: path.into(),
             offset,
             generation,
+            buf: Vec::new(),
         }
     }
 
@@ -80,72 +100,120 @@ impl FeedTailer {
     /// Read up to `max_lines` complete lines appended since the last
     /// poll. A feed file that does not exist yet is simply "no data";
     /// every other I/O failure propagates (the serve loop retries with
-    /// backoff).
+    /// backoff). A failure after some lines were taken ends the poll
+    /// early instead: those lines are returned, and the failure shows at
+    /// the next poll, before anything is consumed.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors other than a missing feed file.
     pub fn poll(&mut self, max_lines: usize) -> io::Result<Vec<TailEvent>> {
-        let mut events = Vec::new();
         if max_lines == 0 {
-            return Ok(events);
+            return Ok(Vec::new());
         }
         let mut file = match File::open(&self.path) {
             Ok(file) => file,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(events),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
             Err(e) => return Err(e),
         };
         let len = file.metadata()?.len();
+        self.poll_from(&mut file, len, max_lines)
+    }
+
+    /// [`FeedTailer::poll`] on an open feed `len` bytes long. The offset
+    /// and generation move only with the events they belong to, so the
+    /// events taken before an I/O error are returned, not dropped.
+    fn poll_from<R: Read + Seek>(
+        &mut self,
+        feed: &mut R,
+        len: u64,
+        max_lines: usize,
+    ) -> io::Result<Vec<TailEvent>> {
+        let mut events = Vec::new();
+        match self.take_lines(feed, len, max_lines, &mut events) {
+            Err(e) if events.is_empty() => Err(e),
+            _ => Ok(events),
+        }
+    }
+
+    /// Append to `events` the rotation (if any) and the lines of one
+    /// poll, moving the offset past each line as it is taken.
+    fn take_lines<R: Read + Seek>(
+        &mut self,
+        feed: &mut R,
+        len: u64,
+        max_lines: usize,
+        events: &mut Vec<TailEvent>,
+    ) -> io::Result<()> {
         if len < self.offset {
             self.offset = 0;
             self.generation += 1;
             events.push(TailEvent::Rotation);
         }
-        file.seek(SeekFrom::Start(self.offset))?;
-        let budget = (max_lines as u64).saturating_mul(MAX_LINE_BYTES);
-        let mut buf = Vec::new();
-        file.take(budget).read_to_end(&mut buf)?;
+        feed.seek(SeekFrom::Start(self.offset))?;
+        self.buf.resize(READ_CHUNK_BYTES, 0);
 
-        let mut start = 0usize;
-        while events.len() < max_lines {
-            // audit:allow(R3) reason="start advances past consumed bytes and the loop exits before start can exceed buf.len()"
-            match buf[start..].iter().position(|&b| b == b'\n') {
-                Some(rel) => {
-                    // audit:allow(R3) reason="rel is a position() hit inside buf[start..], so start + rel <= buf.len()"
-                    let line = &buf[start..start + rel];
-                    let line = match line.last() {
-                        // audit:allow(R3) reason="last() returned Some, so line is non-empty and len - 1 cannot underflow"
-                        Some(b'\r') => &line[..line.len() - 1],
-                        _ => line,
-                    };
-                    self.offset += (rel + 1) as u64;
-                    events.push(TailEvent::Line {
-                        // Lossy is fine: undecodable bytes become U+FFFD
-                        // deterministically and the row quarantines as a
-                        // parse failure, exactly like the batch reader.
-                        text: String::from_utf8_lossy(line).into_owned(),
-                        end_offset: self.offset,
-                    });
-                    start += rel + 1;
-                }
-                None => {
-                    // No newline in what's left. If we filled the whole
-                    // read budget, this "line" is pathologically long:
-                    // consume it as-is rather than stall forever.
-                    // audit:allow(R3) reason="start advances past consumed bytes and the loop exits before start can exceed buf.len()"
-                    let rest = &buf[start..];
-                    if start == 0 && rest.len() as u64 >= budget {
-                        self.offset += rest.len() as u64;
-                        events.push(TailEvent::Line {
-                            text: String::from_utf8_lossy(rest).into_owned(),
-                            end_offset: self.offset,
-                        });
-                    }
+        // buf[lo..hi] is read but not yet consumed.
+        let (mut lo, mut hi) = (0usize, 0usize);
+        let mut lines = 0;
+        let mut eof = false;
+        while lines < max_lines {
+            let pending = self.buf.get(lo..hi).unwrap_or_default();
+            let Some((line_len, consumed)) = split_line(pending) else {
+                if eof {
                     break;
                 }
-            }
+                // Keep the unconsumed tail (shorter than a line) and read
+                // the next chunk after it.
+                self.buf.copy_within(lo..hi, 0);
+                (hi, lo) = (hi - lo, 0);
+                let n = read_some(feed, self.buf.get_mut(hi..).unwrap_or_default())?;
+                hi += n;
+                eof = n == 0;
+                continue;
+            };
+            let line = pending.get(..line_len).unwrap_or_default();
+            // A newline-terminated line tolerates CRLF; a cut one is kept
+            // as read.
+            let line = if consumed > line_len {
+                line.strip_suffix(b"\r").unwrap_or(line)
+            } else {
+                line
+            };
+            self.offset += consumed as u64;
+            events.push(TailEvent::Line {
+                // Lossy is fine: undecodable bytes become U+FFFD
+                // deterministically and the row quarantines as a parse
+                // failure, exactly like the batch reader.
+                text: String::from_utf8_lossy(line).into_owned(),
+                end_offset: self.offset,
+            });
+            lines += 1;
+            lo += consumed;
         }
-        Ok(events)
+        Ok(())
+    }
+}
+
+/// The next line in `pending`: `(line length, bytes consumed)`. A line
+/// ends at its newline (consumed with it) or is cut at
+/// [`MAX_LINE_BYTES`]; `None` means the line is still incomplete.
+fn split_line(pending: &[u8]) -> Option<(usize, usize)> {
+    let max_line = MAX_LINE_BYTES as usize;
+    match pending.iter().take(max_line).position(|&b| b == b'\n') {
+        Some(len) => Some((len, len + 1)),
+        None if pending.len() >= max_line => Some((max_line, max_line)),
+        None => None,
+    }
+}
+
+/// One `read` into `buf`, retried on `Interrupted`; 0 means end of file.
+fn read_some(feed: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
+    loop {
+        match feed.read(buf) {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            other => return other,
+        }
     }
 }
 
@@ -242,6 +310,182 @@ mod tests {
         let second = t.poll(1).unwrap();
         assert_eq!(second.len(), 1);
         assert_eq!(t.offset(), garbage.len() as u64);
+    }
+
+    /// Every line of `t`, polling `max_lines` at a time to the end.
+    fn drain(t: &mut FeedTailer, max_lines: usize) -> Vec<TailEvent> {
+        let mut all = Vec::new();
+        loop {
+            let events = t.poll(max_lines).unwrap();
+            assert!(events.len() <= max_lines);
+            if events.is_empty() {
+                return all;
+            }
+            all.extend(events);
+        }
+    }
+
+    #[test]
+    fn a_line_straddling_a_chunk_boundary_arrives_whole() {
+        let path = scratch("straddle.csv");
+        // 100-byte lines: line 655 spans bytes 65_500..65_600, across
+        // the first chunk's end.
+        let body: String = (0..1500).map(|i| format!("{i:099}\n")).collect();
+        fs::write(&path, &body).unwrap();
+        for max_lines in [1, 7, 1024, 4096] {
+            let mut t = FeedTailer::new(&path);
+            let events = drain(&mut t, max_lines);
+            let expected: Vec<String> = (0..1500).map(|i| format!("{i:099}")).collect();
+            assert_eq!(lines(&events), expected, "max_lines {max_lines}");
+            if let Some(TailEvent::Line { end_offset, .. }) = events.get(655) {
+                assert_eq!(*end_offset, 65_600);
+            }
+            assert_eq!(t.offset(), body.len() as u64);
+        }
+    }
+
+    #[test]
+    fn a_partial_trailing_line_stays_unread_across_chunks_and_polls() {
+        let path = scratch("partial-long.csv");
+        let whole: String = (0..2000).map(|i| format!("{i:049}\n")).collect();
+        fs::write(&path, format!("{whole}9,partial")).unwrap();
+        let mut t = FeedTailer::new(&path);
+        let events = drain(&mut t, 300);
+        assert_eq!(events.len(), 2000, "more than one chunk of whole lines");
+        assert_eq!(t.offset(), whole.len() as u64, "the partial line is unread");
+        assert!(
+            t.poll(300).unwrap().is_empty(),
+            "still waiting for its newline"
+        );
+
+        let mut f = fs::OpenOptions::new().append(true).open(&path).unwrap();
+        writeln!(f, ",done").unwrap();
+        drop(f);
+        assert_eq!(lines(&t.poll(300).unwrap()), vec!["9,partial,done"]);
+    }
+
+    #[test]
+    fn an_overlong_line_is_cut_the_same_way_at_any_budget() {
+        let path = scratch("cut.csv");
+        let long = "y".repeat(10 * 1024);
+        fs::write(&path, format!("a\n{long}\nb\n")).unwrap();
+        let cut = MAX_LINE_BYTES as usize;
+        let expected = vec![
+            "a",
+            &long[..cut],
+            &long[cut..2 * cut],
+            &long[2 * cut..],
+            "b",
+        ];
+        let one = drain(&mut FeedTailer::new(&path), 1);
+        let many = drain(&mut FeedTailer::new(&path), 1024);
+        assert_eq!(lines(&many), expected);
+        assert_eq!(one, many, "lines and offsets match at max_lines 1 and 1024");
+    }
+
+    #[test]
+    fn lines_up_to_the_cut_arrive_whole() {
+        let path = scratch("at-the-cut.csv");
+        let max = MAX_LINE_BYTES as usize;
+        let short = "s".repeat(max - 1);
+        let exact = "e".repeat(max);
+        fs::write(&path, format!("{short}\n{exact}\nz\n")).unwrap();
+        for max_lines in [1, 2, 1024] {
+            let events = drain(&mut FeedTailer::new(&path), max_lines);
+            // A line of exactly MAX_LINE_BYTES is cut before its newline,
+            // which then ends an empty line: the text is still whole.
+            assert_eq!(
+                lines(&events),
+                vec![short.as_str(), exact.as_str(), "", "z"],
+                "max_lines {max_lines}"
+            );
+        }
+    }
+
+    #[test]
+    fn undecodable_bytes_decode_lossily_even_across_chunks() {
+        let path = scratch("lossy.csv");
+        // 655 padding lines of 100 bytes, then a line whose two-byte 'é'
+        // sits at bytes 65_535..65_537, across the first chunk's end,
+        // then a line of invalid bytes.
+        let pad = "p".repeat(99);
+        let split = format!("{}é,1", "x".repeat(READ_CHUNK_BYTES - 1 - 65_500));
+        let mut body = format!("{pad}\n").repeat(655) + &split + "\n";
+        assert_eq!(
+            &body.as_bytes()[READ_CHUNK_BYTES - 1..][..2],
+            "é".as_bytes()
+        );
+        body.push_str("q,2\n");
+        let mut bytes = body.into_bytes();
+        bytes.extend_from_slice(b"\xff\xfe,3\n");
+        fs::write(&path, &bytes).unwrap();
+        let events = drain(&mut FeedTailer::new(&path), 1024);
+        let got = lines(&events);
+        assert_eq!(got.len(), 658);
+        assert_eq!(got[655..], [split.as_str(), "q,2", "\u{fffd}\u{fffd},3"]);
+    }
+
+    /// A feed whose reads stop short of byte `fail_at` and fail there.
+    struct FailingFeed {
+        data: io::Cursor<Vec<u8>>,
+        fail_at: u64,
+    }
+
+    impl Read for FailingFeed {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let room = self.fail_at.saturating_sub(self.data.position());
+            if room == 0 {
+                return Err(io::Error::other("injected read fault"));
+            }
+            let n = buf.len().min(usize::try_from(room).unwrap_or(usize::MAX));
+            self.data.read(&mut buf[..n])
+        }
+    }
+
+    impl Seek for FailingFeed {
+        fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
+            self.data.seek(pos)
+        }
+    }
+
+    #[test]
+    fn a_read_error_mid_poll_loses_no_line() {
+        let body: Vec<u8> = (0..1500)
+            .flat_map(|i| format!("{i:099}\n").into_bytes())
+            .collect();
+        let len = body.len() as u64;
+        let feed = |fail_at| FailingFeed {
+            data: io::Cursor::new(body.clone()),
+            fail_at,
+        };
+        let mut t = FeedTailer::new(scratch("unused.csv"));
+
+        // The first read fails: nothing is consumed and the error shows.
+        assert!(t.poll_from(&mut feed(0), len, 1024).is_err());
+        assert_eq!(t.offset(), 0);
+
+        // The refill after the first chunk fails: the 655 whole lines of
+        // that chunk are returned and the offset stops after them.
+        let first = t.poll_from(&mut feed(65_536), len, 1024).unwrap();
+        assert_eq!(first.len(), 655);
+        assert_eq!(t.offset(), 65_500);
+
+        // The next poll on the same fault fails before consuming anything.
+        assert!(t.poll_from(&mut feed(65_536), len, 1024).is_err());
+        assert_eq!(t.offset(), 65_500);
+
+        // Once the fault clears, the rest arrives: every line exactly once.
+        let mut all = first;
+        loop {
+            let events = t.poll_from(&mut feed(u64::MAX), len, 1024).unwrap();
+            if events.is_empty() {
+                break;
+            }
+            all.extend(events);
+        }
+        let expected: Vec<String> = (0..1500).map(|i| format!("{i:099}")).collect();
+        assert_eq!(lines(&all), expected);
+        assert_eq!(t.offset(), len);
     }
 
     #[test]

@@ -766,6 +766,68 @@ mod tests {
     }
 
     #[test]
+    fn fair_polling_keeps_what_shards_hold_within_one_poll() {
+        // Two drive-major feeds of equal length: neither runs out first,
+        // so the watermark should trail the fastest feed by at most one
+        // poll. If one feed were drained before the other, every shard
+        // would hold its whole backlog of row events and alarms, and
+        // each checkpoint would re-encode all of it.
+        let features = FeatureSet::critical13();
+        let series = fleet();
+        let model = Arc::new(model(&series, &features));
+        let dir = scratch_dir("held-back");
+        let paths = write_feeds(&dir, &series);
+        let texts: Vec<String> = paths
+            .iter()
+            .map(|p| fs::read_to_string(p).unwrap())
+            .collect();
+        let n_lines = texts.iter().map(|t| t.lines().count()).min().unwrap();
+        for (path, text) in paths.iter().zip(&texts) {
+            let cut: String = text.lines().take(n_lines).flat_map(|l| [l, "\n"]).collect();
+            fs::write(path, cut).unwrap();
+        }
+        const BUDGET: usize = 256;
+        assert!(n_lines > 8 * BUDGET, "the feeds must span many polls");
+        let pool = ThreadPool::global();
+
+        for n_shards in [1usize, 2] {
+            let mut topo =
+                ServeTopology::new(&model, &features, config(), n_shards, 2, BUDGET).unwrap();
+            topo.set_record_events(true);
+            let mut ingest = MultiFeedIngest::new(&paths, topo.router());
+            let (mut events, mut alarms) = (0, 0);
+            loop {
+                let out = ingest.poll(topo.free());
+                assert!(out.lines_read <= BUDGET);
+                assert_eq!(topo.enqueue(out.routed), 0);
+                let tick = topo
+                    .tick(
+                        &pool,
+                        &CancelToken::new(),
+                        &ingest.cursors(),
+                        ingest.watermark(),
+                    )
+                    .unwrap();
+                events += tick.events.len();
+                alarms += tick.alarms.len();
+                for (k, slot) in topo.slots.iter().enumerate() {
+                    let held = (slot.engine.events().len(), slot.engine.unmerged().len());
+                    assert!(
+                        held.0 <= BUDGET && held.1 <= BUDGET,
+                        "{n_shards} shard(s): shard {k} holds {held:?} (events, alarms)"
+                    );
+                }
+                if out.lines_read == 0 && !topo.has_queued() {
+                    break;
+                }
+            }
+            assert!(events > 4 * BUDGET, "events flowed through the merge");
+            assert!(alarms > 0, "the fleet raises alarms");
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn checkpoint_resume_mid_run_is_byte_identical() {
         let features = FeatureSet::critical13();
         let series = fleet();

@@ -2,19 +2,27 @@
 //!
 //! The daemon is a pure function of its feeds, model and configuration,
 //! so every byte it writes is too. These tests serve a small fixed fleet
-//! (a calibrated-mix slice, hour-major, over two feeds) to idle through
-//! [`Daemon`] at 1 and 2 shards, without retraining and with it, and pin
-//! the FNV-1a 64 hash of the alarm sink and of every checkpoint file,
-//! both after the first step (the short feed holds the watermark back, so
-//! shard checkpoints still carry unmerged alarms and, when retraining,
-//! row events) and at idle; the retraining cases also pin the promoted
-//! model file. A refactor of the
-//! engine, the merge, the checkpoint codec or the lifecycle that changes
-//! any persisted byte changes a fingerprint. A fingerprint may only be
+//! (a calibrated-mix slice, hour-major, over two feeds of unequal
+//! length) to idle through [`Daemon`] at 1 and 2 shards, without
+//! retraining and with it, and pin the FNV-1a 64 hash of the alarm sink
+//! and of every checkpoint file at three points: after the first step;
+//! after the first step that follows the short feed running out (the
+//! merge watermark stalls at its end until the idle flush, so shard
+//! checkpoints hold what the long feed raised past it: row events when
+//! retraining, and the fixture's one alarm in the run that puts that
+//! drive on the long feed); and at idle. The retraining cases also pin
+//! the promoted model file. A refactor of the ingest, the engine, the
+//! merge, the checkpoint codec or the lifecycle that changes any
+//! persisted byte changes a fingerprint. A fingerprint may only be
 //! re-recorded with a stated reason for the change in persisted bytes.
+//!
+//! What a lifecycle decides must not depend on how lines were batched,
+//! so the retraining fixture is also served at several queue sizes and
+//! its lifecycle checkpoint and promoted model compared.
 
 use hddpred::eval::VotingRule;
 use hddpred::lifecycle::{Daemon, DaemonConfig, LifecycleConfig};
+use hddpred::serve::{shard_path, Checkpoint};
 use hddpred::smart::rng::{fnv1a_extend, FNV1A_OFFSET};
 use hddpred::workload::gauntlet::train_model;
 use hddpred::workload::{generate_fleet, Scenario, ScenarioManifest};
@@ -30,10 +38,42 @@ fn fingerprint(path: &Path) -> u64 {
     fnv1a_extend(FNV1A_OFFSET, &bytes)
 }
 
+/// How one fixture run is served.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    shards: usize,
+    retrain: bool,
+    /// Lines per shard queue: the most lines one step polls.
+    queue: usize,
+    /// Drives `d` with `d % 3 == short_residue`, about a third of the
+    /// fleet, go to feed 1, the short feed; the rest go to feed 0. The
+    /// fixture's one alarm (drive 23) is on the short feed at residue 2
+    /// and on the long feed otherwise.
+    short_residue: u32,
+}
+
+impl Run {
+    fn new(shards: usize, retrain: bool) -> Self {
+        Run {
+            shards,
+            retrain,
+            queue: 1024,
+            short_residue: 2,
+        }
+    }
+}
+
 /// Write the fleet's feeds and model into a fresh directory named by
-/// `tag`, serve them to idle, and return `(file name, fingerprint)` for
-/// the sink, every checkpoint file and, when retraining, the live model.
-fn serve(tag: &str, shards: usize, retrain: bool) -> Vec<(String, u64)> {
+/// `tag`, serve them to idle as `run` says, and return `(file name,
+/// fingerprint)` for the sink, every checkpoint file and, when
+/// retraining, the live model.
+fn serve(tag: &str, run: Run) -> Vec<(String, u64)> {
+    let Run {
+        shards,
+        retrain,
+        queue,
+        short_residue,
+    } = run;
     let dir =
         std::env::temp_dir().join(format!("hddpred-fingerprints-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -57,13 +97,16 @@ fn serve(tag: &str, shards: usize, retrain: bool) -> Vec<(String, u64)> {
     let feeds: Vec<PathBuf> = (0..2).map(|f| dir.join(format!("feed-{f}.csv"))).collect();
     let mut bodies = vec![format!("{header}\n"); 2];
     for (_, drive, line) in rows {
-        let body = &mut bodies[usize::from(drive % 3 == 2)];
+        let body = &mut bodies[usize::from(drive % 3 == short_residue)];
         body.push_str(line);
         body.push('\n');
     }
     for (path, body) in feeds.iter().zip(&bodies) {
         std::fs::write(path, body).expect("write feed");
     }
+    let data_lines = |body: &String| body.lines().count() as u64 - 1;
+    let short_feed_lines = data_lines(&bodies[1]);
+    assert!(short_feed_lines < data_lines(&bodies[0]));
     let model = dir.join("model.bin");
     train_model(SEED ^ 1, 0.002)
         .expect("train model")
@@ -73,6 +116,7 @@ fn serve(tag: &str, shards: usize, retrain: bool) -> Vec<(String, u64)> {
     let ckpt = dir.join("ckpt");
     let mut config = DaemonConfig::new(feeds, &model, dir.join("alarms.csv"));
     config.shards = shards;
+    config.queue = queue;
     config.tick_budget = None;
     config.checkpoint = Some(ckpt.clone());
     if retrain {
@@ -89,10 +133,29 @@ fn serve(tag: &str, shards: usize, retrain: bool) -> Vec<(String, u64)> {
     assert!(!daemon.step().expect("first step").idle);
     let mut pins = checkpoint_pins(&ckpt, "step-1");
     let mut steps = 1;
+    let (mut short_done, mut stalled) = (false, false);
     while !daemon.step().expect("step").idle {
+        if short_done && !stalled {
+            // The first step after the short feed ran out: the watermark
+            // stops at its end, so what the long feed raised past it
+            // waits in the shards until the idle flush.
+            stalled = true;
+            let (alarms, events) = held_back(&ckpt, shards);
+            assert_eq!(
+                alarms > 0,
+                short_residue != 2,
+                "unmerged alarms at the stall"
+            );
+            assert_eq!(events > 0, retrain, "row events at the stall");
+            pins.extend(checkpoint_pins(&ckpt, "stall"));
+        }
+        // Every queue drains each step (no tick budget), so the shards'
+        // cursors are the ingest's.
+        short_done = daemon.topology().ingest_resume_cursors()[1].next_line == short_feed_lines;
         steps += 1;
         assert!(steps < 1000, "the daemon never went idle");
     }
+    assert!(stalled, "no step ran after the short feed ran out");
     if let Some(manager) = daemon.lifecycle() {
         assert!(
             manager.counters().promotions >= 1,
@@ -109,6 +172,24 @@ fn serve(tag: &str, shards: usize, retrain: bool) -> Vec<(String, u64)> {
     }
     let _ = std::fs::remove_dir_all(&dir);
     pins
+}
+
+/// `(unmerged alarms, row events)` the shard checkpoints hold.
+fn held_back(ckpt: &Path, shards: usize) -> (usize, usize) {
+    let count = |ck: &Checkpoint, field: &str| {
+        ck.payload
+            .get(field)
+            .and_then(|v| v.as_arr())
+            .map_or(0, <[_]>::len)
+    };
+    (0..shards)
+        .map(|k| Checkpoint::load(&shard_path(ckpt, k)).expect("load shard checkpoint"))
+        .fold((0, 0), |(alarms, events), ck| {
+            (
+                alarms + count(&ck, "unmerged"),
+                events + count(&ck, "events"),
+            )
+        })
 }
 
 /// `(label/file name, fingerprint)` of every file in the checkpoint
@@ -128,8 +209,8 @@ fn checkpoint_pins(ckpt: &Path, label: &str) -> Vec<(String, u64)> {
         .collect()
 }
 
-fn check(tag: &str, shards: usize, retrain: bool, expected: &[(&str, u64)]) {
-    let got = serve(tag, shards, retrain);
+fn check(tag: &str, run: Run, expected: &[(&str, u64)]) {
+    let got = serve(tag, run);
     let shown: Vec<String> = got
         .iter()
         .map(|(name, hash)| format!("(\"{name}\", {hash:#018x}),"))
@@ -142,11 +223,12 @@ fn check(tag: &str, shards: usize, retrain: bool, expected: &[(&str, u64)]) {
 fn serve_bytes_are_pinned_at_one_shard() {
     check(
         "plain-1",
-        1,
-        false,
+        Run::new(1, false),
         &[
-            ("step-1/shard-0.ckpt", 0xe517d8d51e922234),
-            ("step-1/topology.ckpt", 0xdf3e014ea5522a53),
+            ("step-1/shard-0.ckpt", 0x60ccb63078b73050),
+            ("step-1/topology.ckpt", 0x8d3e786830e60145),
+            ("stall/shard-0.ckpt", 0x7e0464b84203bde6),
+            ("stall/topology.ckpt", 0x44652a1f43edd1f0),
             ("alarms.csv", 0xae5550cabafe2845),
             ("idle/shard-0.ckpt", 0x7e0464b84203bde6),
             ("idle/topology.ckpt", 0x44652a1f43edd1f0),
@@ -158,12 +240,14 @@ fn serve_bytes_are_pinned_at_one_shard() {
 fn serve_bytes_are_pinned_at_two_shards() {
     check(
         "plain-2",
-        2,
-        false,
+        Run::new(2, false),
         &[
-            ("step-1/shard-0.ckpt", 0xb4bc6186fb929145),
-            ("step-1/shard-1.ckpt", 0x2bf33ec274f3f9de),
-            ("step-1/topology.ckpt", 0xbde2886ff009cc14),
+            ("step-1/shard-0.ckpt", 0xccb46105cbbb9f77),
+            ("step-1/shard-1.ckpt", 0x835c6432d01aebc2),
+            ("step-1/topology.ckpt", 0x8a4eb1c0b435f1c9),
+            ("stall/shard-0.ckpt", 0x2726bfb656933b62),
+            ("stall/shard-1.ckpt", 0x83a4490a22998165),
+            ("stall/topology.ckpt", 0x0b083c913ecb8936),
             ("alarms.csv", 0xae5550cabafe2845),
             ("idle/shard-0.ckpt", 0x2726bfb656933b62),
             ("idle/shard-1.ckpt", 0x83a4490a22998165),
@@ -176,17 +260,19 @@ fn serve_bytes_are_pinned_at_two_shards() {
 fn serve_bytes_with_retraining_are_pinned_at_one_shard() {
     check(
         "retrain-1",
-        1,
-        true,
+        Run::new(1, true),
         &[
-            ("step-1/lifecycle.ckpt", 0xa206d540935183ae),
-            ("step-1/shard-0.ckpt", 0xfec37fd076a28217),
-            ("step-1/topology.ckpt", 0xdf3e014ea5522a53),
+            ("step-1/lifecycle.ckpt", 0x7ca012b2d4f455ce),
+            ("step-1/shard-0.ckpt", 0x60ccb63078b73050),
+            ("step-1/topology.ckpt", 0x8d3e786830e60145),
+            ("stall/lifecycle.ckpt", 0xad5ac10791cee223),
+            ("stall/shard-0.ckpt", 0x4545276228e82111),
+            ("stall/topology.ckpt", 0x44652a1f43edd1f0),
             ("alarms.csv", 0xae5550cabafe2845),
-            ("idle/lifecycle.ckpt", 0xebe87a465e100abe),
+            ("idle/lifecycle.ckpt", 0xce7bda9676142f58),
             ("idle/shard-0.ckpt", 0x7e0464b84203bde6),
             ("idle/topology.ckpt", 0x44652a1f43edd1f0),
-            ("model.bin", 0x1bc50e53dee9d212),
+            ("model.bin", 0x8de01a37ae28c815),
         ],
     );
 }
@@ -195,19 +281,76 @@ fn serve_bytes_with_retraining_are_pinned_at_one_shard() {
 fn serve_bytes_with_retraining_are_pinned_at_two_shards() {
     check(
         "retrain-2",
-        2,
-        true,
+        Run::new(2, true),
         &[
-            ("step-1/lifecycle.ckpt", 0xa206d540935183ae),
-            ("step-1/shard-0.ckpt", 0x3a5bb7442146deed),
-            ("step-1/shard-1.ckpt", 0xcea6946dca09ac2a),
-            ("step-1/topology.ckpt", 0xbde2886ff009cc14),
+            ("step-1/lifecycle.ckpt", 0x7ca012b2d4f455ce),
+            ("step-1/shard-0.ckpt", 0xccb46105cbbb9f77),
+            ("step-1/shard-1.ckpt", 0x835c6432d01aebc2),
+            ("step-1/topology.ckpt", 0x8a4eb1c0b435f1c9),
+            ("stall/lifecycle.ckpt", 0xad5ac10791cee223),
+            ("stall/shard-0.ckpt", 0x138863a619f4aad0),
+            ("stall/shard-1.ckpt", 0x492dced1b0ad0fc1),
+            ("stall/topology.ckpt", 0x0b083c913ecb8936),
             ("alarms.csv", 0xae5550cabafe2845),
-            ("idle/lifecycle.ckpt", 0xebe87a465e100abe),
+            ("idle/lifecycle.ckpt", 0xce7bda9676142f58),
             ("idle/shard-0.ckpt", 0x2726bfb656933b62),
             ("idle/shard-1.ckpt", 0x83a4490a22998165),
             ("idle/topology.ckpt", 0x0b083c913ecb8936),
-            ("model.bin", 0x1bc50e53dee9d212),
+            ("model.bin", 0x8de01a37ae28c815),
         ],
     );
+}
+
+#[test]
+fn serve_bytes_with_the_alarm_on_the_long_feed_are_pinned() {
+    check(
+        "long-2",
+        Run {
+            short_residue: 0,
+            ..Run::new(2, true)
+        },
+        &[
+            ("step-1/lifecycle.ckpt", 0xd599005651157541),
+            ("step-1/shard-0.ckpt", 0xded6797b191c1740),
+            ("step-1/shard-1.ckpt", 0xd1737452b5f4298a),
+            ("step-1/topology.ckpt", 0x8a4eb1c0b435f1c9),
+            ("stall/lifecycle.ckpt", 0x3d452aafce9b021f),
+            ("stall/shard-0.ckpt", 0x7212c85d6c4a3ae3),
+            ("stall/shard-1.ckpt", 0x14b9e7f43f19e5f7),
+            ("stall/topology.ckpt", 0xb233981e3e621ef1),
+            ("alarms.csv", 0xae5550cabafe2845),
+            ("idle/lifecycle.ckpt", 0xa414b9cfdb682970),
+            ("idle/shard-0.ckpt", 0x828e2c9feab1ce23),
+            ("idle/shard-1.ckpt", 0x73cd1b4efef548ba),
+            ("idle/topology.ckpt", 0x19b09dcb3134d74e),
+            ("model.bin", 0xe85bbfa3da004c69),
+        ],
+    );
+}
+
+#[test]
+fn lifecycle_decisions_do_not_depend_on_the_queue_size() {
+    for shards in [1, 2] {
+        let decided = |queue: usize| -> Vec<(String, u64)> {
+            let run = Run {
+                queue,
+                ..Run::new(shards, true)
+            };
+            serve(&format!("queue-{shards}-{queue}"), run)
+                .into_iter()
+                .filter(|(name, _)| {
+                    ["alarms.csv", "idle/lifecycle.ckpt", "model.bin"].contains(&name.as_str())
+                })
+                .collect()
+        };
+        let reference = decided(1024);
+        assert_eq!(reference.len(), 3, "{reference:?}");
+        for queue in [64, 256] {
+            assert_eq!(
+                decided(queue),
+                reference,
+                "{shards} shard(s), queue {queue}"
+            );
+        }
+    }
 }
