@@ -293,7 +293,11 @@ const EXACT_INT_BOUND: f64 = 9_007_199_254_740_992.0; // 2^53
 /// are integral, so they take a digit loop on the stack; `-0.0` (which
 /// `Display` writes as `-0`) and magnitudes from 2^53 up go through
 /// `Display` itself.
-fn write_number(n: f64, out: &mut String) {
+///
+/// # Panics
+///
+/// Panics if `n` is not finite: JSON has no spelling for it.
+pub fn write_number(n: f64, out: &mut String) {
     use std::fmt::Write as _;
     assert!(n.is_finite(), "JSON cannot represent non-finite numbers");
     if n.fract() != 0.0 || n.abs() >= EXACT_INT_BOUND || (n == 0.0 && n.is_sign_negative()) {

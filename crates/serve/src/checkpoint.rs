@@ -1,23 +1,39 @@
 //! Crash-safe daemon checkpoints.
 //!
 //! A sharded topology checkpoints into a **directory**: one
-//! `shard-<k>.ckpt` per shard (its voting state, counters, breaker,
-//! feed cursors and unmerged alarms) plus one `topology.ckpt` (the
-//! merge state: low-water mark, early-flushed seqs, sink length). The
-//! save order is always sink → `topology.ckpt` → dirty shard files;
-//! combined with seq-keyed replay filtering, a crash between any two
-//! writes merely replays a feed suffix and produces byte-identical
-//! alarm output (see DESIGN.md §8 for the resume protocol).
+//! `topology.ckpt` (the merge state: low-water mark, early-flushed
+//! seqs, sink length) and, per shard `k`, a snapshot `shard-<k>.ckpt`
+//! (its voting state, counters, breaker, feed cursors and unmerged
+//! alarms) plus an append-only record log `shard-<k>.log` of what the
+//! shard committed since that snapshot. The save order is always sink →
+//! `topology.ckpt` → dirty shards; combined with seq-keyed replay
+//! filtering, a crash between any two writes merely replays a feed
+//! suffix and produces byte-identical alarm output (see DESIGN.md §8 for
+//! the resume protocol).
 //!
-//! Each file reuses the CRC-checked two-line container model files use
-//! ([`hdd_json::container`]) with its own magic string, and every write
-//! goes through [`Disk::replace`] — a crash mid-checkpoint leaves the
-//! previous valid file in place.
+//! Each snapshot reuses the CRC-checked two-line container model files
+//! use ([`hdd_json::container`]) with its own magic string, and every
+//! snapshot write goes through [`Disk::replace`] — a crash mid-checkpoint
+//! leaves the previous valid file in place.
+//!
+//! A log is a sequence of frames, each sealed by [`seal_frame`]: a
+//! fixed-width header line `hddlog <len> <crc> <header crc>` (three
+//! 8-digit lowercase hex numbers: the payload's byte length, the
+//! payload's CRC-32 and the CRC-32 of the header bytes before it), then
+//! the payload. Frames are only ever appended and synced, so a crash can
+//! leave at most one incomplete frame, at the end: [`read_frames`] drops
+//! a frame shorter than its header says as a torn tail, and rejects any
+//! complete frame whose bytes contradict a checksum as
+//! [`CheckpointError::Corrupt`] with the byte offset. The header's own
+//! CRC is what keeps a bit flip in a length from passing for a torn
+//! tail. What a payload holds is the shard's business (see
+//! [`crate::EngineShard::take_log`]).
 
 use hdd_json::container::{self, ContainerError};
 use hdd_json::disk::Disk;
-use hdd_json::{JsonError, Value};
+use hdd_json::{crc32, JsonError, Value};
 use std::fmt;
+use std::io::Write as _;
 use std::path::Path;
 
 /// Magic string opening a checkpoint container's header line.
@@ -136,12 +152,12 @@ pub struct Checkpoint {
 
 impl Checkpoint {
     /// Write the checkpoint to `path` with [`Disk::replace`] (temp
-    /// sibling, fsync, rename, directory sync).
+    /// sibling, fsync, rename, directory sync); returns the file's length.
     ///
     /// # Errors
     ///
     /// Returns [`CheckpointError::Io`] when the file cannot be written.
-    pub fn save(&self, disk: &dyn Disk, path: &Path) -> Result<(), CheckpointError> {
+    pub fn save(&self, disk: &dyn Disk, path: &Path) -> Result<u64, CheckpointError> {
         // The document `{"format_version":…,"kind":…,"payload":…}`,
         // framed around the payload in place rather than around a copy
         // of its tree (kind names are plain ASCII: nothing to escape).
@@ -153,7 +169,7 @@ impl Checkpoint {
         doc.push('}');
         let document = container::seal(CHECKPOINT_MAGIC, &doc);
         disk.replace(path, document.as_bytes())?;
-        Ok(())
+        Ok(document.len() as u64)
     }
 
     /// Read a checkpoint written by [`Checkpoint::save`], verifying every
@@ -190,15 +206,19 @@ impl Checkpoint {
         let raw_kind = doc
             .field("kind")?
             .as_str()
-            .ok_or_else(|| JsonError::new("`kind` must be a string"))?
-            .to_string();
-        let kind = CheckpointKind::parse(&raw_kind).ok_or_else(|| {
+            .ok_or_else(|| JsonError::new("`kind` must be a string"))?;
+        let kind = CheckpointKind::parse(raw_kind).ok_or_else(|| {
             CheckpointError::Incompatible(format!("unknown checkpoint kind `{raw_kind}`"))
         })?;
-        Ok(Checkpoint {
-            kind,
-            payload: doc.field("payload")?.clone(),
-        })
+        // Move the payload out of the document rather than copy its tree.
+        let Value::Obj(fields) = doc else {
+            return Err(JsonError::new("a checkpoint must be an object").into());
+        };
+        let payload = fields
+            .into_iter()
+            .find_map(|(key, value)| (key == "payload").then_some(value))
+            .ok_or_else(|| JsonError::missing("payload"))?;
+        Ok(Checkpoint { kind, payload })
     }
 
     /// [`Checkpoint::load`], additionally refusing a file of the wrong
@@ -220,6 +240,109 @@ impl Checkpoint {
         }
         Ok(ck)
     }
+}
+
+/// Magic opening every frame header of a shard log.
+const LOG_FRAME_MAGIC: &str = "hddlog";
+
+/// Bytes of a frame header: the magic, three ` xxxxxxxx` fields, `\n`.
+const FRAME_HEADER_BYTES: usize = LOG_FRAME_MAGIC.len() + 3 * 9 + 1;
+
+/// Header bytes the header CRC covers: the magic, length and payload CRC.
+const FRAME_CHECKED_BYTES: usize = LOG_FRAME_MAGIC.len() + 2 * 9;
+
+/// The largest payload a frame header can state.
+pub const MAX_FRAME_PAYLOAD: usize = u32::MAX as usize;
+
+/// Seal `payload` (at most [`MAX_FRAME_PAYLOAD`] bytes) as one log
+/// frame, header first; see the module docs for the layout.
+#[must_use]
+pub fn seal_frame(payload: &str) -> Vec<u8> {
+    debug_assert!(payload.len() <= MAX_FRAME_PAYLOAD);
+    let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
+    let crc = crc32(payload.as_bytes());
+    // Writing into a `Vec` cannot fail.
+    let _ = write!(frame, "{LOG_FRAME_MAGIC} {:08x} {crc:08x}", payload.len());
+    let header_crc = crc32(&frame);
+    let _ = writeln!(frame, " {header_crc:08x}");
+    frame.extend_from_slice(payload.as_bytes());
+    frame
+}
+
+/// The bytes [`seal_frame`] makes of a `payload_len`-byte payload.
+#[must_use]
+pub fn frame_len(payload_len: usize) -> usize {
+    FRAME_HEADER_BYTES + payload_len
+}
+
+/// The whole frames at the start of a shard log.
+#[derive(Debug, Default, PartialEq)]
+pub struct LogFrames<'a> {
+    /// Each frame's payload, with the byte offset it starts at.
+    pub frames: Vec<(usize, &'a str)>,
+    /// Bytes the whole frames cover: fewer than the log holds means a
+    /// torn tail was dropped.
+    pub len: usize,
+}
+
+/// Split a log's bytes into its whole frames.
+///
+/// # Errors
+///
+/// [`CheckpointError::Corrupt`] at the first complete frame whose header
+/// or payload contradicts its checksums.
+pub fn read_frames(bytes: &[u8]) -> Result<LogFrames<'_>, CheckpointError> {
+    let corrupt = |offset: usize, detail: &str| CheckpointError::Corrupt {
+        offset,
+        detail: detail.to_string(),
+    };
+    let mut frames = Vec::new();
+    let mut at = 0;
+    while let Some(header) = bytes.get(at..at + FRAME_HEADER_BYTES) {
+        let (len, crc) = frame_header(header).ok_or_else(|| corrupt(at, "bad log frame header"))?;
+        let start = at + FRAME_HEADER_BYTES;
+        let Some(payload) = bytes.get(start..start + len) else {
+            break;
+        };
+        if crc32(payload) != crc {
+            return Err(corrupt(start, "log frame checksum mismatch"));
+        }
+        let text = std::str::from_utf8(payload)
+            .map_err(|e| corrupt(start + e.valid_up_to(), "invalid UTF-8 in a log frame"))?;
+        frames.push((start, text));
+        at = start + len;
+    }
+    Ok(LogFrames { frames, len: at })
+}
+
+/// A frame header's payload length and CRC, if its layout and its own
+/// CRC hold.
+fn frame_header(header: &[u8]) -> Option<(usize, u32)> {
+    let (checked, tail) = header.split_at_checked(FRAME_CHECKED_BYTES)?;
+    let magic = LOG_FRAME_MAGIC.len();
+    if !checked.starts_with(LOG_FRAME_MAGIC.as_bytes()) || tail.last() != Some(&b'\n') {
+        return None;
+    }
+    // Each field is a space and 8 lowercase hex digits: one spelling per
+    // value, so no flipped bit reads as the same number.
+    let field = |bytes: &[u8]| -> Option<u32> {
+        let (&space, digits) = bytes.split_first()?;
+        if space != b' ' {
+            return None;
+        }
+        digits.iter().try_fold(0u32, |acc, &d| {
+            let v = match d {
+                b'0'..=b'9' => d - b'0',
+                b'a'..=b'f' => d - b'a' + 10,
+                _ => return None,
+            };
+            Some(acc << 4 | u32::from(v))
+        })
+    };
+    let len = field(checked.get(magic..magic + 9)?)?;
+    let crc = field(checked.get(magic + 9..)?)?;
+    let header_crc = field(tail.get(..9)?)?;
+    (crc32(checked) == header_crc).then_some((len as usize, crc))
 }
 
 #[cfg(test)]
@@ -334,6 +457,62 @@ mod tests {
         let err = Checkpoint::load_expecting(&path, CheckpointKind::Topology).unwrap_err();
         assert!(matches!(err, CheckpointError::Incompatible(_)), "{err}");
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Three sealed frames and where each one starts.
+    fn three_frames() -> (Vec<u8>, Vec<usize>) {
+        let mut log = Vec::new();
+        let mut starts = Vec::new();
+        for payload in ["L 0 51 0 - 1 x\n", "", "D 4 8 15\nA 16 23 42\n"] {
+            starts.push(log.len());
+            log.extend(seal_frame(payload));
+        }
+        (log, starts)
+    }
+
+    #[test]
+    fn frames_read_back_in_order() {
+        let (log, starts) = three_frames();
+        let LogFrames { frames, len } = read_frames(&log).unwrap();
+        assert_eq!(len, log.len());
+        let payloads: Vec<&str> = frames.iter().map(|f| f.1).collect();
+        assert_eq!(payloads, ["L 0 51 0 - 1 x\n", "", "D 4 8 15\nA 16 23 42\n"]);
+        for ((offset, payload), start) in frames.iter().zip(&starts) {
+            assert_eq!(*offset, start + frame_len(0));
+            assert_eq!(frame_len(payload.len()), seal_frame(payload).len());
+        }
+        assert_eq!(read_frames(b"").unwrap(), LogFrames::default());
+    }
+
+    #[test]
+    fn a_torn_tail_is_dropped() {
+        let (log, starts) = three_frames();
+        let last = starts[2];
+        // Every cut inside the last frame, header included, drops it.
+        for cut in last..log.len() {
+            let LogFrames { frames, len } = read_frames(&log[..cut]).unwrap();
+            assert_eq!(frames.len(), 2, "cut at {cut}");
+            assert_eq!(len, last, "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_in_a_complete_frame_is_rejected_with_its_offset() {
+        let (log, starts) = three_frames();
+        for byte in 0..log.len() {
+            let start = *starts.iter().rev().find(|&&s| s <= byte).unwrap();
+            for bit in 0..8 {
+                let mut bytes = log.clone();
+                bytes[byte] ^= 1 << bit;
+                match read_frames(&bytes) {
+                    Err(CheckpointError::Corrupt { offset, .. }) => assert!(
+                        (start..=byte).contains(&offset),
+                        "flip of byte {byte} bit {bit} reported at {offset}"
+                    ),
+                    other => panic!("flip of byte {byte} bit {bit}: {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

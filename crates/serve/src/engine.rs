@@ -34,6 +34,18 @@
 //! panic into [`ParError::Panic`], the daemon stops before it emits or
 //! checkpoints anything, and the shard is dropped with the daemon.
 //!
+//! Once checkpointing starts, the shard also keeps a **record log** of
+//! every state change since the last save (see [`EngineShard::take_log`]):
+//! each committed line with the score the model gave it, each cursor
+//! adoption, each release of alarms and row events. The topology appends
+//! it to `shard-<k>.log` as one frame per save, and
+//! [`EngineShard::replay_log`] feeds it back through the same commit path
+//! on restore, with each logged score in place of the model's, so a
+//! replayed vote never depends on which model is loaded at reopen. A
+//! record a snapshot already covers replays with zero state effect: its
+//! line is below the cursor, its cursors are not ahead, its seqs are
+//! already gone.
+//!
 //! Streaming deviates from the batch reader in one documented way: the
 //! batch reader buffers a whole drive, sorts, and resolves duplicate
 //! timestamps last-write-wins; a daemon cannot hold alarms back to wait
@@ -220,6 +232,26 @@ pub struct EngineShard {
     record_events: bool,
     /// Events recorded but not yet released by the topology merge.
     events: Vec<RowEvent>,
+    /// Records of what changed since the last save, once logging is on.
+    log: Option<String>,
+}
+
+/// Where a committed row's score comes from.
+#[derive(Debug, Clone, Copy)]
+enum Scoring {
+    /// The shard's model scores the row.
+    Model,
+    /// A log record replays the score the model gave (`None`: none).
+    Logged(Option<f64>),
+}
+
+/// What committing one line did.
+#[derive(Debug, Clone, Copy)]
+enum Commit {
+    /// The line was below its feed's cursor: skipped, zero state effect.
+    Replayed,
+    /// The line committed; the score it got, if any was computed.
+    Row(Option<f64>),
 }
 
 impl EngineShard {
@@ -258,6 +290,7 @@ impl EngineShard {
             unmerged: Vec::new(),
             record_events: false,
             events: Vec::new(),
+            log: None,
         })
     }
 
@@ -279,15 +312,10 @@ impl EngineShard {
     /// topology calls this with the same watermark predicate it uses for
     /// alarms, so event release order is independent of shard count.
     pub fn drain_events(&mut self, mut take: impl FnMut(&RowEvent) -> bool) -> Vec<RowEvent> {
-        let mut taken = Vec::new();
-        self.events.retain(|e| {
-            if take(e) {
-                taken.push(e.clone());
-                false
-            } else {
-                true
-            }
-        });
+        let taken: Vec<RowEvent> = self.events.extract_if(.., |e| take(e)).collect();
+        if let Some(log) = self.log.as_mut() {
+            log_seqs(log, 'D', taken.iter().map(|e| e.seq));
+        }
         taken
     }
 
@@ -325,15 +353,10 @@ impl EngineShard {
     /// topology calls this when the merge emits below a watermark or
     /// flushes on idle.
     pub fn drain_unmerged(&mut self, mut take: impl FnMut(&SeqAlarm) -> bool) -> Vec<SeqAlarm> {
-        let mut taken = Vec::new();
-        self.unmerged.retain(|a| {
-            if take(a) {
-                taken.push(*a);
-                false
-            } else {
-                true
-            }
-        });
+        let taken: Vec<SeqAlarm> = self.unmerged.extract_if(.., |a| take(a)).collect();
+        if let Some(log) = self.log.as_mut() {
+            log_seqs(log, 'A', taken.iter().map(|a| a.seq));
+        }
         taken
     }
 
@@ -349,6 +372,15 @@ impl EngineShard {
                 *own = *snap;
                 moved = true;
             }
+        }
+        if let Some(log) = self.log.as_mut().filter(|_| moved) {
+            log.push('C');
+            for c in snapshot {
+                for n in [c.next_line, c.offset, c.generation] {
+                    log_number(log, n);
+                }
+            }
+            log.push('\n');
         }
         moved
     }
@@ -391,21 +423,29 @@ impl EngineShard {
         token.check()?;
         let mut outcome = BatchOutcome::default();
         for line in lines {
-            self.commit(line, &mut outcome);
+            let committed = self.commit(line, Scoring::Model, &mut outcome);
+            if let (Some(log), Commit::Row(score)) = (self.log.as_mut(), committed) {
+                log_line(log, line, score);
+            }
         }
         Ok(outcome)
     }
 
     /// Commit one line: replay skip, cursor, counters, breaker, history,
     /// score, vote and alarm, in that order.
-    fn commit(&mut self, line: &RoutedLine, outcome: &mut BatchOutcome) {
+    fn commit(
+        &mut self,
+        line: &RoutedLine,
+        scoring: Scoring,
+        outcome: &mut BatchOutcome,
+    ) -> Commit {
         let n = self.n_feeds as u64;
         let (feed, index) = ((line.seq % n) as usize, line.seq / n);
         // audit:allow(R3) reason="seq % n_feeds is below n_feeds and cursors is sized to n_feeds at construction"
         let cursor = &mut self.cursors[feed];
         if index < cursor.next_line {
             outcome.replayed += 1;
-            return;
+            return Commit::Replayed;
         }
         *cursor = FeedCursor {
             next_line: index + 1,
@@ -413,7 +453,7 @@ impl EngineShard {
             generation: line.generation,
         };
         if line.text.trim().is_empty() {
-            return;
+            return Commit::Row(None);
         }
         self.stats.rows_seen += 1;
         let row = match parse_data_line(&line.text) {
@@ -423,17 +463,20 @@ impl EngineShard {
                     ValueFault::NonFinite => self.stats.non_finite_rows += 1,
                     ValueFault::OutOfRange => self.stats.out_of_range_rows += 1,
                 }
-                return self.record_breaker(true, outcome);
+                self.record_breaker(true, outcome);
+                return Commit::Row(None);
             }
             Err(_) => {
                 self.stats.parse_failures += 1;
-                return self.record_breaker(true, outcome);
+                self.record_breaker(true, outcome);
+                return Commit::Row(None);
             }
         };
         if let Some(monitor) = self.drives.get(&row.drive.0) {
             if monitor.class != row.class {
                 self.stats.conflicting_rows += 1;
-                return self.record_breaker(true, outcome);
+                self.record_breaker(true, outcome);
+                return Commit::Row(None);
             }
             if monitor
                 .history
@@ -443,7 +486,8 @@ impl EngineShard {
                 self.stats.stale_rows += 1;
                 // Stale rows parsed fine — ordering jitter is not
                 // corruption, so the breaker sees a clean row.
-                return self.record_breaker(false, outcome);
+                self.record_breaker(false, outcome);
+                return Commit::Row(None);
             }
         }
         self.stats.rows_accepted += 1;
@@ -460,23 +504,37 @@ impl EngineShard {
             });
         monitor.history.push(row.sample);
         prune_history(&mut monitor.history, self.features.max_lookback_hours());
-        // Extraction reads a copy: lending the history itself instead
-        // measured a bimodal backfill peak RSS (OPTIMIZATION_LOG entry 11).
-        let series = SmartSeries::new(row.drive, row.class, monitor.history.clone());
-        let Some(features) = self.features.extract(&series, series.len() - 1) else {
-            return;
+        let score = match scoring {
+            // A replayed row the model did not score stops here, as it
+            // did live; without event recording, one it scored needs only
+            // its logged score: no history copy, no extraction.
+            Scoring::Logged(None) => return Commit::Row(None),
+            Scoring::Logged(Some(score)) if !self.record_events => score,
+            _ => {
+                // Extraction reads a copy: lending the history itself
+                // instead measured a bimodal backfill peak RSS
+                // (OPTIMIZATION_LOG entry 11).
+                let series = SmartSeries::new(row.drive, row.class, monitor.history.clone());
+                let Some(features) = self.features.extract(&series, series.len() - 1) else {
+                    return Commit::Row(None);
+                };
+                let score = match scoring {
+                    Scoring::Logged(Some(score)) => score,
+                    _ => self.model.score(&features),
+                };
+                if self.record_events {
+                    self.events.push(RowEvent {
+                        seq: line.seq,
+                        drive: row.drive.0,
+                        hour: row.sample.hour.0,
+                        fail_hour: row.class.fail_hour().map(|h| h.0),
+                        features,
+                        incumbent_score: score,
+                    });
+                }
+                score
+            }
         };
-        let score = self.model.score(&features);
-        if self.record_events {
-            self.events.push(RowEvent {
-                seq: line.seq,
-                drive: row.drive.0,
-                hour: row.sample.hour.0,
-                fail_hour: row.class.fail_hour().map(|h| h.0),
-                features,
-                incumbent_score: score,
-            });
-        }
         if monitor.voting.push(score) && !monitor.alarmed {
             if self.breaker.suppressing() {
                 self.stats.alarms_suppressed += 1;
@@ -492,6 +550,7 @@ impl EngineShard {
                 });
             }
         }
+        Commit::Row(Some(score))
     }
 
     fn record_breaker(&mut self, quarantined: bool, outcome: &mut BatchOutcome) {
@@ -499,6 +558,118 @@ impl EngineShard {
             self.stats.breaker_transitions += 1;
             outcome.transitions.push(state);
         }
+    }
+
+    /// Start keeping the record log (a no-op when it is on). Off, the
+    /// default, the row path copies nothing for it: checkpointing turns
+    /// it on at its first save or resume.
+    pub fn start_log(&mut self) {
+        self.log.get_or_insert_with(String::new);
+    }
+
+    /// Take the records logged since the last call, leaving the log on
+    /// and empty; `None` while logging is off. One record per line:
+    ///
+    /// - `L <seq> <end offset> <generation> <score> <n> <text>`: a
+    ///   committed line of `n` bytes of text, and the model's score for
+    ///   it (`-` where none was computed);
+    /// - `C` and one `<next line> <offset> <generation>` triple per feed:
+    ///   the cursor snapshot [`EngineShard::adopt_cursors`] moved to;
+    /// - `A <seq>…` / `D <seq>…`: the alarms / row events the merge
+    ///   released.
+    pub fn take_log(&mut self) -> Option<String> {
+        let log = self.log.as_mut()?;
+        // The next save's records are about as long as these.
+        let next = String::with_capacity(log.capacity());
+        Some(std::mem::replace(log, next))
+    }
+
+    /// Apply records taken by [`EngineShard::take_log`] (in order, on top
+    /// of the state they were logged after), committing each line with
+    /// its logged score. Nothing replayed is logged again.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`JsonError`] when a record is malformed or does not
+    /// replay as it was logged; the shard is then partly advanced.
+    pub fn replay_log(&mut self, records: &str) -> Result<(), JsonError> {
+        let log = self.log.take();
+        let replayed = self.replay_records(records);
+        self.log = log;
+        replayed
+    }
+
+    fn replay_records(&mut self, mut records: &str) -> Result<(), JsonError> {
+        let bad = |what: &str| JsonError::new(format!("log record: {what}"));
+        let mut outcome = BatchOutcome::default();
+        while !records.is_empty() {
+            let (kind, rest) = records
+                .split_at_checked(1)
+                .ok_or_else(|| bad("truncated"))?;
+            if kind == "L" {
+                // ` <seq> <end offset> <generation> <score> <n> <text>\n…`
+                let mut fields = rest.splitn(7, ' ').skip(1);
+                let mut field = || fields.next().ok_or_else(|| bad("short line record"));
+                let int = |raw: &str| raw.parse::<u64>().map_err(|_| bad(raw));
+                let (seq, end_offset, generation) =
+                    (int(field()?)?, int(field()?)?, int(field()?)?);
+                let score = match field()? {
+                    "-" => None,
+                    raw => Some(raw.parse::<f64>().map_err(|_| bad(raw))?),
+                };
+                let len = int(field()?)? as usize;
+                let (text, rest) = field()?
+                    .split_at_checked(len)
+                    .ok_or_else(|| bad("short line text"))?;
+                records = rest
+                    .strip_prefix('\n')
+                    .ok_or_else(|| bad("long line text"))?;
+                let line = RoutedLine {
+                    seq,
+                    text: text.to_string(),
+                    end_offset,
+                    generation,
+                };
+                match self.commit(&line, Scoring::Logged(score), &mut outcome) {
+                    Commit::Replayed => {}
+                    Commit::Row(got) if got.is_some() == score.is_some() => {}
+                    _ => return Err(bad(&format!("seq {seq} does not replay as logged"))),
+                }
+                continue;
+            }
+            let (body, rest) = rest.split_once('\n').ok_or_else(|| bad("truncated"))?;
+            records = rest;
+            let mut numbers = body
+                .split_ascii_whitespace()
+                .map(|n| n.parse::<u64>().map_err(|_| bad(body)))
+                .collect::<Result<Vec<_>, _>>()?;
+            match kind {
+                "C" if numbers.len() == 3 * self.n_feeds => {
+                    let cursors: Vec<FeedCursor> = numbers
+                        .as_chunks::<3>()
+                        .0
+                        .iter()
+                        .map(|&[next_line, offset, generation]| FeedCursor {
+                            next_line,
+                            offset,
+                            generation,
+                        })
+                        .collect();
+                    self.adopt_cursors(&cursors);
+                }
+                "A" | "D" => {
+                    numbers.sort_unstable();
+                    let released = |seq: &u64| numbers.binary_search(seq).is_ok();
+                    if kind == "A" {
+                        self.drain_unmerged(|a| released(&a.seq));
+                    } else {
+                        self.drain_events(|e| released(&e.seq));
+                    }
+                }
+                _ => return Err(bad(&format!("unknown record `{kind}{body}`"))),
+            }
+        }
+        Ok(())
     }
 
     /// Serialize everything a checkpoint needs to resume this shard.
@@ -605,6 +776,42 @@ impl EngineShard {
         self.drives = drives;
         Ok(())
     }
+}
+
+/// Log a committed line: `L <seq> <end offset> <generation> <score> <n> <text>`.
+fn log_line(log: &mut String, line: &RoutedLine, score: Option<f64>) {
+    log.push('L');
+    for n in [line.seq, line.end_offset, line.generation] {
+        log_number(log, n);
+    }
+    log.push(' ');
+    match score {
+        Some(score) => hdd_json::write_number(score, log),
+        None => log.push('-'),
+    }
+    log_number(log, line.text.len() as u64);
+    log.push(' ');
+    log.push_str(&line.text);
+    log.push('\n');
+}
+
+/// Log ` <n>` as snapshots write numbers (through `f64`, exact below
+/// 2^53), without the formatting machinery: this runs for every line.
+fn log_number(log: &mut String, n: u64) {
+    log.push(' ');
+    hdd_json::write_number(n as f64, log);
+}
+
+/// Log released seqs as one `<kind> <seq>…` record, if there are any.
+fn log_seqs(log: &mut String, kind: char, seqs: impl ExactSizeIterator<Item = u64>) {
+    if seqs.len() == 0 {
+        return;
+    }
+    log.push(kind);
+    for seq in seqs {
+        log_number(log, seq);
+    }
+    log.push('\n');
 }
 
 #[cfg(test)]

@@ -13,19 +13,38 @@
 //! caveat is quarantine suppression, which is per-shard by design).
 //!
 //! Checkpoints live in a **directory**: `topology.ckpt` holds the merge
-//! state (plus the shard/feed counts it was written for), and
-//! `shard-<k>.ckpt` holds shard `k`'s engine state. The save order —
-//! sink first, then `topology.ckpt`, then dirty shard files — is what
-//! makes a crash between any two writes recoverable: a shard file can
-//! only ever be *behind* the merge state, so replayed lines regenerate
-//! alarms that [`MergeState::already_emitted`] then filters out.
+//! state (plus the shard/feed counts it was written for); shard `k`'s
+//! engine state is the snapshot `shard-<k>.ckpt` plus the frames of its
+//! record log `shard-<k>.log`. The save order — sink first, then
+//! `topology.ckpt`, then dirty shards — is what makes a crash between
+//! any two writes recoverable: a shard's files can only ever be *behind*
+//! the merge state, so replayed lines regenerate alarms that
+//! [`MergeState::already_emitted`] then filters out.
+//!
+//! A dirty shard's save costs what it changed, not what it holds: it
+//! appends one frame of the records its engine logged since the last
+//! save ([`EngineShard::take_log`]) and syncs the log. Only when the log
+//! would grow past [`LOG_BYTES_PER_SNAPSHOT_BYTE`] times the last
+//! snapshot's size (byte counts known before anything is encoded) does
+//! the save write a full snapshot instead, then empty the log. The first
+//! save of a run is always a snapshot, and so is every save of a shard
+//! whose snapshot is smaller than one save's records. A crash between
+//! the snapshot and the emptying leaves records the snapshot already
+//! covers; they replay with zero state effect. Restore loads the
+//! snapshot and replays the log's whole frames through the engine's
+//! commit path ([`EngineShard::replay_log`]), dropping a torn tail; the
+//! shard's next save is then a snapshot, so nothing is ever appended
+//! after a torn frame.
 //!
 //! Inside a tick the pool runs the shards concurrently, one shard per
 //! worker at most; each shard scores its own lines serially, one pass in
 //! routing order (see [`EngineShard::process`]).
 
 use crate::breaker::BreakerState;
-use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointKind};
+use crate::checkpoint::{
+    frame_len, read_frames, seal_frame, Checkpoint, CheckpointError, CheckpointKind,
+    MAX_FRAME_PAYLOAD,
+};
 use crate::engine::{EngineConfig, EngineShard, RowEvent, SeqAlarm};
 use crate::ingest::{FeedCursor, RoutedLine};
 use crate::merge::MergeState;
@@ -42,13 +61,114 @@ use std::sync::Arc;
 /// happen at a useful granularity.
 pub const SUB_BATCH_LINES: usize = 256;
 
+/// How large a shard's record log may grow, in bytes per byte of its
+/// last snapshot, before a save compacts it into a new snapshot. Larger
+/// logs make saves cheaper and restarts longer (OPTIMIZATION_LOG entry
+/// 13 has the measurements).
+pub const LOG_BYTES_PER_SNAPSHOT_BYTE: u64 = 1;
+
+/// What a shard's record log holds on disk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ShardLog {
+    /// No log file (nor a durable directory entry for one).
+    Absent,
+    /// The log holds this many bytes of whole frames.
+    Frames(u64),
+    /// The log may end in a torn or failed frame: nothing may be
+    /// appended until a snapshot empties it.
+    Unknown,
+}
+
 /// One shard plus its inbound queue.
 #[derive(Debug)]
 struct ShardSlot {
     engine: EngineShard,
     queue: BoundedQueue<RoutedLine>,
-    /// Whether the engine changed since its checkpoint file was written.
+    /// Whether the engine changed since its checkpoint was written.
     dirty: bool,
+    /// Bytes of the last snapshot written or loaded (0: none yet).
+    snapshot_bytes: u64,
+    log: ShardLog,
+}
+
+impl ShardSlot {
+    /// Persist the changes since the last save as shard `k` of `dir`:
+    /// one log frame, or a snapshot when the frame would outgrow the log.
+    fn save(&mut self, disk: &dyn Disk, dir: &Path, k: usize) -> Result<(), CheckpointError> {
+        let records = self.engine.take_log();
+        self.engine.start_log();
+        let logged = match self.log {
+            ShardLog::Absent => Some(0),
+            ShardLog::Frames(bytes) => Some(bytes),
+            ShardLog::Unknown => None,
+        };
+        let log_path = shard_log_path(dir, k);
+        if let (Some(records), Some(logged)) = (&records, logged) {
+            if records.is_empty() {
+                return Ok(());
+            }
+            let grown = logged + frame_len(records.len()) as u64;
+            if records.len() <= MAX_FRAME_PAYLOAD
+                && grown <= self.snapshot_bytes * LOG_BYTES_PER_SNAPSHOT_BYTE
+            {
+                disk.append(&log_path, &seal_frame(records))?;
+                disk.sync(&log_path)?;
+                if self.log == ShardLog::Absent {
+                    disk.sync_dir(dir)?;
+                }
+                self.log = ShardLog::Frames(grown);
+                return Ok(());
+            }
+        }
+        self.snapshot_bytes = Checkpoint {
+            kind: CheckpointKind::Shard,
+            payload: self.engine.state_to_json(),
+        }
+        .save(disk, &shard_path(dir, k))?;
+        if !matches!(self.log, ShardLog::Absent | ShardLog::Frames(0)) {
+            disk.truncate(&log_path, 0)?;
+            self.log = ShardLog::Frames(0);
+        }
+        Ok(())
+    }
+
+    /// Restore shard `k` of `dir`: its snapshot, if any, then its log.
+    fn restore(&mut self, dir: &Path, k: usize) -> Result<(), CheckpointError> {
+        let path = shard_path(dir, k);
+        if path.exists() {
+            let ck = Checkpoint::load_expecting(&path, CheckpointKind::Shard)?;
+            self.engine.restore_state(&ck.payload)?;
+            self.snapshot_bytes = std::fs::metadata(&path)?.len();
+        }
+        let log_path = shard_log_path(dir, k);
+        let bytes = match std::fs::read(&log_path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+            Err(e) => return Err(e.into()),
+        };
+        let log = read_frames(&bytes)?;
+        if self.snapshot_bytes == 0 && !log.frames.is_empty() {
+            return Err(CheckpointError::Incompatible(format!(
+                "{} holds records but {} does not exist",
+                log_path.display(),
+                path.display()
+            )));
+        }
+        for (offset, records) in log.frames {
+            self.engine
+                .replay_log(records)
+                .map_err(|e| CheckpointError::Corrupt {
+                    offset,
+                    detail: format!("{}: {e}", log_path.display()),
+                })?;
+        }
+        self.log = if log.len == bytes.len() {
+            ShardLog::Frames(log.len as u64)
+        } else {
+            ShardLog::Unknown
+        };
+        Ok(())
+    }
 }
 
 /// What one shard's fan-out slice of a tick produced.
@@ -86,10 +206,16 @@ pub fn topology_path(dir: &Path) -> PathBuf {
     dir.join("topology.ckpt")
 }
 
-/// The path of shard `k`'s checkpoint inside `dir`.
+/// The path of shard `k`'s snapshot inside `dir`.
 #[must_use]
 pub fn shard_path(dir: &Path, k: usize) -> PathBuf {
     dir.join(format!("shard-{k}.ckpt"))
+}
+
+/// The path of shard `k`'s record log inside `dir`.
+#[must_use]
+pub fn shard_log_path(dir: &Path, k: usize) -> PathBuf {
+    dir.join(format!("shard-{k}.log"))
 }
 
 /// `n_shards` engine shards behind bounded queues, with a deterministic
@@ -132,6 +258,8 @@ impl ServeTopology {
                 engine: EngineShard::new(Arc::clone(model), features.clone(), config, n_feeds)?,
                 queue: BoundedQueue::new(queue_capacity),
                 dirty: false,
+                snapshot_bytes: 0,
+                log: ShardLog::Absent,
             });
         }
         Ok(ServeTopology {
@@ -230,6 +358,11 @@ impl ServeTopology {
     #[must_use]
     pub fn tracked_drives(&self) -> usize {
         self.slots.iter().map(|s| s.engine.tracked_drives()).sum()
+    }
+
+    /// The shard engines, shard order.
+    pub fn shards(&self) -> impl Iterator<Item = &EngineShard> {
+        self.slots.iter().map(|s| &s.engine)
     }
 
     /// Per-shard breaker states, shard order.
@@ -435,10 +568,12 @@ impl ServeTopology {
     }
 
     /// Write the checkpoint directory: `topology.ckpt` first, then every
-    /// dirty `shard-<k>.ckpt`. The caller must have appended and flushed
-    /// sink bytes (and [`ServeTopology::note_sink_bytes`]) beforehand —
-    /// sink → topology → shards is the order the resume protocol relies
-    /// on (a shard file may lag the merge state, never lead it).
+    /// dirty shard, as a frame appended to `shard-<k>.log` or a snapshot
+    /// `shard-<k>.ckpt` (see the module docs). The caller must have
+    /// appended and flushed sink bytes (and
+    /// [`ServeTopology::note_sink_bytes`]) beforehand — sink → topology →
+    /// shards is the order the resume protocol relies on (a shard's files
+    /// may lag the merge state, never lead it).
     ///
     /// # Errors
     ///
@@ -463,11 +598,12 @@ impl ServeTopology {
             if !slot.dirty {
                 continue;
             }
-            Checkpoint {
-                kind: CheckpointKind::Shard,
-                payload: slot.engine.state_to_json(),
+            if let Err(e) = slot.save(&*self.disk, dir, k) {
+                // The records taken for this save are gone from memory:
+                // the next save must be a snapshot, not a frame after a gap.
+                slot.log = ShardLog::Unknown;
+                return Err(e);
             }
-            .save(&*self.disk, &shard_path(dir, k))?;
             slot.dirty = false;
         }
         Ok(())
@@ -478,11 +614,13 @@ impl ServeTopology {
     /// was found (`false` means a fresh start: the directory holds no
     /// topology state).
     ///
-    /// A missing `shard-<k>.ckpt` restores shard `k` fresh — its lines
-    /// replay from the feed start and the merge filter drops what was
-    /// already emitted. Shard files *without* a `topology.ckpt` are
-    /// refused: the merge state is what makes replay exactly-once, so
-    /// resuming without it could duplicate sink lines.
+    /// Each shard loads its snapshot, then replays its log. A missing
+    /// `shard-<k>.ckpt` restores shard `k` fresh — its lines replay from
+    /// the feed start and the merge filter drops what was already
+    /// emitted — unless its log holds records, which are refused. Shard
+    /// files *without* a `topology.ckpt` are refused: the merge state is
+    /// what makes replay exactly-once, so resuming without it could
+    /// duplicate sink lines.
     ///
     /// # Errors
     ///
@@ -527,17 +665,13 @@ impl ServeTopology {
             slot.queue.restore_dropped(n);
         }
         for (k, slot) in self.slots.iter_mut().enumerate() {
-            let path = shard_path(dir, k);
-            if !path.exists() {
-                continue;
-            }
-            let ck = Checkpoint::load_expecting(&path, CheckpointKind::Shard)?;
-            slot.engine.restore_state(&ck.payload)?;
-            // A shard file older than the merge state may hold alarms
-            // that already reached the sink; drop them now (replayed
-            // lines would only regenerate filtered duplicates).
+            slot.restore(dir, k)?;
+            // A shard older than the merge state may hold alarms that
+            // already reached the sink; drop them now (replayed lines
+            // would only regenerate filtered duplicates).
             let merge = &self.merge;
             slot.engine.drain_unmerged(|a| merge.already_emitted(a.seq));
+            slot.engine.start_log();
         }
         Ok(true)
     }
@@ -560,8 +694,9 @@ impl ServeTopology {
     }
 }
 
-/// The first `shard-<k>.ckpt` in `dir`, if any (scans the directory so
-/// leftovers from a *larger* previous shard count are caught too).
+/// The first `shard-<k>.ckpt` or `shard-<k>.log` in `dir`, if any (scans
+/// the directory so leftovers from a *larger* previous shard count are
+/// caught too).
 fn find_shard_file(dir: &Path) -> Result<Option<PathBuf>, CheckpointError> {
     let entries = match std::fs::read_dir(dir) {
         Ok(entries) => entries,
@@ -571,7 +706,7 @@ fn find_shard_file(dir: &Path) -> Result<Option<PathBuf>, CheckpointError> {
     for entry in entries {
         let path = entry?.path();
         let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        if name.starts_with("shard-") && name.ends_with(".ckpt") {
+        if name.starts_with("shard-") && (name.ends_with(".ckpt") || name.ends_with(".log")) {
             return Ok(Some(path));
         }
     }
@@ -985,6 +1120,187 @@ mod tests {
         let err = orphan.resume(&dir).unwrap_err();
         assert!(matches!(err, CheckpointError::Incompatible(_)), "{err}");
         assert!(err.to_string().contains("topology.ckpt"), "{err}");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Serve the fleet through a 2-shard topology in 509-line polls,
+    /// recording row events or not, flushing at idle and checkpointing
+    /// after every tick. After
+    /// each save, `check` gets the topology (the engine that never
+    /// stopped), the checkpoint dir, each shard log's bytes from before
+    /// the save, and a way to resume a fresh topology from the dir.
+    fn checkpoint_every_tick(
+        tag: &str,
+        record: bool,
+        mut check: impl FnMut(&ServeTopology, &Path, &[Vec<u8>], &dyn Fn() -> ServeTopology),
+    ) {
+        let features = FeatureSet::critical13();
+        let series = fleet();
+        let model = Arc::new(model(&series, &features));
+        let dir = scratch_dir(tag);
+        let paths = write_feeds(&dir, &series);
+        let ckpt = dir.join("ckpt");
+        let recording = || {
+            let mut topo = topology(&model, &features, 2);
+            topo.set_record_events(record);
+            topo
+        };
+        let restore = || {
+            let mut topo = recording();
+            assert!(topo.resume(&ckpt).unwrap());
+            topo
+        };
+        let pool = ThreadPool::global();
+        let mut topo = recording();
+        let mut ingest = MultiFeedIngest::new(&paths, topo.router());
+        loop {
+            let out = ingest.poll(509.min(topo.free()));
+            topo.enqueue(out.routed);
+            let cursors = ingest.cursors();
+            let token = CancelToken::new();
+            topo.tick(&pool, &token, &cursors, ingest.watermark())
+                .unwrap();
+            let idle = out.lines_read == 0 && !topo.has_queued();
+            if idle {
+                topo.flush_pending();
+                topo.flush_events();
+            }
+            let logs: Vec<Vec<u8>> = (0..2)
+                .map(|k| fs::read(shard_log_path(&ckpt, k)).unwrap_or_default())
+                .collect();
+            topo.save_checkpoints(&ckpt).unwrap();
+            check(&topo, &ckpt, &logs, &restore);
+            if idle {
+                break;
+            }
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    fn shard_states(topo: &ServeTopology) -> Vec<String> {
+        topo.shards()
+            .map(|shard| hdd_json::to_string(&shard.state_to_json()))
+            .collect()
+    }
+
+    fn log_len(ckpt: &Path, k: usize) -> usize {
+        fs::metadata(shard_log_path(ckpt, k)).map_or(0, |m| m.len() as usize)
+    }
+
+    #[test]
+    fn a_snapshot_and_log_restore_encodes_like_an_engine_that_never_stopped() {
+        // Without event recording, replay votes the logged score without
+        // extracting features; with it, events are rebuilt too.
+        for record in [false, true] {
+            let (mut appends, mut compactions) = (0, 0);
+            checkpoint_every_tick("log-restore", record, |topo, ckpt, logs, restore| {
+                for (k, before) in logs.iter().enumerate() {
+                    let after = log_len(ckpt, k);
+                    appends += usize::from(after > before.len());
+                    compactions += usize::from(after < before.len());
+                }
+                assert_eq!(shard_states(&restore()), shard_states(topo));
+            });
+            assert!(appends >= 4, "{appends} appends");
+            assert!(compactions >= 2, "{compactions} compactions");
+        }
+    }
+
+    #[test]
+    fn stale_records_after_a_compaction_have_zero_state_effect() {
+        // A crash between a compaction's snapshot and its emptying of the
+        // log leaves the log's old frames behind the new snapshot.
+        let mut stale = 0;
+        checkpoint_every_tick("log-stale", true, |topo, ckpt, logs, restore| {
+            for (k, before) in logs.iter().enumerate() {
+                if before.is_empty() || log_len(ckpt, k) > 0 {
+                    continue;
+                }
+                let path = shard_log_path(ckpt, k);
+                fs::write(&path, before).unwrap();
+                assert_eq!(shard_states(&restore()), shard_states(topo));
+                fs::write(&path, b"").unwrap();
+                stale += 1;
+            }
+        });
+        assert!(stale >= 2, "{stale} compactions left stale records");
+    }
+
+    #[test]
+    fn a_torn_log_tail_is_dropped_and_the_next_save_compacts() {
+        let mut saved: Vec<String> = Vec::new();
+        let mut torn = 0;
+        checkpoint_every_tick("log-torn", true, |topo, ckpt, logs, restore| {
+            for (k, before) in logs.iter().enumerate() {
+                let path = shard_log_path(ckpt, k);
+                let whole = fs::read(&path).unwrap_or_default();
+                if whole.len() <= before.len() {
+                    continue;
+                }
+                // Half of this save's frame landed: the shard restores as
+                // it was at the previous save, less the alarms the merge
+                // state (saved whole, before the shards) has since emitted.
+                let cut = before.len() + (whole.len() - before.len()) / 2;
+                fs::write(&path, &whole[..cut]).unwrap();
+                let resumed = restore();
+                let mut expected: Value = hdd_json::parse(&saved[k]).unwrap();
+                if let Value::Obj(fields) = &mut expected {
+                    for (name, value) in fields.iter_mut() {
+                        if let (true, Value::Arr(alarms)) = (name == "unmerged", value) {
+                            alarms.retain(|a| {
+                                let seq = a.usize_field("seq").unwrap() as u64;
+                                !topo.merge_state().already_emitted(seq)
+                            });
+                        }
+                    }
+                }
+                let expected = hdd_json::to_string(&expected);
+                assert_eq!(shard_states(&resumed)[k], expected, "shard {k}");
+                assert_eq!(resumed.slots[k].log, ShardLog::Unknown);
+                fs::write(&path, &whole).unwrap();
+                torn += 1;
+            }
+            saved = shard_states(topo);
+        });
+        assert!(torn >= 4, "{torn} torn frames");
+
+        // Unknown: whatever the records, the next save is a snapshot.
+        let features = FeatureSet::critical13();
+        let model = Arc::new(model(&fleet(), &features));
+        let dir = scratch_dir("log-torn-compacts");
+        let mut topo = topology(&model, &features, 1);
+        topo.slots[0].snapshot_bytes = u64::MAX;
+        topo.slots[0].log = ShardLog::Unknown;
+        topo.slots[0].dirty = true;
+        fs::write(shard_log_path(&dir, 0), b"hddlog torn").unwrap();
+        topo.save_checkpoints(&dir).unwrap();
+        assert!(shard_path(&dir, 0).exists());
+        assert_eq!(log_len(&dir, 0), 0);
+        assert_eq!(topo.slots[0].log, ShardLog::Frames(0));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn orphan_and_snapshotless_logs_are_refused() {
+        let features = FeatureSet::critical13();
+        let model = Arc::new(model(&fleet(), &features));
+        let dir = scratch_dir("log-orphan");
+
+        // A log without topology.ckpt is an orphan shard file.
+        fs::write(shard_log_path(&dir, 1), seal_frame("")).unwrap();
+        let err = topology(&model, &features, 2).resume(&dir).unwrap_err();
+        assert!(matches!(err, CheckpointError::Incompatible(_)), "{err}");
+        assert!(err.to_string().contains("shard-1.log"), "{err}");
+
+        // With the merge state, a log holding records needs its snapshot.
+        let mut topo = topology(&model, &features, 2);
+        topo.save_checkpoints(&dir).unwrap();
+        let err = topology(&model, &features, 2).resume(&dir).unwrap_err();
+        assert!(matches!(err, CheckpointError::Incompatible(_)), "{err}");
+        assert!(err.to_string().contains("shard-1.ckpt"), "{err}");
+        // An empty log restores fresh.
+        fs::write(shard_log_path(&dir, 1), b"").unwrap();
+        assert!(topology(&model, &features, 2).resume(&dir).unwrap());
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -48,14 +48,14 @@ use std::time::Duration;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
-        Some("generate") => generate(&parse_flags(&args[1..])),
-        Some("train") => train(&parse_flags(&args[1..])),
+        Some("generate") => parse_flags(&args[1..]).and_then(|flags| generate(&flags)),
+        Some("train") => parse_flags(&args[1..]).and_then(|flags| train(&flags)),
         // `predict` is the historical name for `detect`.
-        Some("detect" | "predict") => detect(&parse_flags(&args[1..])),
-        Some("serve") => serve(&parse_flags(&args[1..])),
-        Some("gauntlet") => gauntlet(&parse_flags(&args[1..])),
-        Some("lifecycle") => lifecycle_status(&parse_flags(&args[1..])),
-        Some("audit") => audit(&parse_flags(&args[1..])),
+        Some("detect" | "predict") => parse_flags(&args[1..]).and_then(|flags| detect(&flags)),
+        Some("serve") => parse_flags(&args[1..]).and_then(|flags| serve(&flags)),
+        Some("gauntlet") => parse_flags(&args[1..]).and_then(|flags| gauntlet(&flags)),
+        Some("lifecycle") => parse_flags(&args[1..]).and_then(|flags| lifecycle_status(&flags)),
+        Some("audit") => parse_flags(&args[1..]).and_then(|flags| audit(&flags)),
         Some("--help" | "-h" | "help") | None => {
             eprint!("{USAGE}");
             return ExitCode::SUCCESS;
@@ -288,7 +288,10 @@ fn io_error(path: &str) -> impl Fn(std::io::Error) -> CliError + '_ {
     }
 }
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// The `--name value` pairs of `args`. A flag given twice is a usage
+/// error: keeping either value would silently drop the other (a second
+/// `--feed` is not a second feed; feeds are one comma-separated list).
+fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, CliError> {
     let mut flags = HashMap::new();
     let mut iter = args.iter().peekable();
     while let Some(key) = iter.next() {
@@ -300,10 +303,14 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
                 Some(next) if !next.starts_with("--") => iter.next().cloned().unwrap_or_default(),
                 _ => String::new(),
             };
-            flags.insert(name.to_string(), value);
+            if flags.insert(name.to_string(), value).is_some() {
+                return Err(CliError::Usage(format!(
+                    "--{name} is given more than once\n{USAGE}"
+                )));
+            }
         }
     }
-    flags
+    Ok(flags)
 }
 
 fn flag<'a>(flags: &'a HashMap<String, String>, name: &str) -> Result<&'a str, CliError> {

@@ -113,6 +113,36 @@ fn train_requires_flags() {
 }
 
 #[test]
+fn a_repeated_flag_is_a_usage_error_that_names_it() {
+    // Keeping either value would serve one feed and drop the other.
+    let dir = tempdir().join("repeated-flag");
+    std::fs::create_dir_all(&dir).expect("create dir");
+    let feeds = [dir.join("a.csv"), dir.join("b.csv")];
+    for feed in &feeds {
+        std::fs::write(feed, "").expect("write feed");
+    }
+    let sink = dir.join("alarms.csv");
+    let out = hddpred()
+        .arg("serve")
+        .arg("--feed")
+        .arg(&feeds[0])
+        .arg("--feed")
+        .arg(&feeds[1])
+        .args(["--model", "model.json", "--exit-on-idle", "1", "--out"])
+        .arg(&sink)
+        .output()
+        .expect("spawn serve");
+    assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--feed is given more than once"),
+        "{stderr}"
+    );
+    assert!(!sink.exists(), "a refused run writes no sink");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn missing_data_file_exits_with_io_code() {
     let out = hddpred()
         .args([

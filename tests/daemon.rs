@@ -27,7 +27,7 @@ use hddpred::hdd_json::disk::{Disk, Fault, FaultDisk, RealDisk};
 use hddpred::lifecycle::{
     Daemon, DaemonConfig, DaemonError, LifecycleConfig, LifecycleCounters, LifecycleError, Recovery,
 };
-use hddpred::serve::{CheckpointError, ShardStats};
+use hddpred::serve::{shard_log_path, shard_path, CheckpointError, ShardStats};
 use hddpred::smart::csv::{read_series_quarantined, IngestPolicy};
 use hddpred::smart::Hour;
 use hddpred::stats::FeatureSet;
@@ -285,6 +285,70 @@ fn serve(fx: &Fixture, mut config: DaemonConfig, disks: &[Arc<FaultDisk>], mut c
     }
 }
 
+/// Serve every phase to idle on the real disk, calling `after` with the
+/// number of completed steps and the daemon after each step; stop early
+/// (dropping the daemon, as a `kill -9` would) when it returns false.
+fn step_through(
+    fx: &Fixture,
+    config: &DaemonConfig,
+    mut after: impl FnMut(usize, &Daemon) -> bool,
+) {
+    let mut daemon = Daemon::open(config.clone()).expect("open");
+    let mut steps = 0;
+    for phase in 0..fx.phases.len() {
+        append(fx, config, phase);
+        loop {
+            let idle = daemon.step().expect("step").idle;
+            steps += 1;
+            if !after(steps, &daemon) {
+                return;
+            }
+            if idle {
+                break;
+            }
+        }
+    }
+}
+
+/// How each step of a run saved its shards: per step, whether a shard
+/// log grew (an append), whether a snapshot was rewritten while its log
+/// held frames or was emptied (a compaction), and the log bytes after.
+#[derive(Debug, Default)]
+struct LogSaves {
+    appended: Vec<bool>,
+    compacted: Vec<bool>,
+    log_bytes: Vec<u64>,
+    promotions: Vec<usize>,
+}
+
+fn log_saves(fx: &Fixture, config: &DaemonConfig) -> LogSaves {
+    let ckpt = config.checkpoint.clone().expect("a checkpoint dir");
+    let files = |k: usize| {
+        let log = std::fs::metadata(shard_log_path(&ckpt, k)).map_or(0, |m| m.len());
+        (std::fs::read(shard_path(&ckpt, k)).unwrap_or_default(), log)
+    };
+    let mut seen: Vec<(Vec<u8>, u64)> = (0..config.shards).map(files).collect();
+    let mut saves = LogSaves::default();
+    step_through(fx, config, |_, daemon| {
+        let (mut appended, mut compacted, mut bytes) = (false, false, 0);
+        for (k, seen) in seen.iter_mut().enumerate() {
+            let now = files(k);
+            appended |= now.1 > seen.1;
+            compacted |= now.1 < seen.1 || (now.0 != seen.0 && seen.1 > 0);
+            bytes += now.1;
+            *seen = now;
+        }
+        saves.appended.push(appended);
+        saves.compacted.push(compacted);
+        saves.log_bytes.push(bytes);
+        let promotions = daemon.lifecycle().map_or(0, |m| m.counters().promotions);
+        saves.promotions.push(promotions);
+        true
+    });
+    remove(config);
+    saves
+}
+
 /// A failure a write fault may cause: I/O on the sink, a checkpoint or
 /// the model store — never a scoring, model-load or resume refusal.
 fn is_write_failure(e: &DaemonError) -> bool {
@@ -395,8 +459,12 @@ fn check_cut(
 
 fn every_write_boundary_resumes_identically(shards: usize, retrain: bool) {
     let tag = format!("writes-s{shards}-r{}", u8::from(retrain));
-    let fx = fixture_for(&tag, retrain, false);
-    let (expected, boundaries, _) = reference(&fx, shards, retrain);
+    enumerate_write_boundaries(&fixture_for(&tag, retrain, false), shards, retrain);
+}
+
+/// Fail every write boundary of a run of `fx` with every fault in turn.
+fn enumerate_write_boundaries(fx: &Fixture, shards: usize, retrain: bool) {
+    let (expected, boundaries, _) = reference(fx, shards, retrain);
     // Crash recovery's writes are crash points too: at one shard with
     // retraining, wherever a power loss leaves the model store mid-swap
     // (the reopen's recovery is not `Clean`), every boundary of that
@@ -420,7 +488,7 @@ fn every_write_boundary_resumes_identically(shards: usize, retrain: bool) {
             }
             let scope = (shards, retrain);
             let faults = (usize::from(!end), end);
-            let run = check_cut(&fx, &tag, scope, &disks, faults, &expected);
+            let run = check_cut(fx, &tag, scope, &disks, faults, &expected);
             cuts += 1;
             let reopen = run.opens.iter().find(|(disk, ..)| *disk == 1);
             let Some(&(_, Some(recovery), reopen_boundaries)) = reopen.filter(|_| count_reopen)
@@ -435,7 +503,7 @@ fn every_write_boundary_resumes_identically(shards: usize, retrain: bool) {
                 for then in Fault::ALL {
                     let tag = format!("{tag}, then {then:?} at reopen boundary {j}");
                     let disks = [first(), Arc::new(FaultDisk::failing_at(j, then))];
-                    check_cut(&fx, &tag, scope, &disks, (2, false), &expected);
+                    check_cut(fx, &tag, scope, &disks, (2, false), &expected);
                     recovery_cuts += 1;
                 }
             }
@@ -491,6 +559,77 @@ fn every_write_boundary_resumes_identically_with_retraining_at_one_shard() {
 #[test]
 fn every_write_boundary_resumes_identically_with_retraining_at_two_shards() {
     every_write_boundary_resumes_identically(2, true);
+}
+
+/// The slice's last 40 hours, 256 lines a step: small enough to
+/// enumerate, and its shard saves both append to the record log and
+/// compact it into a snapshot.
+#[test]
+fn every_write_boundary_resumes_identically_while_the_log_appends_and_compacts() {
+    let hours = (680, 700, 720);
+    let fx = Fixture {
+        queue: 256,
+        ..fleet_fixture("writes-log", 2, Scenario::CalibratedMix, SCALE, hours)
+    };
+    let saves = log_saves(&fx, &config(&fx, "log-saves", 1, false));
+    let count = |steps: &[bool]| steps.iter().filter(|&&s| s).count();
+    let (appends, compactions) = (count(&saves.appended), count(&saves.compacted));
+    println!("{appends} steps appended, {compactions} compacted");
+    assert!(appends >= 1 && compactions >= 1, "{saves:?}");
+    enumerate_write_boundaries(&fx, 1, false);
+}
+
+/// Replayed votes take the score the log recorded, not the live model's:
+/// kill the daemon right after the step that promotes a candidate, while
+/// the shard's log still holds frames scored by the incumbent, and the
+/// reopened daemon (serving the promoted model) must restore exactly the
+/// shard it lost and finish with the uninterrupted run's bytes.
+#[test]
+fn a_kill_inside_the_log_window_across_a_promotion_resumes_identically() {
+    let fx = Fixture {
+        queue: 256,
+        ..fixture("log-promotion", 1)
+    };
+    let saves = log_saves(&fx, &config(&fx, "log-saves", 1, true));
+    let promoted = saves.promotions.iter().position(|&n| n > 0);
+    let p = promoted.expect("the slice promotes");
+    assert!(
+        p > 0 && saves.log_bytes[p - 1] > 0 && !saves.compacted[p],
+        "no log window spans the promotion: {saves:?}"
+    );
+    let steps = p + 1;
+
+    let cut = config(&fx, "log-promotion-cut", 1, true);
+    let mut held = Vec::new();
+    step_through(&fx, &cut, |done, daemon| {
+        if done == steps {
+            held = shard_states(daemon);
+        }
+        done < steps
+    });
+    let reopened = Daemon::open(cut.clone()).expect("reopen");
+    assert_eq!(shard_states(&reopened), held, "restored shards differ");
+    drop(reopened);
+    remove(&cut);
+
+    let (expected, ..) = reference(&fx, 1, true);
+    let config = config(&fx, "log-promotion-serve", 1, true);
+    let disk = [Arc::new(FaultDisk::counting())];
+    let run = serve(&fx, config.clone(), &disk, Cut::AfterSteps(steps));
+    remove(&config);
+    assert!(run.failures.is_empty(), "{:?}", run.failures);
+    assert!(run.books.sink == expected.sink, "sink diverged");
+    assert_eq!(run.books, expected);
+    let _ = std::fs::remove_dir_all(&fx.dir);
+}
+
+/// Each shard's state, encoded.
+fn shard_states(daemon: &Daemon) -> Vec<String> {
+    daemon
+        .topology()
+        .shards()
+        .map(|shard| hddpred::hdd_json::to_string(&shard.state_to_json()))
+        .collect()
 }
 
 #[test]

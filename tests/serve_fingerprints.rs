@@ -11,22 +11,31 @@
 //! checkpoints hold what the long feed raised past it: row events when
 //! retraining, and the fixture's one alarm in the run that puts that
 //! drive on the long feed); and at idle. The retraining cases also pin
-//! the promoted model file. A refactor of the ingest, the engine, the
-//! merge, the checkpoint codec or the lifecycle that changes any
-//! persisted byte changes a fingerprint. A fingerprint may only be
-//! re-recorded with a stated reason for the change in persisted bytes.
+//! the promoted model file. A shard whose record log holds frames is
+//! pinned by its state restored from snapshot and log, encoded as the
+//! snapshot the daemon would write: the pins are of shard states, which
+//! must not depend on whether a save appended or compacted. A refactor of
+//! the ingest, the engine, the merge, the checkpoint codec or the
+//! lifecycle that changes any persisted byte changes a fingerprint. A
+//! fingerprint may only be re-recorded with a stated reason for the
+//! change in persisted bytes.
 //!
 //! What a lifecycle decides must not depend on how lines were batched,
 //! so the retraining fixture is also served at several queue sizes and
 //! its lifecycle checkpoint and promoted model compared.
 
-use hddpred::eval::VotingRule;
+use hddpred::eval::{SavedModel, VotingRule};
+use hddpred::hdd_json::disk::RealDisk;
 use hddpred::lifecycle::{Daemon, DaemonConfig, LifecycleConfig};
-use hddpred::serve::{shard_path, Checkpoint};
+use hddpred::serve::{
+    shard_log_path, shard_path, Checkpoint, CheckpointKind, EngineConfig, ServeTopology,
+};
 use hddpred::smart::rng::{fnv1a_extend, FNV1A_OFFSET};
+use hddpred::stats::FeatureSet;
 use hddpred::workload::gauntlet::train_model;
 use hddpred::workload::{generate_fleet, Scenario, ScenarioManifest};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 const SEED: u64 = 0xDAE_0001;
 /// The served hours: one failing drive of the slice fails at hour 720.
@@ -131,7 +140,7 @@ fn serve(tag: &str, run: Run) -> Vec<(String, u64)> {
     }
     let mut daemon = Daemon::open(config.clone()).expect("open daemon");
     assert!(!daemon.step().expect("first step").idle);
-    let mut pins = checkpoint_pins(&ckpt, "step-1");
+    let mut pins = checkpoint_pins(&config, "step-1");
     let mut steps = 1;
     let (mut short_done, mut stalled) = (false, false);
     while !daemon.step().expect("step").idle {
@@ -140,14 +149,20 @@ fn serve(tag: &str, run: Run) -> Vec<(String, u64)> {
             // stops at its end, so what the long feed raised past it
             // waits in the shards until the idle flush.
             stalled = true;
-            let (alarms, events) = held_back(&ckpt, shards);
+            let restored = restore(&config);
+            let (alarms, events) = restored.shards().fold((0, 0), |(alarms, events), shard| {
+                (
+                    alarms + shard.unmerged().len(),
+                    events + shard.events().len(),
+                )
+            });
             assert_eq!(
                 alarms > 0,
                 short_residue != 2,
                 "unmerged alarms at the stall"
             );
             assert_eq!(events > 0, retrain, "row events at the stall");
-            pins.extend(checkpoint_pins(&ckpt, "stall"));
+            pins.extend(checkpoint_pins(&config, "stall"));
         }
         // Every queue drains each step (no tick budget), so the shards'
         // cursors are the ingest's.
@@ -166,7 +181,7 @@ fn serve(tag: &str, run: Run) -> Vec<(String, u64)> {
     drop(daemon);
 
     pins.push(("alarms.csv".to_string(), fingerprint(&config.out)));
-    pins.extend(checkpoint_pins(&ckpt, "idle"));
+    pins.extend(checkpoint_pins(&config, "idle"));
     if retrain {
         pins.push(("model.bin".to_string(), fingerprint(&model)));
     }
@@ -174,37 +189,59 @@ fn serve(tag: &str, run: Run) -> Vec<(String, u64)> {
     pins
 }
 
-/// `(unmerged alarms, row events)` the shard checkpoints hold.
-fn held_back(ckpt: &Path, shards: usize) -> (usize, usize) {
-    let count = |ck: &Checkpoint, field: &str| {
-        ck.payload
-            .get(field)
-            .and_then(|v| v.as_arr())
-            .map_or(0, <[_]>::len)
-    };
-    (0..shards)
-        .map(|k| Checkpoint::load(&shard_path(ckpt, k)).expect("load shard checkpoint"))
-        .fold((0, 0), |(alarms, events), ck| {
-            (
-                alarms + count(&ck, "unmerged"),
-                events + count(&ck, "events"),
-            )
-        })
+/// The topology `config`'s checkpoint directory restores, read-only.
+fn restore(config: &DaemonConfig) -> ServeTopology {
+    let features = FeatureSet::critical13();
+    let model = SavedModel::load(&config.model).expect("load model");
+    let engine = EngineConfig::new(config.voters, config.rule, config.max_quarantine);
+    let mut topology = ServeTopology::new(
+        &Arc::new(model),
+        &features,
+        engine,
+        config.shards,
+        config.feeds.len(),
+        config.queue,
+    )
+    .expect("build topology");
+    topology.set_record_events(config.retrain.is_some());
+    let ckpt = config.checkpoint.as_deref().expect("a checkpoint dir");
+    assert!(topology.resume(ckpt).expect("resume"), "nothing to resume");
+    topology
 }
 
 /// `(label/file name, fingerprint)` of every file in the checkpoint
-/// directory, by name.
-fn checkpoint_pins(ckpt: &Path, label: &str) -> Vec<(String, u64)> {
+/// directory, by name; a shard with a non-empty log is pinned by its
+/// restored state re-encoded as a snapshot, and logs are not pinned.
+fn checkpoint_pins(config: &DaemonConfig, label: &str) -> Vec<(String, u64)> {
+    let ckpt = config.checkpoint.as_deref().expect("a checkpoint dir");
     let mut files: Vec<PathBuf> = std::fs::read_dir(ckpt)
         .expect("list checkpoint dir")
         .map(|entry| entry.expect("checkpoint entry").path())
+        .filter(|path| path.extension().is_some_and(|x| x == "ckpt"))
         .collect();
     files.sort();
+    let logged = |k: usize| std::fs::metadata(shard_log_path(ckpt, k)).is_ok_and(|m| m.len() > 0);
+    let restored = (0..config.shards).any(logged).then(|| restore(config));
+    let encoded = ckpt.with_extension("encoded");
     files
         .iter()
         .map(|path| {
             let name = path.file_name().expect("file name").to_string_lossy();
-            (format!("{label}/{name}"), fingerprint(path))
+            let shard = (0..config.shards).find(|&k| shard_path(ckpt, k) == *path);
+            let hash = match (shard.filter(|&k| logged(k)), &restored) {
+                (Some(k), Some(topology)) => {
+                    let engine = topology.shards().nth(k).expect("shard k");
+                    Checkpoint {
+                        kind: CheckpointKind::Shard,
+                        payload: engine.state_to_json(),
+                    }
+                    .save(&RealDisk, &encoded)
+                    .expect("encode restored shard");
+                    fingerprint(&encoded)
+                }
+                _ => fingerprint(path),
+            };
+            (format!("{label}/{name}"), hash)
         })
         .collect()
 }
