@@ -192,6 +192,8 @@ pub struct FaultDisk {
 #[derive(Debug, Default)]
 struct Injection {
     boundaries: usize,
+    /// `sync` and `sync_dir` boundaries among them.
+    syncs: usize,
     trigger: Option<Trigger>,
     fired: bool,
     powered_off: bool,
@@ -231,6 +233,13 @@ impl FaultDisk {
     #[must_use]
     pub fn boundaries(&self) -> usize {
         self.lock().boundaries
+    }
+
+    /// Sync boundaries (`fdatasync` of a file or `fsync` of a directory)
+    /// entered so far, the faulted one included.
+    #[must_use]
+    pub fn syncs(&self) -> usize {
+        self.lock().syncs
     }
 
     /// Whether the planned fault has been injected.
@@ -345,6 +354,7 @@ impl Disk for FaultDisk {
     }
 
     fn sync(&self, path: &Path) -> io::Result<()> {
+        self.lock().syncs += 1;
         self.boundary(
             &[path],
             &[],
@@ -354,6 +364,7 @@ impl Disk for FaultDisk {
     }
 
     fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+        self.lock().syncs += 1;
         self.boundary(
             &[],
             &[],
@@ -504,6 +515,18 @@ mod tests {
             "replace consumes its temp file"
         );
         assert_eq!(std::fs::read(&path).unwrap(), b"v1");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_replace_is_two_syncs_and_an_append_none() {
+        let dir = tempdir("syncs");
+        let disk = FaultDisk::counting();
+        disk.replace(&dir.join("a"), b"x").unwrap();
+        assert_eq!((disk.boundaries(), disk.syncs()), (4, 2));
+        disk.append(&dir.join("a"), b"y").unwrap();
+        disk.sync(&dir.join("a")).unwrap();
+        assert_eq!((disk.boundaries(), disk.syncs()), (6, 3));
         std::fs::remove_dir_all(&dir).ok();
     }
 

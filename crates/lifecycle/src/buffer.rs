@@ -192,9 +192,27 @@ impl TrainingBuffer {
     }
 }
 
-impl JsonCodec for TrainingBuffer {
-    fn to_json(&self) -> Value {
-        Value::Obj(vec![
+impl TrainingBuffer {
+    /// Append the newest `newest` rows (at most all of them), oldest
+    /// first, as row lines: `<0|1> f1 … fn`, the label (1 for `Failed`)
+    /// and each feature in its shortest exact decimal form.
+    pub(crate) fn write_rows(&self, newest: usize, out: &mut String) {
+        let skip = self.rows.len().saturating_sub(newest);
+        for row in self.rows.iter().skip(skip) {
+            out.push(if row.failed { '1' } else { '0' });
+            for &v in &row.features {
+                out.push(' ');
+                hdd_json::write_number(v, out);
+            }
+            out.push('\n');
+        }
+    }
+
+    /// The buffer's settings and poisoned count: its encoding without the
+    /// rows.
+    #[must_use]
+    pub(crate) fn settings_to_json(&self) -> Vec<(String, Value)> {
+        vec![
             (
                 "mode".to_string(),
                 Value::Str(self.mode.label().to_string()),
@@ -208,64 +226,77 @@ impl JsonCodec for TrainingBuffer {
                 "poisoned_rows".to_string(),
                 Value::Num(self.poisoned_rows as f64),
             ),
-            (
-                "rows".to_string(),
-                Value::Arr(
-                    self.rows
-                        .iter()
-                        .map(|r| {
-                            Value::Obj(vec![
-                                (
-                                    "features".to_string(),
-                                    Value::from_f64s(r.features.iter().copied()),
-                                ),
-                                ("failed".to_string(), Value::Bool(r.failed)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+        ]
     }
 
-    fn from_json(value: &Value) -> Result<Self, JsonError> {
-        let label = value.str_field("mode")?;
+    /// The buffer `settings` (as [`TrainingBuffer::settings_to_json`]
+    /// writes them) describe after pushing `rows`, row lines oldest first,
+    /// into an empty one: a window that outgrows its capacity keeps its
+    /// newest rows, and only those are decoded.
+    ///
+    /// # Errors
+    ///
+    /// [`JsonError`] on a bad setting or a malformed or non-finite row.
+    pub(crate) fn from_parts(settings: &Value, rows: &[&str]) -> Result<Self, JsonError> {
+        let label = settings.str_field("mode")?;
         let mode = WindowMode::from_label(label)
             .ok_or_else(|| JsonError::new(format!("unknown window mode `{label}`")))?;
-        let capacity = value.usize_field("capacity")?;
+        let capacity = settings.usize_field("capacity")?;
         if capacity == 0 {
             return Err(JsonError::expected("a capacity of at least 1", "capacity"));
         }
-        let mut rows = VecDeque::new();
-        for raw in value
-            .field("rows")?
-            .as_arr()
-            .ok_or_else(|| JsonError::new("`rows` must be an array"))?
-        {
-            let features = raw.f64_vec_field("features")?;
-            if !features.iter().all(|v| v.is_finite()) {
-                return Err(JsonError::new("buffered features must be finite"));
-            }
-            let failed = raw
-                .field("failed")?
-                .as_bool()
-                .ok_or_else(|| JsonError::expected("a bool", "failed"))?;
-            rows.push_back(BufferedRow { features, failed });
-        }
-        if rows.len() > capacity {
-            return Err(JsonError::new(format!(
-                "{} buffered rows exceed capacity {capacity}",
-                rows.len()
-            )));
-        }
+        let rows = rows
+            .iter()
+            .skip(rows.len().saturating_sub(capacity))
+            .map(|line| decode_row(line))
+            .collect::<Result<VecDeque<_>, _>>()?;
         Ok(TrainingBuffer {
             mode,
             capacity,
-            window_hours: value.usize_field("window_hours")? as u32,
+            window_hours: settings.usize_field("window_hours")? as u32,
             failed_rows: rows.iter().filter(|r| r.failed).count(),
             rows,
-            poisoned_rows: value.usize_field("poisoned_rows")?,
+            poisoned_rows: settings.usize_field("poisoned_rows")?,
         })
+    }
+}
+
+/// One row line written by [`TrainingBuffer::write_rows`].
+fn decode_row(line: &str) -> Result<BufferedRow, JsonError> {
+    let bad = || JsonError::new(format!("bad buffered row `{line}`"));
+    let mut fields = line.split(' ');
+    let failed = match fields.next() {
+        Some("0") => false,
+        Some("1") => true,
+        _ => return Err(bad()),
+    };
+    let features = fields
+        .map(|v| v.parse::<f64>().ok().filter(|v| v.is_finite()))
+        .collect::<Option<Vec<f64>>>()
+        .ok_or_else(bad)?;
+    Ok(BufferedRow { features, failed })
+}
+
+impl JsonCodec for TrainingBuffer {
+    fn to_json(&self) -> Value {
+        let mut rows = String::new();
+        self.write_rows(self.rows.len(), &mut rows);
+        let mut fields = self.settings_to_json();
+        fields.push(("rows".to_string(), Value::Str(rows)));
+        Value::Obj(fields)
+    }
+
+    fn from_json(value: &Value) -> Result<Self, JsonError> {
+        let rows: Vec<&str> = value.str_field("rows")?.lines().collect();
+        let buffer = TrainingBuffer::from_parts(value, &rows)?;
+        if rows.len() > buffer.capacity {
+            return Err(JsonError::new(format!(
+                "{} buffered rows exceed capacity {}",
+                rows.len(),
+                buffer.capacity
+            )));
+        }
+        Ok(buffer)
     }
 }
 

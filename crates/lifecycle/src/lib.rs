@@ -34,8 +34,8 @@ pub mod shadow;
 pub use buffer::{BufferPush, TrainingBuffer, WindowMode};
 pub use daemon::{ConfigError, Daemon, DaemonConfig, DaemonError, StepReport};
 pub use manager::{
-    lifecycle_path, LifecycleConfig, LifecycleCounters, LifecycleError, LifecycleFaults,
-    LifecycleManager, Phase,
+    lifecycle_log_path, lifecycle_path, LifecycleConfig, LifecycleCounters, LifecycleError,
+    LifecycleFaults, LifecycleManager, Phase,
 };
 pub use promote::{fingerprint, ModelStore, PromoteError, Recovery};
 pub use shadow::{PromotionGate, ShadowComparison, ShadowMetrics, ShadowScorer};

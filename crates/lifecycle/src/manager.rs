@@ -25,11 +25,19 @@
 //!   anomaly stages an automatic [`ModelStore::rollback`].
 //!
 //! All state (buffer, shadow windows, counters, consumed-seq filter)
-//! checkpoints into `lifecycle.ckpt`, saved between the sink and
+//! checkpoints into the snapshot `lifecycle.ckpt` plus the append-only
+//! log `lifecycle.log` (a [`SnapshotLog`]), saved between the sink and
 //! `topology.ckpt` so a crash at any point resumes without losing or
-//! double-consuming events.
+//! double-consuming events. A save appends one frame: a JSON line of
+//! every field but the buffered rows, then one row line per row buffered
+//! since the last save (the buffer only pushes at the back and pops at
+//! the front, so those are its newest rows). Every save is numbered, and
+//! the snapshot records its number: restore loads the snapshot, skips
+//! the frames it already covers (a crash between a compaction's snapshot
+//! and the emptying of the log leaves some), pushes the rows of the rest
+//! in order, and takes every other field from the last whole frame.
 
-use crate::buffer::{TrainingBuffer, WindowMode};
+use crate::buffer::{BufferPush, TrainingBuffer, WindowMode};
 use crate::promote::{ModelStore, PromoteError, Recovery};
 use crate::shadow::{PromotionGate, ShadowScorer};
 use hdd_cart::ClassificationTreeBuilder;
@@ -37,7 +45,8 @@ use hdd_eval::{ModelError, Predictor, SavedModel, VotingRule};
 use hdd_json::disk::Disk;
 use hdd_json::{JsonCodec, JsonError, Value};
 use hdd_par::ThreadPool;
-use hdd_serve::{Checkpoint, CheckpointError, CheckpointKind, MergeState, RowEvent};
+use hdd_serve::{CheckpointError, CheckpointKind, MergeState, RowEvent, SnapshotLog};
+use std::cell::{Cell, OnceCell};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -283,6 +292,36 @@ pub fn lifecycle_path(dir: &Path) -> PathBuf {
     dir.join("lifecycle.ckpt")
 }
 
+/// The `lifecycle.log` path inside a checkpoint directory.
+#[must_use]
+pub fn lifecycle_log_path(dir: &Path) -> PathBuf {
+    dir.join("lifecycle.log")
+}
+
+/// The lifecycle's checkpoint files, with what its next frame needs.
+#[derive(Debug)]
+struct LifecycleLog {
+    files: SnapshotLog,
+    /// The number of the last save (0: none yet).
+    saves: Cell<u64>,
+    /// [`LifecycleManager`]'s `rows_buffered` at the last save.
+    saved_rows: Cell<u64>,
+}
+
+impl LifecycleLog {
+    fn new(dir: &Path) -> Self {
+        LifecycleLog {
+            files: SnapshotLog::new(
+                CheckpointKind::Lifecycle,
+                lifecycle_path(dir),
+                lifecycle_log_path(dir),
+            ),
+            saves: Cell::new(0),
+            saved_rows: Cell::new(0),
+        }
+    }
+}
+
 /// The lifecycle state machine; see the module docs.
 #[derive(Debug)]
 pub struct LifecycleManager {
@@ -308,6 +347,10 @@ pub struct LifecycleManager {
     rollback_target: Option<u64>,
     /// A failed candidate write, held for [`LifecycleManager::staged`].
     disk_error: Option<PromoteError>,
+    /// Rows pushed into the buffer since this manager started.
+    rows_buffered: u64,
+    /// The checkpoint directory's files, once a save or a restore named it.
+    checkpoint: OnceCell<LifecycleLog>,
 }
 
 impl LifecycleManager {
@@ -336,6 +379,8 @@ impl LifecycleManager {
             probation_alarms: 0,
             rollback_target: None,
             disk_error: None,
+            rows_buffered: 0,
+            checkpoint: OnceCell::new(),
         }
     }
 
@@ -387,14 +432,65 @@ impl LifecycleManager {
     pub fn recover(&mut self, ckpt_dir: Option<&Path>) -> Result<Recovery, LifecycleError> {
         let recovery = self.store.recover()?;
         if let Some(dir) = ckpt_dir {
-            let path = lifecycle_path(dir);
-            if path.exists() {
-                let ck = Checkpoint::load_expecting(&path, CheckpointKind::Lifecycle)?;
-                self.restore_state(&ck.payload)?;
+            if self.restore_checkpoint(dir)? {
                 self.reconcile()?;
             }
         }
         Ok(recovery)
+    }
+
+    /// Restore the state `lifecycle.ckpt` and `lifecycle.log` in `dir`
+    /// hold (see the module docs), reading nothing else: no store
+    /// recovery, no reconciliation with the model files. Returns whether
+    /// `lifecycle.ckpt` exists; a torn log tail is dropped, and the next
+    /// save is then a snapshot.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LifecycleError::Checkpoint`] when a file is corrupt or
+    /// does not decode, when the log holds frames but `lifecycle.ckpt`
+    /// does not exist, and when a frame's save number does not follow the
+    /// one before it.
+    pub fn restore_checkpoint(&mut self, dir: &Path) -> Result<bool, LifecycleError> {
+        let log = LifecycleLog::new(dir);
+        let log_path = log.files.log_path();
+        let snapshot = log.files.load_snapshot()?;
+        log.files.replay_log(|frames| {
+            let Some(snapshot) = &snapshot else {
+                return Ok(());
+            };
+            let mut save = snapshot.usize_field("save")? as u64;
+            let rows = snapshot.field("buffer")?.str_field("rows")?;
+            let mut rows: Vec<&str> = rows.lines().collect();
+            let mut last = None;
+            for &(offset, frame) in frames {
+                let corrupt = |detail: String| CheckpointError::Corrupt {
+                    offset,
+                    detail: format!("{}: {detail}", log_path.display()),
+                };
+                let (head, body) = frame.split_once('\n').unwrap_or((frame, ""));
+                let fields = hdd_json::parse(head).map_err(|e| corrupt(e.to_string()))?;
+                let number = fields
+                    .usize_field("save")
+                    .map_err(|e| corrupt(e.to_string()))? as u64;
+                if number <= save && last.is_none() {
+                    // The snapshot already covers this frame.
+                    continue;
+                }
+                if number != save + 1 {
+                    return Err(corrupt(format!("save {number} follows save {save}")));
+                }
+                save = number;
+                rows.extend(body.lines());
+                last = Some(fields);
+            }
+            self.restore_parts(last.as_ref().unwrap_or(snapshot), &rows)?;
+            log.saves.set(save);
+            Ok(())
+        })?;
+        log.saved_rows.set(self.rows_buffered);
+        self.checkpoint = log.into();
+        Ok(snapshot.is_some())
     }
 
     /// Current phase.
@@ -466,15 +562,16 @@ impl LifecycleManager {
             processed.push(event.seq);
             self.counters.events_consumed += 1;
             self.pushes += 1;
-            if self.faults.poison_buffer == Some(self.pushes) {
+            let pushed = if self.faults.poison_buffer == Some(self.pushes) {
                 let mut poisoned = event.clone();
                 if let Some(first) = poisoned.features.first_mut() {
                     *first = f64::NAN;
                 }
-                self.buffer.push(&poisoned);
+                self.buffer.push(&poisoned)
             } else {
-                self.buffer.push(event);
-            }
+                self.buffer.push(event)
+            };
+            self.rows_buffered += u64::from(pushed == BufferPush::Buffered);
             self.rows_since_train += 1;
             match self.phase {
                 Phase::Shadow => {
@@ -728,16 +825,30 @@ impl LifecycleManager {
         self.probation_alarms = 0;
     }
 
-    /// Serialize everything `lifecycle.ckpt` persists.
+    /// Serialize everything `lifecycle.ckpt` persists: the snapshot
+    /// payload, numbered as the last save.
     #[must_use]
     pub fn state_to_json(&self) -> Value {
+        self.state_json(true)
+    }
+
+    /// [`LifecycleManager::state_to_json`], the buffered rows only with
+    /// `rows` (a log frame's first line leaves them out).
+    fn state_json(&self, rows: bool) -> Value {
+        let save = self.checkpoint.get().map_or(0, |log| log.saves.get());
+        let buffer = if rows {
+            self.buffer.to_json()
+        } else {
+            Value::Obj(self.buffer.settings_to_json())
+        };
         let mut fields = vec![
+            ("save".to_string(), Value::Num(save as f64)),
             (
                 "phase".to_string(),
                 Value::Str(self.phase.label().to_string()),
             ),
             ("consumed".to_string(), self.consumed.to_json()),
-            ("buffer".to_string(), self.buffer.to_json()),
+            ("buffer".to_string(), buffer),
             ("counters".to_string(), self.counters.to_json()),
             (
                 "rows_since_train".to_string(),
@@ -783,51 +894,37 @@ impl LifecycleManager {
         Value::Obj(fields)
     }
 
-    /// Restore state written by [`LifecycleManager::state_to_json`].
-    /// Follow with [`LifecycleManager::resume`]-style reconciliation
-    /// before serving (resume does both).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LifecycleError::Checkpoint`] when the payload does not
-    /// decode.
-    pub fn restore_state(&mut self, value: &Value) -> Result<(), LifecycleError> {
-        let decode = |e: JsonError| LifecycleError::Checkpoint(CheckpointError::Json(e));
-        let phase_label = value.str_field("phase").map_err(decode)?;
+    /// Restore every field of `value` but the buffered rows, then the
+    /// buffer as its settings in `value` describe after pushing `rows`.
+    fn restore_parts(&mut self, value: &Value, rows: &[&str]) -> Result<(), CheckpointError> {
+        let phase_label = value.str_field("phase")?;
         let phase = Phase::from_label(phase_label).ok_or_else(|| {
-            LifecycleError::Checkpoint(CheckpointError::Incompatible(format!(
-                "unknown lifecycle phase `{phase_label}`"
-            )))
+            CheckpointError::Incompatible(format!("unknown lifecycle phase `{phase_label}`"))
         })?;
-        let fingerprint_field = |field: &str| -> Result<Option<u64>, LifecycleError> {
-            match value.get(field) {
-                None => Ok(None),
-                Some(v) => {
-                    let hex = v.as_str().ok_or_else(|| {
-                        decode(JsonError::expected("a fingerprint string", field))
-                    })?;
-                    Ok(Some(u64::from_str_radix(hex, 16).map_err(|_| {
-                        decode(JsonError::expected("a hex fingerprint", field))
-                    })?))
-                }
-            }
+        let fingerprint_field = |field: &str| -> Result<Option<u64>, JsonError> {
+            let Some(v) = value.get(field) else {
+                return Ok(None);
+            };
+            let hex = v
+                .as_str()
+                .ok_or_else(|| JsonError::expected("a fingerprint string", field))?;
+            u64::from_str_radix(hex, 16)
+                .map(Some)
+                .map_err(|_| JsonError::expected("a hex fingerprint", field))
         };
         self.phase = phase;
-        self.consumed =
-            MergeState::from_json(value.field("consumed").map_err(decode)?).map_err(decode)?;
-        self.buffer =
-            TrainingBuffer::from_json(value.field("buffer").map_err(decode)?).map_err(decode)?;
-        self.counters = LifecycleCounters::from_json(value.field("counters").map_err(decode)?)
-            .map_err(decode)?;
-        self.rows_since_train = value.usize_field("rows_since_train").map_err(decode)?;
-        self.backoff_mult = value.usize_field("backoff_mult").map_err(decode)?.max(1);
-        self.train_attempts = value.usize_field("train_attempts").map_err(decode)?;
-        self.pushes = value.usize_field("pushes").map_err(decode)?;
-        self.baseline_alarm_rate = value.f64_field("baseline_alarm_rate").map_err(decode)?;
-        self.probation_rows_seen = value.usize_field("probation_rows_seen").map_err(decode)?;
-        self.probation_alarms = value.usize_field("probation_alarms").map_err(decode)?;
+        self.consumed = MergeState::from_json(value.field("consumed")?)?;
+        self.buffer = TrainingBuffer::from_parts(value.field("buffer")?, rows)?;
+        self.counters = LifecycleCounters::from_json(value.field("counters")?)?;
+        self.rows_since_train = value.usize_field("rows_since_train")?;
+        self.backoff_mult = value.usize_field("backoff_mult")?.max(1);
+        self.train_attempts = value.usize_field("train_attempts")?;
+        self.pushes = value.usize_field("pushes")?;
+        self.baseline_alarm_rate = value.f64_field("baseline_alarm_rate")?;
+        self.probation_rows_seen = value.usize_field("probation_rows_seen")?;
+        self.probation_alarms = value.usize_field("probation_alarms")?;
         self.shadow = match value.get("shadow") {
-            Some(raw) => Some(ShadowScorer::from_json(raw).map_err(decode)?),
+            Some(raw) => Some(ShadowScorer::from_json(raw)?),
             None => None,
         };
         self.candidate_fingerprint = fingerprint_field("candidate_fingerprint")?;
@@ -878,20 +975,38 @@ impl LifecycleManager {
         Ok(())
     }
 
-    /// Save `lifecycle.ckpt` into `dir` (atomic; between the sink and
-    /// `topology.ckpt` in the caller's save order).
+    /// Save the state into `dir` (between the sink and `topology.ckpt` in
+    /// the caller's save order): one frame appended to `lifecycle.log`,
+    /// or a new `lifecycle.ckpt` when the log has outgrown it (see the
+    /// module docs). A manager checkpoints into one directory, the first
+    /// one it saved into or restored from.
     ///
     /// # Errors
     ///
-    /// Returns [`LifecycleError::Checkpoint`] when the write fails.
+    /// Returns [`LifecycleError::Checkpoint`] when a write fails or `dir`
+    /// is not this manager's checkpoint directory.
     pub fn save_checkpoint(&self, dir: &Path) -> Result<(), LifecycleError> {
         let disk = self.store.disk();
         disk.create_dir(dir).map_err(CheckpointError::Io)?;
-        Checkpoint {
-            kind: CheckpointKind::Lifecycle,
-            payload: self.state_to_json(),
+        let log = self.checkpoint.get_or_init(|| LifecycleLog::new(dir));
+        if log.files.snapshot_path() != lifecycle_path(dir) {
+            return Err(CheckpointError::Incompatible(format!(
+                "the lifecycle checkpoints into {}, not {}",
+                log.files.snapshot_path().display(),
+                dir.display()
+            ))
+            .into());
         }
-        .save(disk, &lifecycle_path(dir))?;
+        log.saves.set(log.saves.get() + 1);
+        let new_rows = self.rows_buffered - log.saved_rows.replace(self.rows_buffered);
+        let frame = || {
+            let mut frame = hdd_json::to_string(&self.state_json(false));
+            frame.push('\n');
+            let new_rows = usize::try_from(new_rows).unwrap_or(usize::MAX);
+            self.buffer.write_rows(new_rows, &mut frame);
+            Some(frame)
+        };
+        log.files.save(disk, frame, || self.state_json(true))?;
         Ok(())
     }
 }
@@ -1244,5 +1359,233 @@ mod tests {
         assert_eq!(resumed.candidate_fingerprint(), Some(staged_fp));
         let store = resumed.store();
         assert_eq!(store.live_fingerprint().unwrap(), staged_fp);
+    }
+
+    /// A manager over a fresh copy of the incumbent, with a buffer small
+    /// enough to wrap within a few dozen ticks.
+    fn small_buffer_manager(dir: &Path, mode: WindowMode) -> LifecycleManager {
+        let mut config = config();
+        config.mode = mode;
+        config.buffer_cap = 64;
+        LifecycleManager::new(config, seed_model(dir), LifecycleFaults::default())
+    }
+
+    /// A manager whose snapshot holds several ticks' frames.
+    fn large_buffer_manager(dir: &Path) -> LifecycleManager {
+        LifecycleManager::new(config(), seed_model(dir), LifecycleFaults::default())
+    }
+
+    /// The state `dir`'s lifecycle files restore, read-only.
+    fn restored(dir: &Path) -> Result<LifecycleManager, LifecycleError> {
+        let mut manager =
+            LifecycleManager::new(config(), dir.join("model.json"), LifecycleFaults::default());
+        assert!(manager.restore_checkpoint(dir)?, "no lifecycle.ckpt");
+        Ok(manager)
+    }
+
+    fn encoded(manager: &LifecycleManager) -> String {
+        hdd_json::to_string(&manager.state_to_json())
+    }
+
+    fn file_len(path: &Path) -> u64 {
+        std::fs::metadata(path).map_or(0, |m| m.len())
+    }
+
+    /// Feed `manager` one tick and save it into `dir`, promoting at the
+    /// quiesce a real daemon would reach; returns whether the save
+    /// appended a frame and whether it wrote a snapshot.
+    fn tick_and_save(
+        manager: &mut LifecycleManager,
+        feeder: &mut Feeder,
+        pool: &ThreadPool,
+        dir: &Path,
+    ) -> (bool, bool) {
+        feeder.feed(manager, pool, 1);
+        if manager.has_staged_swap() {
+            manager.apply_staged().unwrap();
+        }
+        let snapshot = std::fs::read(lifecycle_path(dir)).unwrap_or_default();
+        let log = file_len(&lifecycle_log_path(dir));
+        manager.save_checkpoint(dir).unwrap();
+        let appended = file_len(&lifecycle_log_path(dir)) > log;
+        let compacted = std::fs::read(lifecycle_path(dir)).unwrap() != snapshot;
+        (appended, compacted)
+    }
+
+    #[test]
+    fn a_snapshot_and_log_restore_equals_a_manager_that_never_stopped() {
+        for mode in [WindowMode::Replacing, WindowMode::Accumulation] {
+            let dir = tempdir(&format!("log-restore-{}", mode.label()));
+            let mut manager = small_buffer_manager(&dir, mode);
+            let pool = ThreadPool::serial();
+            let mut feeder = Feeder::new();
+            let (mut appends, mut compactions) = (0, 0);
+            for tick in 0..40 {
+                let (appended, compacted) = tick_and_save(&mut manager, &mut feeder, &pool, &dir);
+                appends += usize::from(appended);
+                compactions += usize::from(compacted && tick > 0);
+                let resumed = restored(&dir).unwrap();
+                assert_eq!(
+                    encoded(&resumed),
+                    encoded(&manager),
+                    "{mode:?}, tick {tick}"
+                );
+                assert_eq!(resumed.buffer(), manager.buffer(), "{mode:?}, tick {tick}");
+            }
+            // The buffer wrapped (or saturated), the candidate was promoted,
+            // and saves both appended and compacted.
+            assert_eq!(manager.buffer().len(), 64);
+            assert!(manager.counters().promotions >= 1, "{mode:?}");
+            assert!(appends >= 1 && compactions >= 1, "{appends} {compactions}");
+        }
+    }
+
+    #[test]
+    fn a_torn_log_tail_is_dropped_and_the_next_save_compacts() {
+        let dir = tempdir("log-torn");
+        let mut manager = small_buffer_manager(&dir, WindowMode::Replacing);
+        let pool = ThreadPool::serial();
+        let mut feeder = Feeder::new();
+        let mut torn = 0;
+        let mut before = String::new();
+        for _ in 0..30 {
+            let log = std::fs::read(lifecycle_log_path(&dir)).unwrap_or_default();
+            let (appended, _) = tick_and_save(&mut manager, &mut feeder, &pool, &dir);
+            if appended {
+                // Half of this save's frame landed: the state restores as
+                // it was at the previous save, and its next save compacts.
+                let snapshot = std::fs::read(lifecycle_path(&dir)).unwrap();
+                let whole = std::fs::read(lifecycle_log_path(&dir)).unwrap();
+                let cut = log.len() + (whole.len() - log.len()) / 2;
+                std::fs::write(lifecycle_log_path(&dir), &whole[..cut]).unwrap();
+                let resumed = restored(&dir).unwrap();
+                assert_eq!(encoded(&resumed), before);
+                resumed.save_checkpoint(&dir).unwrap();
+                assert_eq!(file_len(&lifecycle_log_path(&dir)), 0);
+                assert_eq!(encoded(&restored(&dir).unwrap()), encoded(&resumed));
+                torn += 1;
+                // Put back the files the uninterrupted manager wrote.
+                std::fs::write(lifecycle_path(&dir), snapshot).unwrap();
+                std::fs::write(lifecycle_log_path(&dir), whole).unwrap();
+            }
+            before = encoded(&manager);
+        }
+        assert!(torn >= 2, "{torn} torn frames");
+    }
+
+    #[test]
+    fn every_single_bit_flip_in_a_complete_log_frame_is_corrupt_with_its_offset() {
+        let dir = tempdir("log-bitflip");
+        let mut manager = small_buffer_manager(&dir, WindowMode::Replacing);
+        let pool = ThreadPool::serial();
+        let mut feeder = Feeder::new();
+        let mut starts = vec![0];
+        while starts.len() < 3 {
+            let (appended, compacted) = tick_and_save(&mut manager, &mut feeder, &pool, &dir);
+            if compacted {
+                starts = vec![0];
+            }
+            if appended {
+                starts.push(file_len(&lifecycle_log_path(&dir)) as usize);
+            }
+        }
+        let log = std::fs::read(lifecycle_log_path(&dir)).unwrap();
+        for byte in 0..log.len() {
+            let start = *starts.iter().rev().find(|&&s| s <= byte).unwrap();
+            for bit in 0..8 {
+                let mut bytes = log.clone();
+                bytes[byte] ^= 1 << bit;
+                std::fs::write(lifecycle_log_path(&dir), &bytes).unwrap();
+                match restored(&dir) {
+                    Err(LifecycleError::Checkpoint(CheckpointError::Corrupt {
+                        offset, ..
+                    })) => {
+                        assert!(
+                            (start..=byte).contains(&offset),
+                            "flip of byte {byte} bit {bit} reported at {offset}"
+                        );
+                    }
+                    other => panic!("flip of byte {byte} bit {bit}: {:?}", other.err()),
+                }
+            }
+        }
+        std::fs::write(lifecycle_log_path(&dir), &log).unwrap();
+        assert_eq!(encoded(&restored(&dir).unwrap()), encoded(&manager));
+    }
+
+    #[test]
+    fn a_lifecycle_log_without_its_snapshot_is_refused() {
+        let dir = tempdir("log-orphan");
+        let mut manager = small_buffer_manager(&dir, WindowMode::Replacing);
+        let pool = ThreadPool::serial();
+        let mut feeder = Feeder::new();
+        while file_len(&lifecycle_log_path(&dir)) == 0 {
+            tick_and_save(&mut manager, &mut feeder, &pool, &dir);
+        }
+        std::fs::remove_file(lifecycle_path(&dir)).unwrap();
+        let mut fresh =
+            LifecycleManager::new(config(), dir.join("model.json"), LifecycleFaults::default());
+        let err = fresh.recover(Some(&dir)).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                LifecycleError::Checkpoint(CheckpointError::Incompatible(_))
+            ),
+            "{err}"
+        );
+        assert!(err.to_string().contains("lifecycle.ckpt"), "{err}");
+    }
+
+    #[test]
+    fn frames_a_newer_snapshot_covers_have_zero_effect() {
+        let dir = tempdir("log-stale");
+        let mut manager = large_buffer_manager(&dir);
+        let pool = ThreadPool::serial();
+        let mut feeder = Feeder::new();
+        // The log as the first save after a compaction left it.
+        let mut stale = Vec::new();
+        let mut checked = 0;
+        for _ in 0..60 {
+            let (appended, compacted) = tick_and_save(&mut manager, &mut feeder, &pool, &dir);
+            if appended && stale.is_empty() {
+                stale = std::fs::read(lifecycle_log_path(&dir)).unwrap();
+            }
+            let covered = if compacted {
+                std::mem::take(&mut stale)
+            } else {
+                continue;
+            };
+            // Room in the log for the stale frames and one more.
+            if covered.is_empty() || file_len(&lifecycle_path(&dir)) < 3 * covered.len() as u64 {
+                continue;
+            }
+            // A crash between the compaction's snapshot and the emptying
+            // of the log leaves old frames behind: restore skips them, and
+            // a save appended after them replays on its own.
+            let snapshot = std::fs::read(lifecycle_path(&dir)).unwrap();
+            std::fs::write(lifecycle_log_path(&dir), &covered).unwrap();
+            let mut resumed = restored(&dir).unwrap();
+            assert_eq!(encoded(&resumed), encoded(&manager));
+            let mut twin = Feeder { ..feeder };
+            let (appended, _) = tick_and_save(&mut resumed, &mut twin, &pool, &dir);
+            assert!(appended, "the save after stale frames compacted");
+            assert_eq!(encoded(&restored(&dir).unwrap()), encoded(&resumed));
+            // Put back the files the uninterrupted manager wrote.
+            std::fs::write(lifecycle_path(&dir), snapshot).unwrap();
+            std::fs::write(lifecycle_log_path(&dir), b"").unwrap();
+            checked += 1;
+        }
+        assert!(checked >= 1, "no compaction followed an append");
+    }
+
+    #[test]
+    fn a_manager_that_never_saves_keeps_no_pending_frame_state() {
+        let dir = tempdir("never-saves");
+        let mut manager = small_buffer_manager(&dir, WindowMode::Replacing);
+        let pool = ThreadPool::serial();
+        Feeder::new().feed(&mut manager, &pool, 20);
+        assert_eq!(manager.buffer().len(), 64);
+        assert!(manager.checkpoint.get().is_none());
+        assert_eq!(manager.state_to_json().usize_field("save").unwrap(), 0);
     }
 }

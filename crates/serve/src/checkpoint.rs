@@ -5,36 +5,38 @@
 //! seqs, sink length) and, per shard `k`, a snapshot `shard-<k>.ckpt`
 //! (its voting state, counters, breaker, feed cursors and unmerged
 //! alarms) plus an append-only record log `shard-<k>.log` of what the
-//! shard committed since that snapshot. The save order is always sink →
-//! `topology.ckpt` → dirty shards; combined with seq-keyed replay
-//! filtering, a crash between any two writes merely replays a feed
-//! suffix and produces byte-identical alarm output (see DESIGN.md §8 for
-//! the resume protocol).
+//! shard committed since that snapshot. The retraining lifecycle keeps
+//! `lifecycle.ckpt` and `lifecycle.log` beside them the same way. The
+//! save order is always sink → lifecycle → `topology.ckpt` → dirty
+//! shards; combined with seq-keyed replay filtering, a crash between any
+//! two writes merely replays a feed suffix and produces byte-identical
+//! alarm output (see DESIGN.md §8 for the resume protocol).
 //!
 //! Each snapshot reuses the CRC-checked two-line container model files
 //! use ([`hdd_json::container`]) with its own magic string, and every
 //! snapshot write goes through [`Disk::replace`] — a crash mid-checkpoint
 //! leaves the previous valid file in place.
 //!
-//! A log is a sequence of frames, each sealed by [`seal_frame`]: a
-//! fixed-width header line `hddlog <len> <crc> <header crc>` (three
-//! 8-digit lowercase hex numbers: the payload's byte length, the
-//! payload's CRC-32 and the CRC-32 of the header bytes before it), then
-//! the payload. Frames are only ever appended and synced, so a crash can
-//! leave at most one incomplete frame, at the end: [`read_frames`] drops
-//! a frame shorter than its header says as a torn tail, and rejects any
-//! complete frame whose bytes contradict a checksum as
-//! [`CheckpointError::Corrupt`] with the byte offset. The header's own
-//! CRC is what keeps a bit flip in a length from passing for a torn
-//! tail. What a payload holds is the shard's business (see
+//! A [`SnapshotLog`] owns one snapshot and its log. A log is a sequence
+//! of frames, each a fixed-width header line `hddlog <len> <crc> <header
+//! crc>` (three 8-digit lowercase hex numbers: the payload's byte
+//! length, the payload's CRC-32 and the CRC-32 of the header bytes
+//! before it), then the payload. Frames are only ever appended and
+//! synced, so a crash can leave at most one incomplete frame, at the
+//! end: restore drops a frame shorter than its header says as a torn
+//! tail, and rejects any complete frame whose bytes contradict a
+//! checksum as [`CheckpointError::Corrupt`] with the byte offset. The
+//! header's own CRC is what keeps a bit flip in a length from passing
+//! for a torn tail. What a payload holds is its owner's business (see
 //! [`crate::EngineShard::take_log`]).
 
 use hdd_json::container::{self, ContainerError};
 use hdd_json::disk::Disk;
 use hdd_json::{crc32, JsonError, Value};
+use std::cell::Cell;
 use std::fmt;
 use std::io::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Magic string opening a checkpoint container's header line.
 pub const CHECKPOINT_MAGIC: &str = "hddpred-checkpoint";
@@ -242,7 +244,180 @@ impl Checkpoint {
     }
 }
 
-/// Magic opening every frame header of a shard log.
+/// How large a log may grow, in bytes per byte of its last snapshot,
+/// before a save compacts it into a new snapshot. Larger logs make saves
+/// cheaper and restarts longer (OPTIMIZATION_LOG entry 13 has the
+/// measurements).
+pub const LOG_BYTES_PER_SNAPSHOT_BYTE: u64 = 1;
+
+/// What a [`SnapshotLog`]'s log holds on disk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LogState {
+    /// No log file (nor a durable directory entry for one).
+    Absent,
+    /// The log holds this many bytes of whole frames.
+    Frames(u64),
+    /// The log may end in a torn or failed frame: nothing may be
+    /// appended until a snapshot empties it.
+    Unknown,
+}
+
+/// One checkpoint kept as a snapshot file plus an append-only log of the
+/// frames saved since it. A save appends one frame and syncs the log; it
+/// writes a snapshot and empties the log instead on the first save,
+/// after a torn or failed save, and when the frame would grow the log
+/// past [`LOG_BYTES_PER_SNAPSHOT_BYTE`] times the last snapshot. A crash
+/// between the snapshot and the emptying leaves frames the snapshot
+/// covers, which its owner must replay with zero state effect. The
+/// bookkeeping is in [`Cell`]s, so an owner may save through `&self`.
+#[derive(Debug)]
+pub struct SnapshotLog {
+    kind: CheckpointKind,
+    snapshot: PathBuf,
+    log: PathBuf,
+    /// Bytes of the last snapshot written or loaded (0: none yet).
+    snapshot_bytes: Cell<u64>,
+    state: Cell<LogState>,
+}
+
+impl SnapshotLog {
+    /// The `kind` checkpoint kept in `snapshot` and its sibling `log`.
+    #[must_use]
+    pub fn new(kind: CheckpointKind, snapshot: PathBuf, log: PathBuf) -> Self {
+        let (snapshot_bytes, state) = (Cell::new(0), Cell::new(LogState::Absent));
+        SnapshotLog {
+            kind,
+            snapshot,
+            log,
+            snapshot_bytes,
+            state,
+        }
+    }
+
+    /// The snapshot file.
+    #[must_use]
+    pub fn snapshot_path(&self) -> &Path {
+        &self.snapshot
+    }
+
+    /// The log file.
+    #[must_use]
+    pub fn log_path(&self) -> &Path {
+        &self.log
+    }
+
+    /// Append the frame `frame` makes (an empty one writes nothing), or
+    /// write the snapshot `payload` makes and empty the log; `frame` runs
+    /// only when a frame may be appended, and `None` asks for a snapshot.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CheckpointError::Io`] when a write fails.
+    pub fn save(
+        &self,
+        disk: &dyn Disk,
+        frame: impl FnOnce() -> Option<String>,
+        payload: impl FnOnce() -> Value,
+    ) -> Result<(), CheckpointError> {
+        // Until this save lands, the log may end in a failed frame.
+        let state = self.state.replace(LogState::Unknown);
+        let snapshot_bytes = self.snapshot_bytes.get();
+        let logged = match state {
+            LogState::Absent if snapshot_bytes > 0 => Some(0),
+            LogState::Frames(bytes) if snapshot_bytes > 0 => Some(bytes),
+            _ => None,
+        };
+        if let Some((logged, frame)) = logged.and_then(|l| Some((l, frame()?))) {
+            let grown = logged + (FRAME_HEADER_BYTES + frame.len()) as u64;
+            if frame.is_empty() {
+                self.state.set(state);
+                return Ok(());
+            }
+            if frame.len() <= MAX_FRAME_PAYLOAD
+                && grown <= snapshot_bytes * LOG_BYTES_PER_SNAPSHOT_BYTE
+            {
+                disk.append(&self.log, &seal_frame(&frame))?;
+                disk.sync(&self.log)?;
+                if state == LogState::Absent {
+                    disk.sync_dir(self.log.parent().unwrap_or(Path::new(".")))?;
+                }
+                self.state.set(LogState::Frames(grown));
+                return Ok(());
+            }
+        }
+        let ck = Checkpoint {
+            kind: self.kind,
+            payload: payload(),
+        };
+        self.snapshot_bytes.set(ck.save(disk, &self.snapshot)?);
+        if !matches!(state, LogState::Absent | LogState::Frames(0)) {
+            disk.truncate(&self.log, 0)?;
+        }
+        let emptied = if state == LogState::Absent {
+            state
+        } else {
+            LogState::Frames(0)
+        };
+        self.state.set(emptied);
+        Ok(())
+    }
+
+    /// The snapshot's payload, if the snapshot exists. Load it (and let
+    /// go of it) before [`SnapshotLog::replay_log`], which reads the log.
+    ///
+    /// # Errors
+    ///
+    /// Any error of [`Checkpoint::load_expecting`].
+    pub fn load_snapshot(&self) -> Result<Option<Value>, CheckpointError> {
+        if !self.snapshot.exists() {
+            return Ok(None);
+        }
+        self.snapshot_bytes
+            .set(std::fs::metadata(&self.snapshot)?.len());
+        Ok(Some(
+            Checkpoint::load_expecting(&self.snapshot, self.kind)?.payload,
+        ))
+    }
+
+    /// Pass the log's whole frames, each payload with the byte offset it
+    /// starts at, to `apply`. A torn tail is dropped, and makes the next
+    /// save a snapshot.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Corrupt`] at the first complete frame whose
+    /// bytes contradict a checksum, [`CheckpointError::Incompatible`]
+    /// when the log holds frames but [`SnapshotLog::load_snapshot`] found
+    /// no snapshot, and any error of `apply`.
+    pub fn replay_log(
+        &self,
+        apply: impl FnOnce(&[(usize, &str)]) -> Result<(), CheckpointError>,
+    ) -> Result<(), CheckpointError> {
+        let bytes = match std::fs::read(&self.log) {
+            Ok(bytes) => Some(bytes),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+            Err(e) => return Err(e.into()),
+        };
+        let bytes = bytes.as_deref();
+        let (frames, len) = read_frames(bytes.unwrap_or_default())?;
+        if self.snapshot_bytes.get() == 0 && !frames.is_empty() {
+            return Err(CheckpointError::Incompatible(format!(
+                "{} holds frames but {} does not exist",
+                self.log.display(),
+                self.snapshot.display()
+            )));
+        }
+        apply(&frames)?;
+        self.state.set(match bytes {
+            None => LogState::Absent,
+            Some(b) if b.len() == len => LogState::Frames(len as u64),
+            Some(_) => LogState::Unknown,
+        });
+        Ok(())
+    }
+}
+
+/// Magic opening every log frame header.
 const LOG_FRAME_MAGIC: &str = "hddlog";
 
 /// Bytes of a frame header: the magic, three ` xxxxxxxx` fields, `\n`.
@@ -252,12 +427,11 @@ const FRAME_HEADER_BYTES: usize = LOG_FRAME_MAGIC.len() + 3 * 9 + 1;
 const FRAME_CHECKED_BYTES: usize = LOG_FRAME_MAGIC.len() + 2 * 9;
 
 /// The largest payload a frame header can state.
-pub const MAX_FRAME_PAYLOAD: usize = u32::MAX as usize;
+const MAX_FRAME_PAYLOAD: usize = u32::MAX as usize;
 
 /// Seal `payload` (at most [`MAX_FRAME_PAYLOAD`] bytes) as one log
 /// frame, header first; see the module docs for the layout.
-#[must_use]
-pub fn seal_frame(payload: &str) -> Vec<u8> {
+pub(crate) fn seal_frame(payload: &str) -> Vec<u8> {
     debug_assert!(payload.len() <= MAX_FRAME_PAYLOAD);
     let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
     let crc = crc32(payload.as_bytes());
@@ -269,29 +443,17 @@ pub fn seal_frame(payload: &str) -> Vec<u8> {
     frame
 }
 
-/// The bytes [`seal_frame`] makes of a `payload_len`-byte payload.
-#[must_use]
-pub fn frame_len(payload_len: usize) -> usize {
-    FRAME_HEADER_BYTES + payload_len
-}
+/// Whole log frames: each payload with the byte offset it starts at.
+type Frames<'a> = Vec<(usize, &'a str)>;
 
-/// The whole frames at the start of a shard log.
-#[derive(Debug, Default, PartialEq)]
-pub struct LogFrames<'a> {
-    /// Each frame's payload, with the byte offset it starts at.
-    pub frames: Vec<(usize, &'a str)>,
-    /// Bytes the whole frames cover: fewer than the log holds means a
-    /// torn tail was dropped.
-    pub len: usize,
-}
-
-/// Split a log's bytes into its whole frames.
+/// Split a log's bytes into its whole frames, and the bytes they cover
+/// (fewer than the log holds means a torn tail was dropped).
 ///
 /// # Errors
 ///
 /// [`CheckpointError::Corrupt`] at the first complete frame whose header
 /// or payload contradicts its checksums.
-pub fn read_frames(bytes: &[u8]) -> Result<LogFrames<'_>, CheckpointError> {
+fn read_frames(bytes: &[u8]) -> Result<(Frames<'_>, usize), CheckpointError> {
     let corrupt = |offset: usize, detail: &str| CheckpointError::Corrupt {
         offset,
         detail: detail.to_string(),
@@ -312,7 +474,7 @@ pub fn read_frames(bytes: &[u8]) -> Result<LogFrames<'_>, CheckpointError> {
         frames.push((start, text));
         at = start + len;
     }
-    Ok(LogFrames { frames, len: at })
+    Ok((frames, at))
 }
 
 /// A frame header's payload length and CRC, if its layout and its own
@@ -348,6 +510,13 @@ fn frame_header(header: &[u8]) -> Option<(usize, u32)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SnapshotLog {
+        /// Whether the log may end in a torn or failed frame.
+        pub(crate) fn is_unknown(&self) -> bool {
+            self.state.get() == LogState::Unknown
+        }
+    }
     use hdd_json::container::tmp_sibling;
     use hdd_json::disk::RealDisk;
     use std::path::PathBuf;
@@ -473,15 +642,18 @@ mod tests {
     #[test]
     fn frames_read_back_in_order() {
         let (log, starts) = three_frames();
-        let LogFrames { frames, len } = read_frames(&log).unwrap();
+        let (frames, len) = read_frames(&log).unwrap();
         assert_eq!(len, log.len());
         let payloads: Vec<&str> = frames.iter().map(|f| f.1).collect();
         assert_eq!(payloads, ["L 0 51 0 - 1 x\n", "", "D 4 8 15\nA 16 23 42\n"]);
         for ((offset, payload), start) in frames.iter().zip(&starts) {
-            assert_eq!(*offset, start + frame_len(0));
-            assert_eq!(frame_len(payload.len()), seal_frame(payload).len());
+            assert_eq!(*offset, start + FRAME_HEADER_BYTES);
+            assert_eq!(
+                FRAME_HEADER_BYTES + payload.len(),
+                seal_frame(payload).len()
+            );
         }
-        assert_eq!(read_frames(b"").unwrap(), LogFrames::default());
+        assert_eq!(read_frames(b"").unwrap(), (Vec::new(), 0));
     }
 
     #[test]
@@ -490,7 +662,7 @@ mod tests {
         let last = starts[2];
         // Every cut inside the last frame, header included, drops it.
         for cut in last..log.len() {
-            let LogFrames { frames, len } = read_frames(&log[..cut]).unwrap();
+            let (frames, len) = read_frames(&log[..cut]).unwrap();
             assert_eq!(frames.len(), 2, "cut at {cut}");
             assert_eq!(len, last, "cut at {cut}");
         }
@@ -513,6 +685,102 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A snapshot log in a fresh directory named by `tag`.
+    fn snapshot_log(tag: &str) -> SnapshotLog {
+        let dir = scratch(tag);
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        SnapshotLog::new(CheckpointKind::Shard, dir.join("s.ckpt"), dir.join("s.log"))
+    }
+
+    fn log_bytes(ckpt: &SnapshotLog) -> usize {
+        std::fs::read(ckpt.log_path()).map_or(0, |b| b.len())
+    }
+
+    /// Save `frame` through `ckpt`, with `sample()` as the snapshot.
+    fn save_frame(ckpt: &SnapshotLog, disk: &dyn Disk, frame: &str) -> Result<(), CheckpointError> {
+        ckpt.save(disk, || Some(frame.to_string()), || sample().payload)
+    }
+
+    /// The snapshot's payload and the frames `ckpt` restores.
+    fn restored(ckpt: &SnapshotLog) -> Result<(Option<Value>, Vec<String>), CheckpointError> {
+        let snapshot = ckpt.load_snapshot()?;
+        let mut frames = Vec::new();
+        ckpt.replay_log(|all| {
+            frames = all.iter().map(|f| f.1.to_string()).collect();
+            Ok(())
+        })?;
+        Ok((snapshot, frames))
+    }
+
+    #[test]
+    fn a_snapshot_log_appends_until_the_log_outgrows_its_snapshot() {
+        let ckpt = snapshot_log("snapshot-log");
+        // The first save is a snapshot, whatever the frame.
+        save_frame(&ckpt, &RealDisk, "first").unwrap();
+        let snapshot = std::fs::read(ckpt.snapshot_path()).unwrap().len();
+        assert_eq!(log_bytes(&ckpt), 0);
+        let frame = "x".repeat(snapshot / 3 - FRAME_HEADER_BYTES);
+        for n in 1..=3 {
+            save_frame(&ckpt, &RealDisk, &frame).unwrap();
+            assert_eq!(log_bytes(&ckpt), n * (FRAME_HEADER_BYTES + frame.len()));
+        }
+        let (payload, frames) = restored(&ckpt).unwrap();
+        assert_eq!(payload, Some(sample().payload));
+        assert_eq!(frames, vec![frame.clone(); 3]);
+        // An empty frame writes nothing; one more would outgrow the log.
+        save_frame(&ckpt, &RealDisk, "").unwrap();
+        assert_eq!(log_bytes(&ckpt), 3 * (FRAME_HEADER_BYTES + frame.len()));
+        save_frame(&ckpt, &RealDisk, &frame).unwrap();
+        assert_eq!(log_bytes(&ckpt), 0);
+        assert_eq!(restored(&ckpt).unwrap().1, Vec::<String>::new());
+    }
+
+    #[test]
+    fn a_torn_or_failed_save_makes_the_next_save_a_snapshot() {
+        use hdd_json::disk::{Fault, FaultDisk};
+        let ckpt = snapshot_log("snapshot-log-torn");
+        save_frame(&ckpt, &RealDisk, "first").unwrap();
+        save_frame(&ckpt, &RealDisk, "kept").unwrap();
+        let whole = log_bytes(&ckpt);
+        save_frame(&ckpt, &RealDisk, "torn").unwrap();
+        let log = std::fs::read(ckpt.log_path()).unwrap();
+        std::fs::write(ckpt.log_path(), &log[..log.len() - 1]).unwrap();
+
+        let resumed = SnapshotLog::new(
+            CheckpointKind::Shard,
+            ckpt.snapshot_path().to_path_buf(),
+            ckpt.log_path().to_path_buf(),
+        );
+        assert_eq!(restored(&resumed).unwrap().1, ["kept"]);
+        assert!(resumed.is_unknown());
+        assert_eq!(log_bytes(&resumed), whole + (FRAME_HEADER_BYTES + 4) - 1);
+        save_frame(&resumed, &RealDisk, "next").unwrap();
+        assert_eq!(log_bytes(&resumed), 0, "a torn tail is never appended to");
+        assert!(!resumed.is_unknown());
+
+        // The frame's append fails: that save's changes are lost from
+        // memory, so the next save is a snapshot too.
+        save_frame(&resumed, &RealDisk, "kept").unwrap();
+        let failing = FaultDisk::failing_at(0, Fault::Eio);
+        assert!(save_frame(&resumed, &failing, "lost").is_err());
+        assert!(resumed.is_unknown());
+        save_frame(&resumed, &RealDisk, "next").unwrap();
+        assert_eq!(log_bytes(&resumed), 0);
+    }
+
+    #[test]
+    fn a_log_without_its_snapshot_is_refused() {
+        let ckpt = snapshot_log("snapshot-log-orphan");
+        std::fs::write(ckpt.log_path(), seal_frame("orphan")).unwrap();
+        let err = restored(&ckpt).unwrap_err();
+        assert!(matches!(err, CheckpointError::Incompatible(_)), "{err}");
+        assert!(err.to_string().contains("s.ckpt"), "{err}");
+        // An empty log and no snapshot is a fresh start.
+        std::fs::write(ckpt.log_path(), b"").unwrap();
+        assert_eq!(restored(&ckpt).unwrap(), (None, Vec::new()));
     }
 
     #[test]

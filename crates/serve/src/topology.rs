@@ -21,30 +21,21 @@
 //! the merge state, so replayed lines regenerate alarms that
 //! [`MergeState::already_emitted`] then filters out.
 //!
-//! A dirty shard's save costs what it changed, not what it holds: it
-//! appends one frame of the records its engine logged since the last
-//! save ([`EngineShard::take_log`]) and syncs the log. Only when the log
-//! would grow past [`LOG_BYTES_PER_SNAPSHOT_BYTE`] times the last
-//! snapshot's size (byte counts known before anything is encoded) does
-//! the save write a full snapshot instead, then empty the log. The first
-//! save of a run is always a snapshot, and so is every save of a shard
-//! whose snapshot is smaller than one save's records. A crash between
-//! the snapshot and the emptying leaves records the snapshot already
-//! covers; they replay with zero state effect. Restore loads the
-//! snapshot and replays the log's whole frames through the engine's
-//! commit path ([`EngineShard::replay_log`]), dropping a torn tail; the
-//! shard's next save is then a snapshot, so nothing is ever appended
-//! after a torn frame.
+//! A dirty shard's save costs what it changed, not what it holds: its
+//! [`SnapshotLog`] appends one frame of the records the engine logged
+//! since the last save ([`EngineShard::take_log`]), or writes a snapshot
+//! once the log outgrows the last one. Records that a snapshot already
+//! covers (a crash between the snapshot and the emptying of the log
+//! leaves some) replay with zero state effect, because replay filters
+//! lines by seq. Restore loads the snapshot and replays the log's whole
+//! frames through the engine's commit path ([`EngineShard::replay_log`]).
 //!
 //! Inside a tick the pool runs the shards concurrently, one shard per
 //! worker at most; each shard scores its own lines serially, one pass in
 //! routing order (see [`EngineShard::process`]).
 
 use crate::breaker::BreakerState;
-use crate::checkpoint::{
-    frame_len, read_frames, seal_frame, Checkpoint, CheckpointError, CheckpointKind,
-    MAX_FRAME_PAYLOAD,
-};
+use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointKind, SnapshotLog};
 use crate::engine::{EngineConfig, EngineShard, RowEvent, SeqAlarm};
 use crate::ingest::{FeedCursor, RoutedLine};
 use crate::merge::MergeState;
@@ -61,24 +52,6 @@ use std::sync::Arc;
 /// happen at a useful granularity.
 pub const SUB_BATCH_LINES: usize = 256;
 
-/// How large a shard's record log may grow, in bytes per byte of its
-/// last snapshot, before a save compacts it into a new snapshot. Larger
-/// logs make saves cheaper and restarts longer (OPTIMIZATION_LOG entry
-/// 13 has the measurements).
-pub const LOG_BYTES_PER_SNAPSHOT_BYTE: u64 = 1;
-
-/// What a shard's record log holds on disk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ShardLog {
-    /// No log file (nor a durable directory entry for one).
-    Absent,
-    /// The log holds this many bytes of whole frames.
-    Frames(u64),
-    /// The log may end in a torn or failed frame: nothing may be
-    /// appended until a snapshot empties it.
-    Unknown,
-}
-
 /// One shard plus its inbound queue.
 #[derive(Debug)]
 struct ShardSlot {
@@ -86,89 +59,51 @@ struct ShardSlot {
     queue: BoundedQueue<RoutedLine>,
     /// Whether the engine changed since its checkpoint was written.
     dirty: bool,
-    /// Bytes of the last snapshot written or loaded (0: none yet).
-    snapshot_bytes: u64,
-    log: ShardLog,
+    /// The shard's snapshot and record log, once a save or a resume
+    /// named the directory.
+    ckpt: Option<SnapshotLog>,
 }
 
 impl ShardSlot {
     /// Persist the changes since the last save as shard `k` of `dir`:
-    /// one log frame, or a snapshot when the frame would outgrow the log.
+    /// one log frame of the engine's records, or a snapshot.
     fn save(&mut self, disk: &dyn Disk, dir: &Path, k: usize) -> Result<(), CheckpointError> {
         let records = self.engine.take_log();
         self.engine.start_log();
-        let logged = match self.log {
-            ShardLog::Absent => Some(0),
-            ShardLog::Frames(bytes) => Some(bytes),
-            ShardLog::Unknown => None,
-        };
-        let log_path = shard_log_path(dir, k);
-        if let (Some(records), Some(logged)) = (&records, logged) {
-            if records.is_empty() {
-                return Ok(());
-            }
-            let grown = logged + frame_len(records.len()) as u64;
-            if records.len() <= MAX_FRAME_PAYLOAD
-                && grown <= self.snapshot_bytes * LOG_BYTES_PER_SNAPSHOT_BYTE
-            {
-                disk.append(&log_path, &seal_frame(records))?;
-                disk.sync(&log_path)?;
-                if self.log == ShardLog::Absent {
-                    disk.sync_dir(dir)?;
-                }
-                self.log = ShardLog::Frames(grown);
-                return Ok(());
-            }
-        }
-        self.snapshot_bytes = Checkpoint {
-            kind: CheckpointKind::Shard,
-            payload: self.engine.state_to_json(),
-        }
-        .save(disk, &shard_path(dir, k))?;
-        if !matches!(self.log, ShardLog::Absent | ShardLog::Frames(0)) {
-            disk.truncate(&log_path, 0)?;
-            self.log = ShardLog::Frames(0);
-        }
-        Ok(())
+        let engine = &self.engine;
+        let ckpt = self.ckpt.get_or_insert_with(|| shard_ckpt(dir, k));
+        ckpt.save(disk, || records, || engine.state_to_json())
     }
 
-    /// Restore shard `k` of `dir`: its snapshot, if any, then its log.
+    /// Restore shard `k` of `dir`: its snapshot, if any, then its log's
+    /// records through the engine's commit path.
     fn restore(&mut self, dir: &Path, k: usize) -> Result<(), CheckpointError> {
-        let path = shard_path(dir, k);
-        if path.exists() {
-            let ck = Checkpoint::load_expecting(&path, CheckpointKind::Shard)?;
-            self.engine.restore_state(&ck.payload)?;
-            self.snapshot_bytes = std::fs::metadata(&path)?.len();
+        let ckpt = self.ckpt.insert(shard_ckpt(dir, k));
+        if let Some(payload) = ckpt.load_snapshot()? {
+            self.engine.restore_state(&payload)?;
         }
-        let log_path = shard_log_path(dir, k);
-        let bytes = match std::fs::read(&log_path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-            Err(e) => return Err(e.into()),
-        };
-        let log = read_frames(&bytes)?;
-        if self.snapshot_bytes == 0 && !log.frames.is_empty() {
-            return Err(CheckpointError::Incompatible(format!(
-                "{} holds records but {} does not exist",
-                log_path.display(),
-                path.display()
-            )));
-        }
-        for (offset, records) in log.frames {
-            self.engine
-                .replay_log(records)
-                .map_err(|e| CheckpointError::Corrupt {
-                    offset,
-                    detail: format!("{}: {e}", log_path.display()),
-                })?;
-        }
-        self.log = if log.len == bytes.len() {
-            ShardLog::Frames(log.len as u64)
-        } else {
-            ShardLog::Unknown
-        };
-        Ok(())
+        let (engine, log_path) = (&mut self.engine, ckpt.log_path());
+        ckpt.replay_log(|frames| {
+            for &(offset, records) in frames {
+                engine
+                    .replay_log(records)
+                    .map_err(|e| CheckpointError::Corrupt {
+                        offset,
+                        detail: format!("{}: {e}", log_path.display()),
+                    })?;
+            }
+            Ok(())
+        })
     }
+}
+
+/// Shard `k`'s snapshot and record log in `dir`.
+fn shard_ckpt(dir: &Path, k: usize) -> SnapshotLog {
+    SnapshotLog::new(
+        CheckpointKind::Shard,
+        shard_path(dir, k),
+        shard_log_path(dir, k),
+    )
 }
 
 /// What one shard's fan-out slice of a tick produced.
@@ -258,8 +193,7 @@ impl ServeTopology {
                 engine: EngineShard::new(Arc::clone(model), features.clone(), config, n_feeds)?,
                 queue: BoundedQueue::new(queue_capacity),
                 dirty: false,
-                snapshot_bytes: 0,
-                log: ShardLog::Absent,
+                ckpt: None,
             });
         }
         Ok(ServeTopology {
@@ -598,12 +532,7 @@ impl ServeTopology {
             if !slot.dirty {
                 continue;
             }
-            if let Err(e) = slot.save(&*self.disk, dir, k) {
-                // The records taken for this save are gone from memory:
-                // the next save must be a snapshot, not a frame after a gap.
-                slot.log = ShardLog::Unknown;
-                return Err(e);
-            }
+            slot.save(&*self.disk, dir, k)?;
             slot.dirty = false;
         }
         Ok(())
@@ -851,6 +780,26 @@ mod tests {
         assert!(!sinks[0].is_empty(), "the fleet must alarm");
         assert_eq!(sinks[0], sinks[1], "2 shards diverged from 1");
         assert_eq!(sinks[0], sinks[2], "4 shards diverged from 1");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Without checkpoints the row path copies nothing for the log.
+    #[test]
+    fn a_topology_that_never_saves_keeps_its_engines_logs_off() {
+        let features = FeatureSet::critical13();
+        let series = fleet();
+        let model = Arc::new(model(&series, &features));
+        let dir = scratch_dir("never-saves");
+        let paths = write_feeds(&dir, &series);
+        let mut topo = topology(&model, &features, 2);
+        topo.set_record_events(true);
+        let mut ingest = MultiFeedIngest::new(&paths, topo.router());
+        assert!(!drive_to_idle(&mut topo, &mut ingest).is_empty());
+        topo.flush_events();
+        for slot in &mut topo.slots {
+            assert!(slot.engine.take_log().is_none());
+            assert!(slot.ckpt.is_none());
+        }
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1256,28 +1205,14 @@ mod tests {
                 }
                 let expected = hdd_json::to_string(&expected);
                 assert_eq!(shard_states(&resumed)[k], expected, "shard {k}");
-                assert_eq!(resumed.slots[k].log, ShardLog::Unknown);
+                let ckpt = resumed.slots[k].ckpt.as_ref().unwrap();
+                assert!(ckpt.is_unknown(), "shard {k}");
                 fs::write(&path, &whole).unwrap();
                 torn += 1;
             }
             saved = shard_states(topo);
         });
         assert!(torn >= 4, "{torn} torn frames");
-
-        // Unknown: whatever the records, the next save is a snapshot.
-        let features = FeatureSet::critical13();
-        let model = Arc::new(model(&fleet(), &features));
-        let dir = scratch_dir("log-torn-compacts");
-        let mut topo = topology(&model, &features, 1);
-        topo.slots[0].snapshot_bytes = u64::MAX;
-        topo.slots[0].log = ShardLog::Unknown;
-        topo.slots[0].dirty = true;
-        fs::write(shard_log_path(&dir, 0), b"hddlog torn").unwrap();
-        topo.save_checkpoints(&dir).unwrap();
-        assert!(shard_path(&dir, 0).exists());
-        assert_eq!(log_len(&dir, 0), 0);
-        assert_eq!(topo.slots[0].log, ShardLog::Frames(0));
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1287,7 +1222,7 @@ mod tests {
         let dir = scratch_dir("log-orphan");
 
         // A log without topology.ckpt is an orphan shard file.
-        fs::write(shard_log_path(&dir, 1), seal_frame("")).unwrap();
+        fs::write(shard_log_path(&dir, 1), crate::checkpoint::seal_frame("")).unwrap();
         let err = topology(&model, &features, 2).resume(&dir).unwrap_err();
         assert!(matches!(err, CheckpointError::Incompatible(_)), "{err}");
         assert!(err.to_string().contains("shard-1.log"), "{err}");

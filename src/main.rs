@@ -28,10 +28,10 @@ use hddpred::eval::{
     series_training_set, ModelError, Predictor, SavedModel, VotingDetector, VotingRule,
 };
 use hddpred::lifecycle::{
-    lifecycle_path, Daemon, DaemonConfig, DaemonError, LifecycleConfig, ModelStore, Recovery,
-    WindowMode,
+    Daemon, DaemonConfig, DaemonError, LifecycleConfig, LifecycleError, LifecycleFaults,
+    LifecycleManager, ModelStore, Recovery, WindowMode,
 };
-use hddpred::serve::{Checkpoint, CheckpointError, CheckpointKind, ServeTopology};
+use hddpred::serve::{CheckpointError, ServeTopology};
 use hddpred::smart::csv::{
     read_series_quarantined, write_header, write_series, CsvError, IngestPolicy,
 };
@@ -166,7 +166,8 @@ containment.
 
 `lifecycle` inspects the online-retraining state next to a model file:
 live/candidate/history fingerprints from disk, plus the phase and
-counters from `lifecycle.ckpt` when `--checkpoint` is given.
+counters from `lifecycle.ckpt` and `lifecycle.log` when `--checkpoint`
+is given.
 
 `audit` runs the workspace's own static analyzer (rules R1-R3 and R5:
 wall-clock ban, unordered-iteration ban, panic-surface ban, crate
@@ -734,8 +735,8 @@ fn serve_lifecycle_config(
 
 /// `hddpred lifecycle`: print the online-retraining state next to a
 /// model file — live/candidate/history fingerprints from disk plus the
-/// phase and counters from `lifecycle.ckpt` when `--checkpoint` is
-/// given (see [`USAGE`]).
+/// phase and counters that `lifecycle.ckpt` and `lifecycle.log` restore
+/// when `--checkpoint` is given (see [`USAGE`]).
 fn lifecycle_status(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let model_path = flag(flags, "model")?;
     let history: usize = num_flag(flags, "history", 3, "an integer")?;
@@ -770,18 +771,24 @@ fn lifecycle_status(flags: &HashMap<String, String>) -> Result<(), CliError> {
         println!("history    {}  {}", fp(&path), path.display());
     }
     if let Some(dir) = flags.get("checkpoint").filter(|p| !p.is_empty()) {
-        let path = lifecycle_path(Path::new(dir));
-        if path.exists() {
-            let ck = Checkpoint::load_expecting(&path, CheckpointKind::Lifecycle)
-                .map_err(|e| checkpoint_error(dir, e))?;
-            let field = |name: &str| -> String {
-                ck.payload
-                    .get(name)
-                    .and_then(|v| v.as_str().map(String::from))
-                    .unwrap_or_default()
-            };
-            println!("phase      {}", field("phase"));
-            if let Some(hdd_json::Value::Obj(fields)) = ck.payload.get("counters") {
+        // Read-only: the snapshot plus the frames logged since it, with
+        // no store recovery (that is the next serve start's job).
+        let mut config = LifecycleConfig::new(11, VotingRule::Majority);
+        config.history = history;
+        let mut manager = LifecycleManager::new(
+            config,
+            PathBuf::from(model_path),
+            LifecycleFaults::default(),
+        );
+        let found = manager
+            .restore_checkpoint(Path::new(dir))
+            .map_err(|e| match e {
+                LifecycleError::Checkpoint(e) => checkpoint_error(dir, e),
+                other => CliError::Serve(format!("{dir}: {other}")),
+            })?;
+        if found {
+            println!("phase      {}", manager.phase().label());
+            if let hdd_json::Value::Obj(fields) = hdd_json::JsonCodec::to_json(manager.counters()) {
                 for (name, value) in fields {
                     if let Some(n) = value.as_usize() {
                         println!("{name:<24} {n}");

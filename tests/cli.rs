@@ -394,3 +394,65 @@ fn generate_rejects_unknown_family() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown family"));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `hddpred lifecycle --checkpoint` reports the state the snapshot and
+/// the log restore together: counters that moved in frames appended
+/// after `lifecycle.ckpt` are the ones printed.
+#[test]
+fn lifecycle_status_reads_the_frames_logged_after_the_snapshot() {
+    use hddpred::eval::VotingRule;
+    use hddpred::lifecycle::{
+        lifecycle_log_path, LifecycleConfig, LifecycleFaults, LifecycleManager,
+    };
+    use hddpred::par::ThreadPool;
+    use hddpred::serve::RowEvent;
+
+    let dir = tempdir().join("lifecycle-status");
+    std::fs::create_dir_all(&dir).expect("create status dir");
+    let model = dir.join("model.json");
+    write_narrow_model(&model);
+    let ckpt = dir.join("ckpt");
+    let mut config = LifecycleConfig::new(3, VotingRule::Majority);
+    config.retrain_rows = usize::MAX;
+    let mut manager = LifecycleManager::new(config, model.clone(), LifecycleFaults::default());
+    let pool = ThreadPool::serial();
+    let consume = |manager: &mut LifecycleManager, from: u64, rows: u64| {
+        let events: Vec<RowEvent> = (from..from + rows)
+            .map(|seq| RowEvent {
+                seq,
+                drive: (seq % 10) as u32,
+                hour: 100 + (seq / 10) as u32,
+                fail_hour: None,
+                features: vec![(seq % 7) as f64, 1.0],
+                incumbent_score: 1.0,
+            })
+            .collect();
+        manager.consume(&pool, &events, 0, 0, from + rows);
+    };
+    consume(&mut manager, 0, 300);
+    manager.save_checkpoint(&ckpt).expect("snapshot save");
+    consume(&mut manager, 300, 10);
+    manager.save_checkpoint(&ckpt).expect("logged save");
+    let logged = std::fs::metadata(lifecycle_log_path(&ckpt)).map_or(0, |m| m.len());
+    assert!(logged > 0, "the second save must append to the log");
+
+    let out = hddpred()
+        .args(["lifecycle", "--model"])
+        .arg(&model)
+        .arg("--checkpoint")
+        .arg(&ckpt)
+        .output()
+        .expect("spawn lifecycle");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    let value = |name: &str| -> Option<String> {
+        stdout.lines().find_map(|line| {
+            let mut fields = line.split_whitespace();
+            (fields.next()? == name).then(|| fields.next().map(String::from))?
+        })
+    };
+    assert_eq!(value("phase").as_deref(), Some("idle"), "{stdout}");
+    assert_eq!(value("events_consumed").as_deref(), Some("310"), "{stdout}");
+    assert_eq!(value("promotions").as_deref(), Some("0"), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

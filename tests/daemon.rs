@@ -25,7 +25,8 @@
 use hddpred::eval::{VotingDetector, VotingRule};
 use hddpred::hdd_json::disk::{Disk, Fault, FaultDisk, RealDisk};
 use hddpred::lifecycle::{
-    Daemon, DaemonConfig, DaemonError, LifecycleConfig, LifecycleCounters, LifecycleError, Recovery,
+    lifecycle_log_path, lifecycle_path, Daemon, DaemonConfig, DaemonError, LifecycleConfig,
+    LifecycleCounters, LifecycleError, Recovery,
 };
 use hddpred::serve::{shard_log_path, shard_path, CheckpointError, ShardStats};
 use hddpred::smart::csv::{read_series_quarantined, IngestPolicy};
@@ -310,42 +311,84 @@ fn step_through(
     }
 }
 
-/// How each step of a run saved its shards: per step, whether a shard
-/// log grew (an append), whether a snapshot was rewritten while its log
-/// held frames or was emptied (a compaction), and the log bytes after.
-#[derive(Debug, Default)]
-struct LogSaves {
-    appended: Vec<bool>,
-    compacted: Vec<bool>,
-    log_bytes: Vec<u64>,
-    promotions: Vec<usize>,
+/// How one step of a run saved its checkpoint.
+#[derive(Debug, Default, Clone, Copy)]
+struct StepSaves {
+    /// Shard logs that grew (appends).
+    shard_appends: usize,
+    /// Shards whose snapshot was rewritten while their log held frames,
+    /// or whose log was emptied (compactions).
+    shard_compactions: usize,
+    /// Shard log bytes after the step.
+    log_bytes: u64,
+    /// Whether `lifecycle.log` grew.
+    lifecycle_appended: bool,
+    /// Whether `lifecycle.ckpt` was rewritten while the log held frames,
+    /// or the log was emptied.
+    lifecycle_compacted: bool,
+    /// Whether a log file was created (its first append also syncs the
+    /// directory).
+    log_created: bool,
+    /// Promotions plus rollbacks applied so far.
+    swaps: usize,
+    /// Promotions applied so far.
+    promotions: usize,
+    /// Whether the sink grew.
+    sink_grew: bool,
+    /// `fdatasync` and directory `fsync` calls the step made.
+    syncs: usize,
 }
 
-fn log_saves(fx: &Fixture, config: &DaemonConfig) -> LogSaves {
+/// Serve `config` to idle, numbering what each step's saves did.
+fn log_saves(fx: &Fixture, config: &DaemonConfig) -> Vec<StepSaves> {
     let ckpt = config.checkpoint.clone().expect("a checkpoint dir");
-    let files = |k: usize| {
-        let log = std::fs::metadata(shard_log_path(&ckpt, k)).map_or(0, |m| m.len());
-        (std::fs::read(shard_path(&ckpt, k)).unwrap_or_default(), log)
+    let disk = Arc::new(FaultDisk::counting());
+    let mut config = config.clone();
+    config.disk = disk.clone();
+    // Per file pair: the snapshot's bytes and the log's length, if any.
+    let mut pairs: Vec<(PathBuf, PathBuf)> = (0..config.shards)
+        .map(|k| (shard_path(&ckpt, k), shard_log_path(&ckpt, k)))
+        .collect();
+    if config.retrain.is_some() {
+        pairs.push((lifecycle_path(&ckpt), lifecycle_log_path(&ckpt)));
+    }
+    let files = |(snapshot, log): &(PathBuf, PathBuf)| {
+        let log = std::fs::metadata(log).ok().map(|m| m.len());
+        (std::fs::read(snapshot).unwrap_or_default(), log)
     };
-    let mut seen: Vec<(Vec<u8>, u64)> = (0..config.shards).map(files).collect();
-    let mut saves = LogSaves::default();
-    step_through(fx, config, |_, daemon| {
-        let (mut appended, mut compacted, mut bytes) = (false, false, 0);
-        for (k, seen) in seen.iter_mut().enumerate() {
-            let now = files(k);
-            appended |= now.1 > seen.1;
-            compacted |= now.1 < seen.1 || (now.0 != seen.0 && seen.1 > 0);
-            bytes += now.1;
+    let mut seen: Vec<(Vec<u8>, Option<u64>)> = pairs.iter().map(files).collect();
+    let (mut sink, mut syncs) = (0, 0);
+    let mut saves = Vec::new();
+    step_through(fx, &config, |_, daemon| {
+        let mut step = StepSaves::default();
+        for (i, (pair, seen)) in pairs.iter().zip(&mut seen).enumerate() {
+            let now = files(pair);
+            let (before, after) = (seen.1.unwrap_or(0), now.1.unwrap_or(0));
+            let appended = after > before;
+            let compacted = after < before || (now.0 != seen.0 && before > 0);
+            step.log_created |= seen.1.is_none() && now.1.is_some();
+            if i < config.shards {
+                step.shard_appends += usize::from(appended);
+                step.shard_compactions += usize::from(compacted);
+                step.log_bytes += after;
+            } else {
+                step.lifecycle_appended = appended;
+                step.lifecycle_compacted = compacted;
+            }
             *seen = now;
         }
-        saves.appended.push(appended);
-        saves.compacted.push(compacted);
-        saves.log_bytes.push(bytes);
-        let promotions = daemon.lifecycle().map_or(0, |m| m.counters().promotions);
-        saves.promotions.push(promotions);
+        if let Some(m) = daemon.lifecycle() {
+            step.promotions = m.counters().promotions;
+            step.swaps = m.counters().promotions + m.counters().rollbacks;
+        }
+        let len = std::fs::metadata(&config.out).map_or(0, |m| m.len());
+        step.sink_grew = len > sink;
+        step.syncs = disk.syncs() - syncs;
+        (sink, syncs) = (len, disk.syncs());
+        saves.push(step);
         true
     });
-    remove(config);
+    remove(&config);
     saves
 }
 
@@ -459,7 +502,16 @@ fn check_cut(
 
 fn every_write_boundary_resumes_identically(shards: usize, retrain: bool) {
     let tag = format!("writes-s{shards}-r{}", u8::from(retrain));
-    enumerate_write_boundaries(&fixture_for(&tag, retrain, false), shards, retrain);
+    let fx = fixture_for(&tag, retrain, false);
+    if retrain {
+        // The window covers lifecycle saves of both kinds.
+        let saves = log_saves(&fx, &config(&fx, "log-saves", shards, true));
+        let appends = saves.iter().filter(|s| s.lifecycle_appended).count();
+        let compactions = saves.iter().filter(|s| s.lifecycle_compacted).count();
+        println!("lifecycle: {appends} steps appended, {compactions} compacted");
+        assert!(appends >= 1 && compactions >= 1, "{saves:?}");
+    }
+    enumerate_write_boundaries(&fx, shards, retrain);
 }
 
 /// Fail every write boundary of a run of `fx` with every fault in turn.
@@ -572,11 +624,47 @@ fn every_write_boundary_resumes_identically_while_the_log_appends_and_compacts()
         ..fleet_fixture("writes-log", 2, Scenario::CalibratedMix, SCALE, hours)
     };
     let saves = log_saves(&fx, &config(&fx, "log-saves", 1, false));
-    let count = |steps: &[bool]| steps.iter().filter(|&&s| s).count();
-    let (appends, compactions) = (count(&saves.appended), count(&saves.compacted));
+    let appends = saves.iter().filter(|s| s.shard_appends > 0).count();
+    let compactions = saves.iter().filter(|s| s.shard_compactions > 0).count();
     println!("{appends} steps appended, {compactions} compacted");
     assert!(appends >= 1 && compactions >= 1, "{saves:?}");
     enumerate_write_boundaries(&fx, 1, false);
+}
+
+/// Sync calls per checkpointing step: a step whose saves all append
+/// makes one `fdatasync` per log (the lifecycle's and each shard's), two
+/// for the `topology.ckpt` replace (the temp file's `fdatasync` and the
+/// directory `fsync`), and one for the sink when it grew. At two shards
+/// that is six with a sink append, where replacing `lifecycle.ckpt`
+/// whole every step made it seven.
+#[test]
+fn a_step_whose_saves_all_append_syncs_each_log_once() {
+    let shards = 2;
+    let fx = Fixture {
+        queue: 256,
+        ..fixture("syncs", 1)
+    };
+    let saves = log_saves(&fx, &config(&fx, "syncs", shards, true));
+    let per_step: Vec<usize> = saves.iter().map(|s| s.syncs).collect();
+    println!("sync calls per step at {shards} shards: {per_step:?}");
+    let mut steady = 0;
+    for (before, step) in saves.iter().zip(&saves[1..]) {
+        let all_appended = step.lifecycle_appended && step.shard_appends == shards;
+        let other_writes = step.log_created
+            || step.lifecycle_compacted
+            || step.shard_compactions > 0
+            || step.swaps != before.swaps;
+        if all_appended && !other_writes {
+            assert_eq!(
+                step.syncs,
+                1 + 2 + shards + usize::from(step.sink_grew),
+                "{step:?}"
+            );
+            steady += 1;
+        }
+    }
+    assert!(steady >= 1, "no step appended to every log: {saves:?}");
+    let _ = std::fs::remove_dir_all(&fx.dir);
 }
 
 /// Replayed votes take the score the log recorded, not the live model's:
@@ -591,10 +679,10 @@ fn a_kill_inside_the_log_window_across_a_promotion_resumes_identically() {
         ..fixture("log-promotion", 1)
     };
     let saves = log_saves(&fx, &config(&fx, "log-saves", 1, true));
-    let promoted = saves.promotions.iter().position(|&n| n > 0);
+    let promoted = saves.iter().position(|s| s.promotions > 0);
     let p = promoted.expect("the slice promotes");
     assert!(
-        p > 0 && saves.log_bytes[p - 1] > 0 && !saves.compacted[p],
+        p > 0 && saves[p - 1].log_bytes > 0 && saves[p].shard_compactions == 0,
         "no log window spans the promotion: {saves:?}"
     );
     let steps = p + 1;

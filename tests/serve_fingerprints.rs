@@ -11,10 +11,12 @@
 //! checkpoints hold what the long feed raised past it: row events when
 //! retraining, and the fixture's one alarm in the run that puts that
 //! drive on the long feed); and at idle. The retraining cases also pin
-//! the promoted model file. A shard whose record log holds frames is
-//! pinned by its state restored from snapshot and log, encoded as the
-//! snapshot the daemon would write: the pins are of shard states, which
-//! must not depend on whether a save appended or compacted. A refactor of
+//! the promoted model file. A shard or a lifecycle whose log holds frames
+//! is pinned by its state restored from snapshot and log, encoded as the
+//! snapshot the daemon would write: the pins are of states, which must
+//! not depend on whether a save appended or compacted. The restored
+//! lifecycle state is also pinned by a digest no encoding choice can move
+//! (`lifecycle.state`, see [`state_digest`]). A refactor of
 //! the ingest, the engine, the merge, the checkpoint codec or the
 //! lifecycle that changes any persisted byte changes a fingerprint. A
 //! fingerprint may only be re-recorded with a stated reason for the
@@ -22,11 +24,17 @@
 //!
 //! What a lifecycle decides must not depend on how lines were batched,
 //! so the retraining fixture is also served at several queue sizes and
-//! its lifecycle checkpoint and promoted model compared.
+//! its restored lifecycle state and promoted model compared (the
+//! lifecycle files themselves differ: how many saves there were, and so
+//! which of them appended, depends on the step boundaries).
 
 use hddpred::eval::{SavedModel, VotingRule};
 use hddpred::hdd_json::disk::RealDisk;
-use hddpred::lifecycle::{Daemon, DaemonConfig, LifecycleConfig};
+use hddpred::hdd_json::Value;
+use hddpred::lifecycle::{
+    lifecycle_log_path, lifecycle_path, Daemon, DaemonConfig, LifecycleConfig, LifecycleFaults,
+    LifecycleManager,
+};
 use hddpred::serve::{
     shard_log_path, shard_path, Checkpoint, CheckpointKind, EngineConfig, ServeTopology,
 };
@@ -209,9 +217,46 @@ fn restore(config: &DaemonConfig) -> ServeTopology {
     topology
 }
 
+/// The lifecycle state `config`'s checkpoint directory restores,
+/// read-only, if it holds any.
+fn restore_lifecycle(config: &DaemonConfig) -> Option<LifecycleManager> {
+    let ckpt = config.checkpoint.as_deref().expect("a checkpoint dir");
+    let lc = config.retrain.clone()?;
+    let mut manager = LifecycleManager::new(lc, config.model.clone(), LifecycleFaults::default());
+    let found = manager.restore_checkpoint(ckpt).expect("restore lifecycle");
+    found.then_some(manager)
+}
+
+/// FNV-1a 64 of a restored lifecycle state that no encoding choice can
+/// move: every field but the save number and the buffered rows as JSON,
+/// then each buffered row as its features' f64 bits and its label.
+fn state_digest(manager: &LifecycleManager) -> u64 {
+    let Value::Obj(mut fields) = manager.state_to_json() else {
+        panic!("the lifecycle state is an object")
+    };
+    fields.retain(|(key, _)| key != "save");
+    for (key, value) in &mut fields {
+        if let (true, Value::Obj(buffer)) = (key == "buffer", value) {
+            buffer.retain(|(key, _)| key != "rows");
+        }
+    }
+    let json = hddpred::hdd_json::to_string(&Value::Obj(fields));
+    let mut hash = fnv1a_extend(FNV1A_OFFSET, json.as_bytes());
+    for sample in manager.buffer().samples() {
+        for v in &sample.features {
+            hash = fnv1a_extend(hash, &v.to_bits().to_le_bytes());
+        }
+        let failed = sample.class == hddpred::cart::Class::Failed;
+        hash = fnv1a_extend(hash, &[u8::from(failed)]);
+    }
+    hash
+}
+
 /// `(label/file name, fingerprint)` of every file in the checkpoint
-/// directory, by name; a shard with a non-empty log is pinned by its
-/// restored state re-encoded as a snapshot, and logs are not pinned.
+/// directory, by name; a shard or lifecycle snapshot whose log holds
+/// frames is pinned by its restored state re-encoded as a snapshot, and
+/// logs are not pinned. The restored lifecycle state is also pinned by
+/// [`state_digest`], as `lifecycle.state`.
 fn checkpoint_pins(config: &DaemonConfig, label: &str) -> Vec<(String, u64)> {
     let ckpt = config.checkpoint.as_deref().expect("a checkpoint dir");
     let mut files: Vec<PathBuf> = std::fs::read_dir(ckpt)
@@ -220,30 +265,41 @@ fn checkpoint_pins(config: &DaemonConfig, label: &str) -> Vec<(String, u64)> {
         .filter(|path| path.extension().is_some_and(|x| x == "ckpt"))
         .collect();
     files.sort();
-    let logged = |k: usize| std::fs::metadata(shard_log_path(ckpt, k)).is_ok_and(|m| m.len() > 0);
+    let holds_frames = |path: PathBuf| std::fs::metadata(path).is_ok_and(|m| m.len() > 0);
+    let logged = |k: usize| holds_frames(shard_log_path(ckpt, k));
     let restored = (0..config.shards).any(logged).then(|| restore(config));
+    let lifecycle = restore_lifecycle(config);
     let encoded = ckpt.with_extension("encoded");
-    files
+    let encode = |kind: CheckpointKind, payload: Value| {
+        Checkpoint { kind, payload }
+            .save(&RealDisk, &encoded)
+            .expect("encode restored state");
+        fingerprint(&encoded)
+    };
+    let mut pins: Vec<(String, u64)> = files
         .iter()
         .map(|path| {
             let name = path.file_name().expect("file name").to_string_lossy();
             let shard = (0..config.shards).find(|&k| shard_path(ckpt, k) == *path);
-            let hash = match (shard.filter(|&k| logged(k)), &restored) {
-                (Some(k), Some(topology)) => {
+            let hash = match (shard.filter(|&k| logged(k)), &restored, &lifecycle) {
+                (Some(k), Some(topology), _) => {
                     let engine = topology.shards().nth(k).expect("shard k");
-                    Checkpoint {
-                        kind: CheckpointKind::Shard,
-                        payload: engine.state_to_json(),
-                    }
-                    .save(&RealDisk, &encoded)
-                    .expect("encode restored shard");
-                    fingerprint(&encoded)
+                    encode(CheckpointKind::Shard, engine.state_to_json())
+                }
+                (None, _, Some(manager))
+                    if *path == lifecycle_path(ckpt) && holds_frames(lifecycle_log_path(ckpt)) =>
+                {
+                    encode(CheckpointKind::Lifecycle, manager.state_to_json())
                 }
                 _ => fingerprint(path),
             };
             (format!("{label}/{name}"), hash)
         })
-        .collect()
+        .collect();
+    if let Some(manager) = &lifecycle {
+        pins.push((format!("{label}/lifecycle.state"), state_digest(manager)));
+    }
+    pins
 }
 
 fn check(tag: &str, run: Run, expected: &[(&str, u64)]) {
@@ -299,16 +355,19 @@ fn serve_bytes_with_retraining_are_pinned_at_one_shard() {
         "retrain-1",
         Run::new(1, true),
         &[
-            ("step-1/lifecycle.ckpt", 0x7ca012b2d4f455ce),
+            ("step-1/lifecycle.ckpt", 0x5e9c02012c6ea178),
             ("step-1/shard-0.ckpt", 0x60ccb63078b73050),
             ("step-1/topology.ckpt", 0x8d3e786830e60145),
-            ("stall/lifecycle.ckpt", 0xad5ac10791cee223),
+            ("step-1/lifecycle.state", 0xc7772d38bab0864c),
+            ("stall/lifecycle.ckpt", 0x770587d17db81818),
             ("stall/shard-0.ckpt", 0x4545276228e82111),
             ("stall/topology.ckpt", 0x44652a1f43edd1f0),
+            ("stall/lifecycle.state", 0xa743b4af6b43ce10),
             ("alarms.csv", 0xae5550cabafe2845),
-            ("idle/lifecycle.ckpt", 0xce7bda9676142f58),
+            ("idle/lifecycle.ckpt", 0x7a877fbc1a64a524),
             ("idle/shard-0.ckpt", 0x7e0464b84203bde6),
             ("idle/topology.ckpt", 0x44652a1f43edd1f0),
+            ("idle/lifecycle.state", 0xb5204109fabd2f6d),
             ("model.bin", 0x8de01a37ae28c815),
         ],
     );
@@ -320,19 +379,22 @@ fn serve_bytes_with_retraining_are_pinned_at_two_shards() {
         "retrain-2",
         Run::new(2, true),
         &[
-            ("step-1/lifecycle.ckpt", 0x7ca012b2d4f455ce),
+            ("step-1/lifecycle.ckpt", 0x5e9c02012c6ea178),
             ("step-1/shard-0.ckpt", 0xccb46105cbbb9f77),
             ("step-1/shard-1.ckpt", 0x835c6432d01aebc2),
             ("step-1/topology.ckpt", 0x8a4eb1c0b435f1c9),
-            ("stall/lifecycle.ckpt", 0xad5ac10791cee223),
+            ("step-1/lifecycle.state", 0xc7772d38bab0864c),
+            ("stall/lifecycle.ckpt", 0x770587d17db81818),
             ("stall/shard-0.ckpt", 0x138863a619f4aad0),
             ("stall/shard-1.ckpt", 0x492dced1b0ad0fc1),
             ("stall/topology.ckpt", 0x0b083c913ecb8936),
+            ("stall/lifecycle.state", 0xa743b4af6b43ce10),
             ("alarms.csv", 0xae5550cabafe2845),
-            ("idle/lifecycle.ckpt", 0xce7bda9676142f58),
+            ("idle/lifecycle.ckpt", 0x7a877fbc1a64a524),
             ("idle/shard-0.ckpt", 0x2726bfb656933b62),
             ("idle/shard-1.ckpt", 0x83a4490a22998165),
             ("idle/topology.ckpt", 0x0b083c913ecb8936),
+            ("idle/lifecycle.state", 0xb5204109fabd2f6d),
             ("model.bin", 0x8de01a37ae28c815),
         ],
     );
@@ -347,19 +409,22 @@ fn serve_bytes_with_the_alarm_on_the_long_feed_are_pinned() {
             ..Run::new(2, true)
         },
         &[
-            ("step-1/lifecycle.ckpt", 0xd599005651157541),
+            ("step-1/lifecycle.ckpt", 0x16eee3911a836daf),
             ("step-1/shard-0.ckpt", 0xded6797b191c1740),
             ("step-1/shard-1.ckpt", 0xd1737452b5f4298a),
             ("step-1/topology.ckpt", 0x8a4eb1c0b435f1c9),
-            ("stall/lifecycle.ckpt", 0x3d452aafce9b021f),
+            ("step-1/lifecycle.state", 0xa0291c372ecfbca0),
+            ("stall/lifecycle.ckpt", 0x29dbf5b9bd23d6b3),
             ("stall/shard-0.ckpt", 0x7212c85d6c4a3ae3),
             ("stall/shard-1.ckpt", 0x14b9e7f43f19e5f7),
             ("stall/topology.ckpt", 0xb233981e3e621ef1),
+            ("stall/lifecycle.state", 0xf1cca75b253792b1),
             ("alarms.csv", 0xae5550cabafe2845),
-            ("idle/lifecycle.ckpt", 0xa414b9cfdb682970),
+            ("idle/lifecycle.ckpt", 0x2be5ba487a5cd274),
             ("idle/shard-0.ckpt", 0x828e2c9feab1ce23),
             ("idle/shard-1.ckpt", 0x73cd1b4efef548ba),
             ("idle/topology.ckpt", 0x19b09dcb3134d74e),
+            ("idle/lifecycle.state", 0xb4887252e3b2c974),
             ("model.bin", 0xe85bbfa3da004c69),
         ],
     );
@@ -376,7 +441,7 @@ fn lifecycle_decisions_do_not_depend_on_the_queue_size() {
             serve(&format!("queue-{shards}-{queue}"), run)
                 .into_iter()
                 .filter(|(name, _)| {
-                    ["alarms.csv", "idle/lifecycle.ckpt", "model.bin"].contains(&name.as_str())
+                    ["alarms.csv", "idle/lifecycle.state", "model.bin"].contains(&name.as_str())
                 })
                 .collect()
         };
