@@ -12,8 +12,10 @@
 //! `--smoke` drops to 50,000 drives so CI can prove the harness and the
 //! artifact schema in seconds. Results land in `BENCH_serve.json` at
 //! the workspace root: one `serve_ingest` row with `tracked_drives`,
-//! `rows_ingested`, `rows_per_sec` and `p99_tick_ms` (per daemon step)
-//! columns (CI fails if the file or the p99 column is missing).
+//! `rows_ingested`, `rows_per_sec`, `p99_tick_ms` (per daemon step) and
+//! `parse_us_per_row` (the row parser alone over the same feed lines,
+//! timed outside the serve loop) columns (CI fails if the file, the p99
+//! column or the parse column is missing).
 
 use hdd_bench::report::Report;
 use hdd_bench::section;
@@ -21,12 +23,13 @@ use hdd_cart::classifier::ClassificationTreeBuilder;
 use hdd_eval::{series_training_set, SavedModel};
 use hdd_lifecycle::{Daemon, DaemonConfig};
 use hdd_par::hardware_threads;
+use hdd_smart::csv::parse_data_line;
 use hdd_smart::rng::DeterministicRng;
 use hdd_smart::{DatasetGenerator, FamilyProfile, NUM_ATTRIBUTES};
 use hdd_stats::FeatureSet;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const SHARDS: usize = 4;
 const FEEDS: usize = 2;
@@ -79,6 +82,23 @@ fn write_feeds(dir: &Path, n_drives: u32) -> Vec<PathBuf> {
     paths
 }
 
+/// Microseconds per row of `parse_data_line` alone over every data line
+/// of the feeds, one feed in memory at a time.
+fn parse_us_per_row(paths: &[PathBuf]) -> f64 {
+    let mut rows = 0usize;
+    let mut elapsed = Duration::ZERO;
+    for path in paths {
+        let text = std::fs::read_to_string(path).expect("read feed");
+        let t = Instant::now();
+        for line in text.lines().skip(1) {
+            std::hint::black_box(parse_data_line(line).expect("feed rows parse"));
+            rows += 1;
+        }
+        elapsed += t.elapsed();
+    }
+    elapsed.as_secs_f64() * 1e6 / rows as f64
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let n_drives: u32 = if smoke { 50_000 } else { 1_000_000 };
@@ -97,6 +117,8 @@ fn main() {
     let t = Instant::now();
     let paths = write_feeds(&dir, n_drives);
     println!("feeds written in {:.1} s", t.elapsed().as_secs_f64());
+    let parse_us = parse_us_per_row(&paths);
+    println!("parse alone: {parse_us:.3} us/row");
 
     let mut config = DaemonConfig::new(paths, model_path, dir.join("alarms.csv"));
     config.shards = SHARDS;
@@ -160,6 +182,7 @@ fn main() {
             ("rows_ingested", rows as f64),
             ("rows_per_sec", rate),
             ("p99_tick_ms", p99),
+            ("parse_us_per_row", parse_us),
         ],
     );
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serve.json");

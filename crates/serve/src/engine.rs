@@ -60,7 +60,6 @@ use hdd_eval::{ModelError, Predictor, SavedModel, VotingRule, VotingState};
 use hdd_json::{JsonCodec, JsonError, Value};
 use hdd_par::{CancelToken, ParError};
 use hdd_smart::csv::{parse_data_line, ValueFault};
-use hdd_smart::SmartSeries;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -511,11 +510,8 @@ impl EngineShard {
             Scoring::Logged(None) => return Commit::Row(None),
             Scoring::Logged(Some(score)) if !self.record_events => score,
             _ => {
-                // Extraction reads a copy: lending the history itself
-                // instead measured a bimodal backfill peak RSS
-                // (OPTIMIZATION_LOG entry 11).
-                let series = SmartSeries::new(row.drive, row.class, monitor.history.clone());
-                let Some(features) = self.features.extract(&series, series.len() - 1) else {
+                let newest = monitor.history.len() - 1;
+                let Some(features) = self.features.extract_samples(&monitor.history, newest) else {
                     return Commit::Row(None);
                 };
                 let score = match scoring {
@@ -822,7 +818,7 @@ pub(crate) mod tests {
     use hdd_eval::VotingDetector;
     use hdd_smart::csv::{write_header, write_series};
     use hdd_smart::rng::DeterministicRng;
-    use hdd_smart::{DatasetGenerator, FamilyProfile, Hour, NUM_ATTRIBUTES};
+    use hdd_smart::{DatasetGenerator, FamilyProfile, Hour, SmartSeries, NUM_ATTRIBUTES};
     use hdd_stats::FeatureSet;
     use std::time::Duration;
 

@@ -266,6 +266,126 @@ pub fn is_header_line(line: &str) -> bool {
     matches!(line.split(',').next(), Some("drive"))
 }
 
+/// Fields in a data row: `drive,failed,fail_hour,hour` and the features.
+const ROW_FIELDS: usize = 4 + NUM_ATTRIBUTES;
+
+/// Why a data line does not parse. Its `Display` text is the reason a
+/// strict import reports in [`CsvError::Parse`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RowError {
+    /// The line is not valid UTF-8.
+    InvalidUtf8,
+    /// The line does not split into 16 comma-separated fields; carries
+    /// how many it does split into.
+    FieldCount(usize),
+    /// The drive id is not a `u32`.
+    DriveId,
+    /// The `failed` flag is neither `0` nor `1`.
+    FailedFlag,
+    /// A failed drive's `fail_hour` is not a `u32`, or a good drive's is
+    /// not empty.
+    FailHour,
+    /// The hour is not a `u32`.
+    Hour,
+    /// A feature value is not an `f32`.
+    FeatureValue,
+}
+
+impl std::fmt::Display for RowError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RowError::InvalidUtf8 => f.write_str("invalid UTF-8"),
+            RowError::FieldCount(n) => write!(f, "expected {ROW_FIELDS} fields, got {n}"),
+            RowError::DriveId => f.write_str("bad drive id"),
+            RowError::FailedFlag => f.write_str("bad failed flag"),
+            RowError::FailHour => f.write_str("bad fail hour"),
+            RowError::Hour => f.write_str("bad hour"),
+            RowError::FeatureValue => f.write_str("bad feature value"),
+        }
+    }
+}
+
+impl std::error::Error for RowError {}
+
+/// One field of a line: its bytes, and their value when they are 1–9
+/// ASCII digits (below 10^9, so no `u32` overflows).
+struct Field<'a> {
+    bytes: &'a [u8],
+    digits: Option<u32>,
+}
+
+impl Field<'_> {
+    fn u32(&self) -> Option<u32> {
+        self.digits.or_else(|| parse_str(self.bytes))
+    }
+
+    /// The field as `str::parse::<f32>` reads it. Up to 7 digits the
+    /// integer is below 2^24, so it is exactly an `f32` and the
+    /// correctly rounded parse gives the same bits.
+    fn f32(&self) -> Option<f32> {
+        match self.digits {
+            Some(n) if self.bytes.len() <= 7 => Some(n as f32),
+            _ => parse_str(self.bytes),
+        }
+    }
+}
+
+/// The slow path, for every form the digit runs do not cover: signs,
+/// `.`, exponents, `NaN`, `inf`, empty fields and long digit runs.
+fn parse_str<T: std::str::FromStr>(bytes: &[u8]) -> Option<T> {
+    std::str::from_utf8(bytes).ok()?.parse().ok()
+}
+
+/// A single left-to-right pass over a line's bytes, a field at a time,
+/// splitting exactly where `str::split(',')` does.
+struct FieldWalk<'a> {
+    line: &'a [u8],
+    /// Where the next field starts; `None` once the last one is taken.
+    next: Option<usize>,
+    /// Fields taken so far.
+    taken: usize,
+    /// Every byte outside a field's leading digits, OR-ed together: bit 7
+    /// is set when the line holds a non-ASCII byte.
+    high: u8,
+}
+
+impl<'a> FieldWalk<'a> {
+    fn new(line: &'a [u8]) -> Self {
+        FieldWalk {
+            line,
+            next: Some(0),
+            taken: 0,
+            high: 0,
+        }
+    }
+
+    fn next(&mut self) -> Option<Field<'a>> {
+        let line = self.line;
+        let start = self.next?;
+        let mut i = start;
+        let mut n = 0u32;
+        while i < line.len() && i - start < 9 {
+            let d = line[i].wrapping_sub(b'0');
+            if d > 9 {
+                break;
+            }
+            n = n * 10 + u32::from(d);
+            i += 1;
+        }
+        let digits_end = i;
+        while i < line.len() && line[i] != b',' {
+            self.high |= line[i];
+            i += 1;
+        }
+        self.next = (i < line.len()).then_some(i + 1);
+        self.taken += 1;
+        Some(Field {
+            bytes: &line[start..i],
+            digits: (i == digits_end && i > start).then_some(n),
+        })
+    }
+}
+
 /// Parse one data line — the unit both the whole-file readers and the
 /// streaming service are built on.
 ///
@@ -274,39 +394,64 @@ pub fn is_header_line(line: &str) -> bool {
 ///
 /// # Errors
 ///
-/// `Err(reason)` is a structural failure: wrong field count or a field
-/// that does not parse.
-pub fn parse_data_line(line: &str) -> Result<(CsvRow, Option<ValueFault>), String> {
-    let fields: Vec<&str> = line.split(',').collect();
-    if fields.len() != 4 + NUM_ATTRIBUTES {
-        return Err(format!(
-            "expected {} fields, got {}",
-            4 + NUM_ATTRIBUTES,
-            fields.len()
-        ));
+/// A [`RowError`] is a structural failure: wrong field count, a field
+/// that does not parse, or a `failed` flag and `fail_hour` that do not
+/// agree.
+pub fn parse_data_line(line: &str) -> Result<(CsvRow, Option<ValueFault>), RowError> {
+    parse_data_bytes(line.as_bytes())
+}
+
+/// [`parse_data_line`] over raw bytes, which need not be UTF-8.
+///
+/// The line is walked once and nothing is allocated. Errors rank as they
+/// would if the line were decoded and split first: invalid UTF-8, then
+/// the field count, then the first field that does not parse.
+///
+/// # Errors
+///
+/// As [`parse_data_line`], plus [`RowError::InvalidUtf8`].
+pub fn parse_data_bytes(line: &[u8]) -> Result<(CsvRow, Option<ValueFault>), RowError> {
+    let mut walk = FieldWalk::new(line);
+    let parsed = parse_fields(&mut walk);
+    while walk.next().is_some() {}
+    if walk.high >= 0x80 && std::str::from_utf8(line).is_err() {
+        return Err(RowError::InvalidUtf8);
     }
-    let drive = DriveId(fields[0].parse().map_err(|_| "bad drive id".to_string())?);
-    let failed: u8 = fields[1]
-        .parse()
-        .map_err(|_| "bad failed flag".to_string())?;
-    let class = if failed == 1 {
-        DriveClass::Failed {
-            fail_hour: Hour(fields[2].parse().map_err(|_| "bad fail hour".to_string())?),
-        }
-    } else {
-        DriveClass::Good
+    if walk.taken != ROW_FIELDS {
+        return Err(RowError::FieldCount(walk.taken));
+    }
+    parsed
+}
+
+/// Take and parse the row's fields in order, stopping at the first one
+/// that fails. A missing field's error is moot: the field count outranks
+/// it.
+fn parse_fields(walk: &mut FieldWalk<'_>) -> Result<(CsvRow, Option<ValueFault>), RowError> {
+    let drive = DriveId(walk.next().and_then(|f| f.u32()).ok_or(RowError::DriveId)?);
+    let failed = walk.next().and_then(|f| f.u32());
+    let fail_hour = walk.next();
+    let class = match (failed, fail_hour) {
+        (Some(0), Some(f)) if f.bytes.is_empty() => DriveClass::Good,
+        (Some(0), _) => return Err(RowError::FailHour),
+        (Some(1), f) => DriveClass::Failed {
+            fail_hour: Hour(f.and_then(|f| f.u32()).ok_or(RowError::FailHour)?),
+        },
+        _ => return Err(RowError::FailedFlag),
     };
-    let hour = Hour(fields[3].parse().map_err(|_| "bad hour".to_string())?);
+    let hour = Hour(walk.next().and_then(|f| f.u32()).ok_or(RowError::Hour)?);
     let mut values = [0.0f32; NUM_ATTRIBUTES];
     let mut fault = None;
-    for (i, field) in fields[4..].iter().enumerate() {
-        let v: f32 = field.parse().map_err(|_| "bad feature value".to_string())?;
+    for slot in &mut values {
+        let v = walk
+            .next()
+            .and_then(|f| f.f32())
+            .ok_or(RowError::FeatureValue)?;
         if !v.is_finite() {
             fault = Some(ValueFault::NonFinite);
         } else if fault.is_none() && !(0.0..=MAX_FEATURE_VALUE).contains(&f64::from(v)) {
             fault = Some(ValueFault::OutOfRange);
         }
-        values[i] = v;
+        *slot = v;
     }
     Ok((
         CsvRow {
@@ -364,40 +509,41 @@ enum Mode {
 }
 
 fn read_series_impl<R: BufRead>(
-    r: R,
+    mut r: R,
     mode: &Mode,
 ) -> Result<(Vec<SmartSeries>, QuarantineReport), CsvError> {
     let mut out: Vec<SmartSeries> = Vec::new();
     let mut report = QuarantineReport::default();
     let mut current: Option<Run> = None;
-    let mut saw_header = false;
+    // One line at a time through one reused buffer: memory stays bounded
+    // by the longest line, whatever the file's size.
+    let mut buf = Vec::new();
+    let mut lineno = 0;
 
-    for (idx, raw) in r.split(b'\n').enumerate() {
-        let raw = raw?;
-        let lineno = idx + 1;
-        if idx == 0 {
-            saw_header = true;
+    loop {
+        buf.clear();
+        if r.read_until(b'\n', &mut buf)? == 0 {
+            break;
+        }
+        lineno += 1;
+        if lineno == 1 {
             continue; // header
         }
         // Tolerate CRLF line endings and skip blank lines.
-        let raw = match raw.last() {
-            Some(b'\r') => &raw[..raw.len() - 1],
-            _ => &raw[..],
-        };
+        let raw = buf.strip_suffix(b"\n").unwrap_or(&buf);
+        let raw = raw.strip_suffix(b"\r").unwrap_or(raw);
         if raw.is_empty() {
             continue;
         }
         report.rows_seen += 1;
-        let structural = std::str::from_utf8(raw)
-            .map_err(|_| "invalid UTF-8".to_string())
-            .and_then(parse_data_line);
+        let structural = parse_data_bytes(raw);
         let (row, fault) = match structural {
             Ok(parsed) => parsed,
             Err(reason) => match mode {
                 Mode::Strict => {
                     return Err(CsvError::Parse {
                         line: lineno,
-                        reason,
+                        reason: reason.to_string(),
                     })
                 }
                 Mode::Quarantine => {
@@ -469,7 +615,7 @@ fn read_series_impl<R: BufRead>(
             }
         }
     }
-    if !saw_header {
+    if lineno == 0 {
         return Err(CsvError::Parse {
             line: 1,
             reason: "empty input: missing header".to_string(),
@@ -762,6 +908,101 @@ mod tests {
         let (_, fault) = parse_data_line(&row(3, 7).replace(",3,", ",-2,")).unwrap();
         assert_eq!(fault, Some(ValueFault::OutOfRange));
         assert!(parse_data_line("1,2,3").is_err());
+    }
+
+    #[test]
+    fn a_flag_outside_0_1_or_a_good_row_s_fail_hour_is_a_parse_error() {
+        let bad_flag = row(1, 5).replacen(",0,,", ",2,,", 1);
+        let stray_hour = row(1, 6).replacen(",0,,", ",0,oops,", 1);
+        let good_with_hour = row(1, 7).replacen(",0,,", ",0,40,", 1);
+        for (line, reason) in [
+            (&bad_flag, "bad failed flag"),
+            (&stray_hour, "bad fail hour"),
+            (&good_with_hour, "bad fail hour"),
+        ] {
+            let err = parse_data_line(line).unwrap_err();
+            assert_eq!(err.to_string(), reason, "{line}");
+            let err = read_series(doc(&[row(1, 0), line.clone()]).as_bytes()).unwrap_err();
+            assert!(
+                matches!(&err, CsvError::Parse { line: 3, reason: r } if r == reason),
+                "{err}"
+            );
+        }
+        let policy = IngestPolicy {
+            max_quarantine_fraction: 0.9,
+        };
+        let input = doc(&[row(1, 0), bad_flag, stray_hour, good_with_hour]);
+        let import = read_series_quarantined(input.as_bytes(), &policy).unwrap();
+        assert_eq!(import.report.parse_failures, 3);
+        assert_eq!(import.report.rows_ingested, 1);
+        // The flag's other spellings `u8` parsing accepted still read.
+        let failed = row(1, 5).replacen(",0,,", ",01,700,", 1);
+        let (parsed, _) = parse_data_line(&failed).unwrap();
+        assert_eq!(
+            parsed.class,
+            DriveClass::Failed {
+                fail_hour: Hour(700)
+            }
+        );
+        let (parsed, _) = parse_data_line(&row(1, 5).replacen(",0,,", ",+0,,", 1)).unwrap();
+        assert_eq!(parsed.class, DriveClass::Good);
+    }
+
+    /// The feature value the walker reads from a one-field line.
+    fn feature(field: &str) -> Option<f32> {
+        FieldWalk::new(field.as_bytes())
+            .next()
+            .and_then(|f| f.f32())
+    }
+
+    fn assert_reads_like_str_parse(field: &str) {
+        let want = field.parse::<f32>().ok().map(f32::to_bits);
+        assert_eq!(feature(field).map(f32::to_bits), want, "{field:?}");
+    }
+
+    #[test]
+    fn the_integer_fast_path_is_bit_identical_to_str_parse() {
+        let mut field = String::new();
+        for n in 0..=9_999_999u32 {
+            field.clear();
+            std::fmt::Write::write_fmt(&mut field, format_args!("{n}")).unwrap();
+            let want = field.parse::<f32>().unwrap().to_bits();
+            assert_eq!(feature(&field).map(f32::to_bits), Some(want), "{field}");
+        }
+        // Leading zeros, up to the 7-digit fast path and past it.
+        for n in [0u32, 1, 7, 42, 999, 123_456, 9_999_999] {
+            for width in 1..=9 {
+                assert_reads_like_str_parse(&format!("{n:0width$}"));
+            }
+        }
+        for field in [
+            "-0",
+            "+3",
+            "1.5",
+            "1e3",
+            "12345678",
+            "16777217",
+            "99999999",
+            "4294967296",
+            "",
+            " 5",
+            "5 ",
+            "NaN",
+            "inf",
+            "-inf",
+            "+inf",
+            "0x10",
+            "1_0",
+            "-",
+            "+",
+            ".",
+            "1.",
+            ".5",
+            "1e",
+            "\u{0661}",
+        ] {
+            assert_reads_like_str_parse(field);
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! expertise** in the authors' earlier BP ANN work.
 
 use crate::change_rate::change_rate_at;
-use hdd_smart::{Attribute, SmartSeries, BASIC_ATTRIBUTES};
+use hdd_smart::{Attribute, SmartSample, SmartSeries, BASIC_ATTRIBUTES};
 use std::fmt;
 
 /// One model input.
@@ -34,17 +34,18 @@ impl FeatureSpec {
         }
     }
 
-    /// Evaluate the feature at sample `idx` of `series`.
+    /// Evaluate the feature at sample `idx` of `samples`, a drive's
+    /// chronological history.
     ///
     /// Returns `None` if a change rate lacks history at that sample.
     #[must_use]
-    pub fn evaluate(self, series: &SmartSeries, idx: usize) -> Option<f64> {
+    pub fn evaluate(self, samples: &[SmartSample], idx: usize) -> Option<f64> {
         match self {
-            FeatureSpec::Value(attr) => Some(series.samples()[idx].value(attr)),
+            FeatureSpec::Value(attr) => Some(samples[idx].value(attr)),
             FeatureSpec::ChangeRate {
                 attr,
                 interval_hours,
-            } => change_rate_at(series, idx, attr, interval_hours),
+            } => change_rate_at(samples, idx, attr, interval_hours),
         }
     }
 }
@@ -207,11 +208,18 @@ impl FeatureSet {
     /// if any change rate lacks history there.
     #[must_use]
     pub fn extract(&self, series: &SmartSeries, idx: usize) -> Option<Vec<f64>> {
+        self.extract_samples(series.samples(), idx)
+    }
+
+    /// [`FeatureSet::extract`] over a drive's chronological history held
+    /// as a bare slice, as the serve engine keeps it.
+    #[must_use]
+    pub fn extract_samples(&self, samples: &[SmartSample], idx: usize) -> Option<Vec<f64>> {
         // Sized exactly: a collected `Option<Vec<_>>` would round the
         // capacity up, and the serve engine keeps these vectors.
         let mut out = Vec::with_capacity(self.features.len());
         for f in &self.features {
-            out.push(f.evaluate(series, idx)?);
+            out.push(f.evaluate(samples, idx)?);
         }
         Some(out)
     }

@@ -222,7 +222,7 @@ impl Populations {
         let mut out = Vec::new();
         for (s, idxs) in series.iter().zip(indices) {
             for &i in idxs {
-                if let Some(v) = feature.evaluate(s, i) {
+                if let Some(v) = feature.evaluate(s.samples(), i) {
                     out.push(v);
                 }
             }
