@@ -12,23 +12,28 @@
 //! `--smoke` drops to 50,000 drives so CI can prove the harness and the
 //! artifact schema in seconds. Results land in `BENCH_serve.json` at
 //! the workspace root: one `serve_ingest` row with `tracked_drives`,
-//! `rows_ingested`, `rows_per_sec`, `p99_tick_ms` (per daemon step) and
-//! `parse_us_per_row` (the row parser alone over the same feed lines,
-//! timed outside the serve loop) columns (CI fails if the file, the p99
-//! column or the parse column is missing).
+//! `rows_ingested`, `rows_per_sec`, `p99_tick_ms` (per daemon step),
+//! `parse_us_per_row` (the row parser alone over the same feed lines)
+//! and `snapshot_encode_us_per_drive` / `snapshot_decode_us_per_drive`
+//! (each shard's end state encoded as its snapshot payload and restored
+//! into a fresh shard, once) columns, the last three timed outside the
+//! serve loop (CI fails if the file or the p99, parse or snapshot
+//! columns are missing).
 
 use hdd_bench::report::Report;
 use hdd_bench::section;
 use hdd_cart::classifier::ClassificationTreeBuilder;
-use hdd_eval::{series_training_set, SavedModel};
+use hdd_eval::{series_training_set, SavedModel, VotingRule};
 use hdd_lifecycle::{Daemon, DaemonConfig};
 use hdd_par::hardware_threads;
+use hdd_serve::{EngineConfig, EngineShard};
 use hdd_smart::csv::parse_data_line;
 use hdd_smart::rng::DeterministicRng;
 use hdd_smart::{DatasetGenerator, FamilyProfile, NUM_ATTRIBUTES};
 use hdd_stats::FeatureSet;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const SHARDS: usize = 4;
@@ -99,6 +104,32 @@ fn parse_us_per_row(paths: &[PathBuf]) -> f64 {
     elapsed.as_secs_f64() * 1e6 / rows as f64
 }
 
+/// Microseconds per tracked drive to encode every shard's state as its
+/// snapshot payload, and to restore that payload into a fresh shard,
+/// each shard once.
+fn snapshot_us_per_drive(daemon: &Daemon, model: &Arc<SavedModel>) -> (f64, f64) {
+    let (mut encode, mut decode, mut drives) = (Duration::ZERO, Duration::ZERO, 0);
+    let config = EngineConfig::new(11, VotingRule::Majority, 0.1);
+    for shard in daemon.topology().shards() {
+        let t = Instant::now();
+        let mut text = String::new();
+        shard.write_state(&mut text);
+        encode += t.elapsed();
+        let mut fresh =
+            EngineShard::new(Arc::clone(model), FeatureSet::critical13(), config, FEEDS)
+                .expect("a fresh shard");
+        let t = Instant::now();
+        fresh
+            .read_state(&text)
+            .expect("restore a shard's own snapshot");
+        decode += t.elapsed();
+        assert_eq!(fresh.tracked_drives(), shard.tracked_drives());
+        drives += shard.tracked_drives();
+    }
+    let per_drive = |d: Duration| d.as_secs_f64() * 1e6 / drives as f64;
+    (per_drive(encode), per_drive(decode))
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let n_drives: u32 = if smoke { 50_000 } else { 1_000_000 };
@@ -111,9 +142,8 @@ fn main() {
     ));
     let features = FeatureSet::critical13();
     let model_path = dir.join("model.bin");
-    model(&features)
-        .save(&model_path)
-        .expect("save bench model");
+    let served = Arc::new(model(&features));
+    served.save(&model_path).expect("save bench model");
     let t = Instant::now();
     let paths = write_feeds(&dir, n_drives);
     println!("feeds written in {:.1} s", t.elapsed().as_secs_f64());
@@ -157,6 +187,9 @@ fn main() {
         assert!(tracked >= 1_000_000, "the full run must track >= 1M drives");
     }
 
+    let (encode_us, decode_us) = snapshot_us_per_drive(&daemon, &served);
+    println!("snapshot: encode {encode_us:.3} us/drive, decode {decode_us:.3} us/drive");
+
     let rate = rows as f64 / wall.as_secs_f64();
     tick_ms.sort_unstable_by(f64::total_cmp);
     let p99_idx = ((tick_ms.len() - 1) as f64 * 0.99).ceil() as usize;
@@ -183,6 +216,8 @@ fn main() {
             ("rows_per_sec", rate),
             ("p99_tick_ms", p99),
             ("parse_us_per_row", parse_us),
+            ("snapshot_encode_us_per_drive", encode_us),
+            ("snapshot_decode_us_per_drive", decode_us),
         ],
     );
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serve.json");

@@ -15,7 +15,7 @@
 
 use crate::model::Predictor;
 use hdd_cart::FeatureMatrix;
-use hdd_json::{JsonCodec, JsonError, Value};
+use hdd_json::{Cursor, Decoded, JsonCodec, JsonError, Value};
 use hdd_smart::{Hour, SmartSeries};
 use hdd_stats::FeatureSet;
 
@@ -137,15 +137,7 @@ impl VotingState {
     /// The window's scores, oldest first.
     #[must_use]
     pub fn scores(&self) -> Vec<f64> {
-        (0..self.len)
-            .map(|k| {
-                if self.len == self.voters {
-                    self.ring[(self.head + k) % self.voters]
-                } else {
-                    self.ring[k]
-                }
-            })
-            .collect()
+        self.chronological().collect()
     }
 
     /// Advance the window by one score and return whether the vote now
@@ -183,23 +175,17 @@ impl VotingState {
     }
 }
 
-impl JsonCodec for VotingState {
-    fn to_json(&self) -> Value {
-        let mut fields = vec![("voters".to_string(), Value::Num(self.voters as f64))];
-        if let Value::Obj(rule_fields) = self.rule.to_json() {
-            fields.extend(rule_fields);
-        }
-        fields.push(("scores".to_string(), Value::from_f64s(self.scores())));
-        Value::Obj(fields)
+impl VotingState {
+    /// The window's scores oldest first, without collecting them: the
+    /// ring from `head`, then its start (while filling, `head` is 0 and
+    /// the ring holds exactly the scores).
+    fn chronological(&self) -> impl Iterator<Item = f64> + '_ {
+        let (newer, older) = self.ring.split_at(self.head.min(self.ring.len()));
+        older.iter().chain(newer).copied()
     }
 
-    fn from_json(value: &Value) -> Result<Self, JsonError> {
-        let voters = value.usize_field("voters")?;
-        if voters == 0 {
-            return Err(JsonError::new("voting state needs at least one voter"));
-        }
-        let rule = VotingRule::from_json(value)?;
-        let scores = value.f64_vec_field("scores")?;
+    /// A window of `voters` holding `scores`, oldest first.
+    fn with_scores(voters: usize, rule: VotingRule, scores: Vec<f64>) -> Result<Self, JsonError> {
         if scores.len() > voters {
             return Err(JsonError::new(format!(
                 "{} scores in a {voters}-voter window",
@@ -219,6 +205,78 @@ impl JsonCodec for VotingState {
             len,
             negatives,
         })
+    }
+
+    /// Append the JSON [`JsonCodec::to_json`] encodes, without building
+    /// its tree.
+    pub fn write_json(&self, out: &mut String) {
+        out.push_str("{\"voters\":");
+        hdd_json::write_number(self.voters as f64, out);
+        match self.rule {
+            VotingRule::Majority => out.push_str(",\"rule\":\"majority\""),
+            VotingRule::MeanBelow(threshold) => {
+                out.push_str(",\"rule\":\"mean_below\",\"threshold\":");
+                hdd_json::write_number(threshold, out);
+            }
+        }
+        out.push_str(",\"scores\":");
+        hdd_json::write_list(out, self.chronological(), hdd_json::write_number);
+        out.push('}');
+    }
+
+    /// Read the window at `cursor` directly: what
+    /// [`JsonCodec::from_json`] decodes from the parsed value, with the
+    /// same errors.
+    ///
+    /// # Errors
+    ///
+    /// The outer error when the text is not JSON; see [`Decoded`].
+    pub fn read_json(cursor: &mut Cursor<'_>) -> Decoded<Self> {
+        let (mut voters, mut rule, mut threshold) = (None, None, None);
+        let (mut scores, mut read) = (Vec::new(), None);
+        cursor.object(|key, c| {
+            match key {
+                "voters" if voters.is_none() => voters = Some(c.number()?),
+                "rule" if rule.is_none() => rule = Some(c.string()?),
+                "threshold" if threshold.is_none() => threshold = Some(c.number()?),
+                "scores" if read.is_none() => read = Some(c.numbers(|n| scores.push(n))?),
+                _ => c.skip()?,
+            }
+            Ok(())
+        })?;
+        Ok((|| {
+            let voters = hdd_json::usize_field(voters, "voters")?;
+            if voters == 0 {
+                return Err(JsonError::new("voting state needs at least one voter"));
+            }
+            let rule = match hdd_json::str_field(&rule, "rule")? {
+                "majority" => VotingRule::Majority,
+                "mean_below" => VotingRule::MeanBelow(hdd_json::f64_field(threshold, "threshold")?),
+                other => return Err(JsonError::new(format!("unknown voting rule `{other}`"))),
+            };
+            hdd_json::numbers_field(read, "scores")?;
+            VotingState::with_scores(voters, rule, scores)
+        })())
+    }
+}
+
+impl JsonCodec for VotingState {
+    fn to_json(&self) -> Value {
+        let mut fields = vec![("voters".to_string(), Value::Num(self.voters as f64))];
+        if let Value::Obj(rule_fields) = self.rule.to_json() {
+            fields.extend(rule_fields);
+        }
+        fields.push(("scores".to_string(), Value::from_f64s(self.chronological())));
+        Value::Obj(fields)
+    }
+
+    fn from_json(value: &Value) -> Result<Self, JsonError> {
+        let voters = value.usize_field("voters")?;
+        if voters == 0 {
+            return Err(JsonError::new("voting state needs at least one voter"));
+        }
+        let rule = VotingRule::from_json(value)?;
+        VotingState::with_scores(voters, rule, value.f64_vec_field("scores")?)
     }
 }
 

@@ -3,7 +3,10 @@
 //! The serving layer needs to save and load compiled models without
 //! pulling a serialization framework into an offline build. This crate
 //! provides the minimum: a [`Value`] tree, a strict parser, a compact
-//! writer, and the [`JsonCodec`] trait model types implement.
+//! writer, and the [`JsonCodec`] trait model types implement. The parser
+//! is a pull [`Cursor`], which a codec that knows its document's shape
+//! can also drive directly, building no tree (the serve layer's shard
+//! snapshots do).
 //!
 //! Numbers round-trip exactly: the writer emits the shortest decimal
 //! representation that parses back to the identical `f64` (Rust's
@@ -14,8 +17,12 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod container;
+mod cursor;
 pub mod disk;
 
+pub use cursor::{
+    f64_field, list, numbers_field, str_field, usize_field, Cursor, Decoded, Field, Listed,
+};
 use std::fmt;
 
 /// A JSON document node.
@@ -118,12 +125,7 @@ impl Value {
     /// The number as a non-negative integer, if exactly representable.
     #[must_use]
     pub fn as_usize(&self) -> Option<usize> {
-        match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
-                Some(*n as usize)
-            }
-            _ => None,
-        }
+        self.as_f64().and_then(usize_of)
     }
 
     /// The string, if this is one.
@@ -230,6 +232,12 @@ impl Value {
     }
 }
 
+/// `n` as a non-negative integer, if it is one no larger than 2^53.
+#[must_use]
+pub fn usize_of(n: f64) -> Option<usize> {
+    (n >= 0.0 && n.fract() == 0.0 && n <= 2f64.powi(53)).then_some(n as usize)
+}
+
 // ---------------------------------------------------------------- writer
 
 /// Serialize a value to compact JSON.
@@ -282,6 +290,22 @@ pub fn write_value(value: &Value, out: &mut String) {
             out.push('}');
         }
     }
+}
+
+/// Append `items` as a JSON array, each element written by `write`.
+pub fn write_list<I: IntoIterator>(
+    out: &mut String,
+    items: I,
+    mut write: impl FnMut(I::Item, &mut String),
+) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write(item, out);
+    }
+    out.push(']');
 }
 
 /// Integers below this magnitude are exact in an `f64`, and `Display`
@@ -346,11 +370,13 @@ fn write_string(s: &str, out: &mut String) {
 
 // -------------------------------------------------------------- checksum
 
-/// The CRC of every byte value under the reflected IEEE polynomial.
-const CRC_TABLE: [u32; 256] = crc_table();
+/// Slice-by-8 tables under the reflected IEEE polynomial: `CRC_TABLES[0]`
+/// is the CRC of every byte value, and `CRC_TABLES[k][b]` is the CRC of
+/// byte `b` followed by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut b = 0;
     while b < 256 {
         let mut crc = b as u32;
@@ -359,24 +385,48 @@ const fn crc_table() -> [u32; 256] {
             crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
             bit += 1;
         }
-        table[b] = crc;
+        tables[0][b] = crc;
         b += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// CRC-32 (IEEE 802.3, the zlib/PNG polynomial) of `bytes`.
 ///
-/// Used by the persistence layer to detect on-disk corruption. Every
-/// checkpoint save checksums its whole payload, which made the bitwise
-/// loop about 15% of a fleet checkpoint's cost, so this folds a byte per
-/// step through a `const` lookup table; the values are the standard
-/// CRC-32's.
+/// Used by the persistence layer to detect on-disk corruption: every
+/// checkpoint save and load checksums its whole payload. It folds eight
+/// bytes per step through `const` slice-by-8 tables, then the tail a
+/// byte at a time; the values are the standard CRC-32's.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC_TABLES;
+    let byte = |word: u32, shift: u32| ((word >> shift) & 0xFF) as usize;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+    let (words, tail) = bytes.as_chunks::<8>();
+    for &[a, b, c, d, e, f, g, h] in words {
+        let lo = crc ^ u32::from_le_bytes([a, b, c, d]);
+        let hi = u32::from_le_bytes([e, f, g, h]);
+        crc = t7[byte(lo, 0)]
+            ^ t6[byte(lo, 8)]
+            ^ t5[byte(lo, 16)]
+            ^ t4[byte(lo, 24)]
+            ^ t3[byte(hi, 0)]
+            ^ t2[byte(hi, 8)]
+            ^ t1[byte(hi, 16)]
+            ^ t0[byte(hi, 24)];
+    }
+    for &b in tail {
+        crc = (crc >> 8) ^ t0[byte(crc ^ u32::from(b), 0)];
     }
     !crc
 }
@@ -389,226 +439,10 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 ///
 /// Returns [`JsonError`] on malformed input or trailing garbage.
 pub fn parse(text: &str) -> Result<Value, JsonError> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let value = p.parse_value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(JsonError::new(format!(
-            "trailing characters at byte {}",
-            p.pos
-        )));
-    }
+    let mut cursor = Cursor::new(text);
+    let value = cursor.value()?;
+    cursor.finish()?;
     Ok(value)
-}
-
-/// Nesting depth cap: protects the recursive parser from stack overflow
-/// on adversarial input.
-const MAX_DEPTH: usize = 128;
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(JsonError::new(format!(
-                "expected `{}` at byte {}",
-                b as char, self.pos
-            )))
-        }
-    }
-
-    fn parse_value(&mut self, depth: usize) -> Result<Value, JsonError> {
-        if depth > MAX_DEPTH {
-            return Err(JsonError::new("document nests too deeply"));
-        }
-        match self.peek() {
-            Some(b'n') => self.parse_keyword("null", Value::Null),
-            Some(b't') => self.parse_keyword("true", Value::Bool(true)),
-            Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
-            Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b'[') => self.parse_array(depth),
-            Some(b'{') => self.parse_object(depth),
-            Some(b'-' | b'0'..=b'9') => self.parse_number(),
-            _ => Err(JsonError::new(format!(
-                "unexpected input at byte {}",
-                self.pos
-            ))),
-        }
-    }
-
-    fn parse_keyword(&mut self, word: &str, value: Value) -> Result<Value, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(JsonError::new(format!(
-                "invalid keyword at byte {}",
-                self.pos
-            )))
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Value, JsonError> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if matches!(b, b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| JsonError::new("invalid number bytes"))?;
-        let n: f64 = text
-            .parse()
-            .map_err(|_| JsonError::new(format!("invalid number `{text}`")))?;
-        if !n.is_finite() {
-            return Err(JsonError::new(format!("number out of range `{text}`")));
-        }
-        Ok(Value::Num(n))
-    }
-
-    fn parse_string(&mut self) -> Result<String, JsonError> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(JsonError::new("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| JsonError::new("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| JsonError::new("invalid \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| JsonError::new("invalid \\u escape"))?;
-                            // Surrogates are not expected in model files;
-                            // map unpaired ones to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(JsonError::new("invalid escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Copy the run of plain bytes up to the next quote or
-                    // backslash in one slice. Both are ASCII, so in the
-                    // (valid UTF-8) input the run ends on a char boundary.
-                    let rest = &self.bytes[self.pos..];
-                    let len = rest
-                        .iter()
-                        .position(|&b| b == b'"' || b == b'\\')
-                        .unwrap_or(rest.len());
-                    let run = std::str::from_utf8(&rest[..len])
-                        .map_err(|_| JsonError::new("invalid UTF-8"))?;
-                    out.push_str(run);
-                    self.pos += len;
-                }
-            }
-        }
-    }
-
-    fn parse_array(&mut self, depth: usize) -> Result<Value, JsonError> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.parse_value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => {
-                    return Err(JsonError::new(format!(
-                        "expected , or ] at byte {}",
-                        self.pos
-                    )))
-                }
-            }
-        }
-    }
-
-    fn parse_object(&mut self, depth: usize) -> Result<Value, JsonError> {
-        self.eat(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let value = self.parse_value(depth + 1)?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(pairs));
-                }
-                _ => {
-                    return Err(JsonError::new(format!(
-                        "expected , or }} at byte {}",
-                        self.pos
-                    )))
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -637,18 +471,33 @@ mod crc_tests {
         state.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 
+    /// The bytewise CRC-32 through the first table: the reference the
+    /// slice-by-8 loop must match.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ super::CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        !crc
+    }
+
     #[test]
     fn the_table_matches_the_bitwise_reference_at_every_length() {
         let mut state = 0x9E37_79B9_7F4A_7C15;
-        let data: Vec<u8> = (0..1024).map(|_| noise(&mut state) as u8).collect();
-        for len in 0..=data.len() {
-            let slice = &data[..len];
-            assert_eq!(crc32(slice), crc32_bitwise(slice), "length {len}");
+        let data: Vec<u8> = (0..1024 + 8).map(|_| noise(&mut state) as u8).collect();
+        for b in 0..=255u8 {
+            assert_eq!(crc32_bytewise(&[b]), crc32_bitwise(&[b]), "byte {b}");
         }
-        // Every alignment of a short window, and larger random buffers.
-        for start in 0..16 {
-            let slice = &data[start..start + 300];
-            assert_eq!(crc32(slice), crc32_bitwise(slice), "offset {start}");
+        // Every length 0..=1024 at 8 alignments.
+        for start in 0..8 {
+            for len in 0..=1024 {
+                let slice = &data[start..start + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "offset {start}, length {len}"
+                );
+            }
         }
         for round in 0..32 {
             let len = (noise(&mut state) % 70_000) as usize;

@@ -454,7 +454,7 @@ impl LifecycleManager {
     pub fn restore_checkpoint(&mut self, dir: &Path) -> Result<bool, LifecycleError> {
         let log = LifecycleLog::new(dir);
         let log_path = log.files.log_path();
-        let snapshot = log.files.load_snapshot()?;
+        let snapshot = log.files.load_snapshot(|c| c.value().map(Ok))?;
         log.files.replay_log(|frames| {
             let Some(snapshot) = &snapshot else {
                 return Ok(());
@@ -1006,7 +1006,9 @@ impl LifecycleManager {
             self.buffer.write_rows(new_rows, &mut frame);
             Some(frame)
         };
-        log.files.save(disk, frame, || self.state_json(true))?;
+        log.files.save(disk, frame, |out| {
+            hdd_json::write_value(&self.state_json(true), out);
+        })?;
         Ok(())
     }
 }

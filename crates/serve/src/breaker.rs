@@ -21,7 +21,10 @@
 //!   `window` rows; one excursion above the ceiling re-trips, a clean
 //!   probation closes the breaker.
 
-use hdd_json::{JsonCodec, JsonError, Value};
+use hdd_json::{
+    f64_field, str_field, usize_field, usize_of, write_list, write_number, Cursor, Decoded,
+    JsonError,
+};
 use std::collections::VecDeque;
 
 /// Sizing and ceiling for the [`CircuitBreaker`].
@@ -199,71 +202,112 @@ impl CircuitBreaker {
     }
 }
 
-impl JsonCodec for CircuitBreaker {
-    fn to_json(&self) -> Value {
+impl CircuitBreaker {
+    /// Append the breaker as a shard snapshot holds it: its config, the
+    /// window's flags (0 or 1), the state's label and its counter.
+    pub(crate) fn write_json(&self, out: &mut String) {
         let (state, counter) = match self.state {
             BreakerState::Healthy => ("healthy", 0),
             BreakerState::Degraded { remaining } => ("degraded", remaining),
             BreakerState::Recovering { probation } => ("recovering", probation),
         };
-        Value::Obj(vec![
-            ("window".to_string(), Value::Num(self.config.window as f64)),
-            (
-                "max_fraction".to_string(),
-                Value::Num(self.config.max_fraction),
-            ),
-            (
-                "cooldown".to_string(),
-                Value::Num(self.config.cooldown as f64),
-            ),
-            (
-                "flags".to_string(),
-                Value::from_usizes(self.flags.iter().map(|&q| usize::from(q))),
-            ),
-            ("state".to_string(), Value::Str(state.to_string())),
-            ("counter".to_string(), Value::Num(counter as f64)),
-        ])
+        out.push_str("{\"window\":");
+        write_number(self.config.window as f64, out);
+        out.push_str(",\"max_fraction\":");
+        write_number(self.config.max_fraction, out);
+        out.push_str(",\"cooldown\":");
+        write_number(self.config.cooldown as f64, out);
+        out.push_str(",\"flags\":");
+        write_list(out, &self.flags, |&q, out| {
+            out.push(if q { '1' } else { '0' })
+        });
+        out.push_str(",\"state\":\"");
+        out.push_str(state);
+        out.push_str("\",\"counter\":");
+        write_number(counter as f64, out);
+        out.push('}');
     }
 
-    fn from_json(value: &Value) -> Result<Self, JsonError> {
-        let config = BreakerConfig {
-            window: value.usize_field("window")?,
-            max_fraction: value.f64_field("max_fraction")?,
-            cooldown: value.usize_field("cooldown")?,
-        };
-        if config.window == 0 || config.cooldown == 0 || !(0.0..=1.0).contains(&config.max_fraction)
-        {
-            return Err(JsonError::new("invalid breaker configuration"));
-        }
-        let raw_flags = value.usize_vec_field("flags")?;
-        if raw_flags.len() > config.window {
-            return Err(JsonError::new(format!(
-                "{} flags in a {}-row breaker window",
-                raw_flags.len(),
-                config.window
-            )));
-        }
-        let counter = value.usize_field("counter")?;
-        let state = match value.str_field("state")? {
-            "healthy" => BreakerState::Healthy,
-            "degraded" => BreakerState::Degraded { remaining: counter },
-            "recovering" => BreakerState::Recovering { probation: counter },
-            other => return Err(JsonError::new(format!("unknown breaker state `{other}`"))),
-        };
-        let flags: VecDeque<bool> = raw_flags.iter().map(|&f| f != 0).collect();
-        let quarantined = flags.iter().filter(|&&q| q).count();
-        Ok(CircuitBreaker {
-            config,
-            flags,
-            quarantined,
-            state,
-        })
+    /// Read a breaker [`CircuitBreaker::write_json`] wrote.
+    pub(crate) fn read_json(cursor: &mut Cursor<'_>) -> Decoded<Self> {
+        let (mut window, mut max_fraction, mut cooldown) = (None, None, None);
+        let (mut state, mut counter) = (None, None);
+        let (mut flags, mut read, mut integers) = (VecDeque::new(), None, true);
+        cursor.object(|key, c| {
+            match key {
+                "window" if window.is_none() => window = Some(c.number()?),
+                "max_fraction" if max_fraction.is_none() => max_fraction = Some(c.number()?),
+                "cooldown" if cooldown.is_none() => cooldown = Some(c.number()?),
+                "state" if state.is_none() => state = Some(c.string()?),
+                "counter" if counter.is_none() => counter = Some(c.number()?),
+                "flags" if read.is_none() => {
+                    read = Some(c.numbers(|n| match usize_of(n) {
+                        Some(flag) => flags.push_back(flag != 0),
+                        None => integers = false,
+                    })?);
+                }
+                _ => c.skip()?,
+            }
+            Ok(())
+        })?;
+        Ok((|| {
+            let config = BreakerConfig {
+                window: usize_field(window, "window")?,
+                max_fraction: f64_field(max_fraction, "max_fraction")?,
+                cooldown: usize_field(cooldown, "cooldown")?,
+            };
+            if config.window == 0
+                || config.cooldown == 0
+                || !(0.0..=1.0).contains(&config.max_fraction)
+            {
+                return Err(JsonError::new("invalid breaker configuration"));
+            }
+            match read {
+                None => return Err(JsonError::missing("flags")),
+                Some(None) => return Err(JsonError::expected("array", "flags")),
+                Some(Some(numbers)) if !(numbers && integers) => {
+                    return Err(JsonError::expected("integer", "flags"))
+                }
+                Some(Some(_)) => {}
+            }
+            if flags.len() > config.window {
+                return Err(JsonError::new(format!(
+                    "{} flags in a {}-row breaker window",
+                    flags.len(),
+                    config.window
+                )));
+            }
+            let counter = usize_field(counter, "counter")?;
+            let state = match str_field(&state, "state")? {
+                "healthy" => BreakerState::Healthy,
+                "degraded" => BreakerState::Degraded { remaining: counter },
+                "recovering" => BreakerState::Recovering { probation: counter },
+                other => return Err(JsonError::new(format!("unknown breaker state `{other}`"))),
+            };
+            let quarantined = flags.iter().filter(|&&q| q).count();
+            Ok(CircuitBreaker {
+                config,
+                flags,
+                quarantined,
+                state,
+            })
+        })())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn encode(b: &CircuitBreaker) -> String {
+        let mut text = String::new();
+        b.write_json(&mut text);
+        text
+    }
+
+    fn decode(text: &str) -> Result<CircuitBreaker, JsonError> {
+        CircuitBreaker::read_json(&mut Cursor::new(text)).unwrap()
+    }
 
     fn breaker(window: usize, max_fraction: f64) -> CircuitBreaker {
         CircuitBreaker::new(BreakerConfig::new(window, max_fraction))
@@ -350,10 +394,7 @@ mod tests {
         for i in 0..13 {
             a.record(i % 3 == 0);
         }
-        let mut b = CircuitBreaker::from_json(
-            &hdd_json::parse(&hdd_json::to_string(&a.to_json())).unwrap(),
-        )
-        .unwrap();
+        let mut b = decode(&encode(&a)).unwrap();
         assert_eq!(a.state().label(), b.state().label());
         assert_eq!(a.fraction(), b.fraction());
         // Identical future behavior, not just identical snapshots.
@@ -367,17 +408,14 @@ mod tests {
     fn json_rejects_bad_shapes() {
         let mut b = breaker(4, 0.5);
         b.record(true);
-        let text = hdd_json::to_string(&b.to_json());
+        let text = encode(&b);
         for bad in [
             text.replacen("\"window\":4", "\"window\":0", 1),
             text.replacen("\"max_fraction\":0.5", "\"max_fraction\":7", 1),
             text.replacen("healthy", "confused", 1),
             text.replacen("\"flags\":[1]", "\"flags\":[1,0,0,1,1]", 1),
         ] {
-            assert!(
-                CircuitBreaker::from_json(&hdd_json::parse(&bad).unwrap()).is_err(),
-                "{bad}"
-            );
+            assert!(decode(&bad).is_err(), "{bad}");
         }
     }
 

@@ -32,7 +32,7 @@
 
 use hdd_json::container::{self, ContainerError};
 use hdd_json::disk::Disk;
-use hdd_json::{crc32, JsonError, Value};
+use hdd_json::{crc32, Cursor, Decoded, JsonError, Value};
 use std::cell::Cell;
 use std::fmt;
 use std::io::Write as _;
@@ -160,18 +160,9 @@ impl Checkpoint {
     ///
     /// Returns [`CheckpointError::Io`] when the file cannot be written.
     pub fn save(&self, disk: &dyn Disk, path: &Path) -> Result<u64, CheckpointError> {
-        // The document `{"format_version":…,"kind":…,"payload":…}`,
-        // framed around the payload in place rather than around a copy
-        // of its tree (kind names are plain ASCII: nothing to escape).
-        let mut doc = format!(
-            "{{\"format_version\":{CHECKPOINT_FORMAT_VERSION},\"kind\":\"{}\",\"payload\":",
-            self.kind.as_str()
-        );
-        hdd_json::write_value(&self.payload, &mut doc);
-        doc.push('}');
-        let document = container::seal(CHECKPOINT_MAGIC, &doc);
-        disk.replace(path, document.as_bytes())?;
-        Ok(document.len() as u64)
+        save_snapshot(disk, path, self.kind, |out| {
+            hdd_json::write_value(&self.payload, out);
+        })
     }
 
     /// Read a checkpoint written by [`Checkpoint::save`], verifying every
@@ -184,43 +175,11 @@ impl Checkpoint {
     /// [`CheckpointError`] on I/O, parse or version problems.
     pub fn load(path: &Path) -> Result<Self, CheckpointError> {
         let bytes = std::fs::read(path)?;
-        let text = std::str::from_utf8(&bytes).map_err(|e| CheckpointError::Corrupt {
-            offset: e.valid_up_to(),
-            detail: "invalid UTF-8".to_string(),
-        })?;
-        let payload = match container::unseal(CHECKPOINT_MAGIC, text) {
-            Ok(payload) => payload,
-            Err(ContainerError::NotAContainer { .. }) => {
-                return Err(CheckpointError::Corrupt {
-                    offset: 0,
-                    detail: "not a checkpoint file (missing container header)".to_string(),
-                })
-            }
-            Err(ContainerError::Corrupt { offset, detail }) => {
-                return Err(CheckpointError::Corrupt { offset, detail })
-            }
-        };
-        let doc = hdd_json::parse(payload)?;
-        let version = doc.usize_field("format_version")?;
-        if version != CHECKPOINT_FORMAT_VERSION {
-            return Err(CheckpointError::UnsupportedVersion(version));
-        }
-        let raw_kind = doc
-            .field("kind")?
-            .as_str()
-            .ok_or_else(|| JsonError::new("`kind` must be a string"))?;
-        let kind = CheckpointKind::parse(raw_kind).ok_or_else(|| {
-            CheckpointError::Incompatible(format!("unknown checkpoint kind `{raw_kind}`"))
-        })?;
-        // Move the payload out of the document rather than copy its tree.
-        let Value::Obj(fields) = doc else {
-            return Err(JsonError::new("a checkpoint must be an object").into());
-        };
-        let payload = fields
-            .into_iter()
-            .find_map(|(key, value)| (key == "payload").then_some(value))
-            .ok_or_else(|| JsonError::missing("payload"))?;
-        Ok(Checkpoint { kind, payload })
+        let (kind, payload) = read_document(verified(&bytes)?, |c| c.value().map(Ok))?;
+        Ok(Checkpoint {
+            kind,
+            payload: payload?,
+        })
     }
 
     /// [`Checkpoint::load`], additionally refusing a file of the wrong
@@ -232,16 +191,112 @@ impl Checkpoint {
     /// on a kind mismatch.
     pub fn load_expecting(path: &Path, kind: CheckpointKind) -> Result<Self, CheckpointError> {
         let ck = Checkpoint::load(path)?;
-        if ck.kind != kind {
-            return Err(CheckpointError::Incompatible(format!(
-                "{}: expected a {} checkpoint, found {}",
-                path.display(),
-                kind.as_str(),
-                ck.kind.as_str()
-            )));
-        }
+        expect_kind(path, kind, ck.kind)?;
         Ok(ck)
     }
+}
+
+/// Write the `kind` checkpoint whose payload `payload` appends to `path`,
+/// as [`Checkpoint::save`] writes it, without building the payload's
+/// tree; returns the file's length.
+///
+/// # Errors
+///
+/// Returns [`CheckpointError::Io`] when the file cannot be written.
+pub fn save_snapshot(
+    disk: &dyn Disk,
+    path: &Path,
+    kind: CheckpointKind,
+    payload: impl FnOnce(&mut String),
+) -> Result<u64, CheckpointError> {
+    // The document `{"format_version":…,"kind":…,"payload":…}`, framed
+    // around the payload as it is written (kind names are plain ASCII:
+    // nothing to escape).
+    let mut doc = String::from("{\"format_version\":");
+    hdd_json::write_number(CHECKPOINT_FORMAT_VERSION as f64, &mut doc);
+    doc.push_str(",\"kind\":\"");
+    doc.push_str(kind.as_str());
+    doc.push_str("\",\"payload\":");
+    payload(&mut doc);
+    doc.push('}');
+    let document = container::seal(CHECKPOINT_MAGIC, &doc);
+    disk.replace(path, document.as_bytes())?;
+    Ok(document.len() as u64)
+}
+
+/// The checkpoint document a sealed file holds, once its bytes are UTF-8
+/// and match every recorded checksum.
+fn verified(bytes: &[u8]) -> Result<&str, CheckpointError> {
+    let text = std::str::from_utf8(bytes).map_err(|e| CheckpointError::Corrupt {
+        offset: e.valid_up_to(),
+        detail: "invalid UTF-8".to_string(),
+    })?;
+    match container::unseal(CHECKPOINT_MAGIC, text) {
+        Ok(document) => Ok(document),
+        Err(ContainerError::NotAContainer { .. }) => Err(CheckpointError::Corrupt {
+            offset: 0,
+            detail: "not a checkpoint file (missing container header)".to_string(),
+        }),
+        Err(ContainerError::Corrupt { offset, detail }) => {
+            Err(CheckpointError::Corrupt { offset, detail })
+        }
+    }
+}
+
+/// Read a checkpoint document `{"format_version":…,"kind":…,"payload":…}`
+/// in one pass, handing `payload` the cursor at the first `payload`
+/// member: the document's kind, and the payload or its shape error.
+/// Members may come in any order; a repeated key is skipped, as
+/// [`Value::get`] finds only the first.
+fn read_document<'a, T>(
+    document: &'a str,
+    payload: impl FnOnce(&mut Cursor<'a>) -> Decoded<T>,
+) -> Result<(CheckpointKind, Result<T, JsonError>), CheckpointError> {
+    let mut cursor = Cursor::new(document);
+    let (mut version, mut kind, mut read) = (None, None, None);
+    let mut payload = Some(payload);
+    cursor.object(|key, c| {
+        match key {
+            "format_version" if version.is_none() => version = Some(c.number()?),
+            "kind" if kind.is_none() => kind = Some(c.string()?),
+            "payload" => match payload.take() {
+                Some(decode) => read = Some(decode(c)?),
+                None => c.skip()?,
+            },
+            _ => c.skip()?,
+        }
+        Ok(())
+    })?;
+    cursor.finish()?;
+    let version = hdd_json::usize_field(version, "format_version")?;
+    if version != CHECKPOINT_FORMAT_VERSION {
+        return Err(CheckpointError::UnsupportedVersion(version));
+    }
+    let raw_kind = kind
+        .ok_or_else(|| JsonError::missing("kind"))?
+        .ok_or_else(|| JsonError::new("`kind` must be a string"))?;
+    let kind = CheckpointKind::parse(&raw_kind).ok_or_else(|| {
+        CheckpointError::Incompatible(format!("unknown checkpoint kind `{raw_kind}`"))
+    })?;
+    let read = read.ok_or_else(|| JsonError::missing("payload"))?;
+    Ok((kind, read))
+}
+
+/// Refuse a checkpoint of kind `found` at `path` where `expected` belongs.
+fn expect_kind(
+    path: &Path,
+    expected: CheckpointKind,
+    found: CheckpointKind,
+) -> Result<(), CheckpointError> {
+    if found == expected {
+        return Ok(());
+    }
+    Err(CheckpointError::Incompatible(format!(
+        "{}: expected a {} checkpoint, found {}",
+        path.display(),
+        expected.as_str(),
+        found.as_str()
+    )))
 }
 
 /// How large a log may grow, in bytes per byte of its last snapshot,
@@ -307,8 +362,9 @@ impl SnapshotLog {
     }
 
     /// Append the frame `frame` makes (an empty one writes nothing), or
-    /// write the snapshot `payload` makes and empty the log; `frame` runs
-    /// only when a frame may be appended, and `None` asks for a snapshot.
+    /// write the snapshot whose payload `payload` appends and empty the
+    /// log; `frame` runs only when a frame may be appended, and `None`
+    /// asks for a snapshot.
     ///
     /// # Errors
     ///
@@ -317,7 +373,7 @@ impl SnapshotLog {
         &self,
         disk: &dyn Disk,
         frame: impl FnOnce() -> Option<String>,
-        payload: impl FnOnce() -> Value,
+        payload: impl FnOnce(&mut String),
     ) -> Result<(), CheckpointError> {
         // Until this save lands, the log may end in a failed frame.
         let state = self.state.replace(LogState::Unknown);
@@ -345,13 +401,17 @@ impl SnapshotLog {
                 return Ok(());
             }
         }
-        let ck = Checkpoint {
-            kind: self.kind,
-            payload: payload(),
-        };
-        self.snapshot_bytes.set(ck.save(disk, &self.snapshot)?);
-        if !matches!(state, LogState::Absent | LogState::Frames(0)) {
-            disk.truncate(&self.log, 0)?;
+        let written = save_snapshot(disk, &self.snapshot, self.kind, payload)?;
+        self.snapshot_bytes.set(written);
+        match state {
+            LogState::Absent | LogState::Frames(0) => {}
+            // The replace just synced the directory the log is in, and
+            // cutting a file's length changes no directory entry.
+            LogState::Frames(_) => {
+                disk.set_len(&self.log, 0)?;
+                disk.sync(&self.log)?;
+            }
+            LogState::Unknown => disk.truncate(&self.log, 0)?,
         }
         let emptied = if state == LogState::Absent {
             state
@@ -362,21 +422,32 @@ impl SnapshotLog {
         Ok(())
     }
 
-    /// The snapshot's payload, if the snapshot exists. Load it (and let
-    /// go of it) before [`SnapshotLog::replay_log`], which reads the log.
+    /// What `payload` decodes from the snapshot's payload, if the
+    /// snapshot exists: once the file's checksums verify, `payload` gets
+    /// a cursor at the payload value, read in the same pass as the
+    /// document around it. Load it before [`SnapshotLog::replay_log`],
+    /// which reads the log.
     ///
     /// # Errors
     ///
-    /// Any error of [`Checkpoint::load_expecting`].
-    pub fn load_snapshot(&self) -> Result<Option<Value>, CheckpointError> {
-        if !self.snapshot.exists() {
-            return Ok(None);
-        }
-        self.snapshot_bytes
-            .set(std::fs::metadata(&self.snapshot)?.len());
-        Ok(Some(
-            Checkpoint::load_expecting(&self.snapshot, self.kind)?.payload,
-        ))
+    /// Any error of [`Checkpoint::load_expecting`], and the payload's
+    /// shape error as [`CheckpointError::Json`]. Errors rank as they do
+    /// when the document is parsed first and decoded after: the
+    /// container, then any syntax error, then the document's version
+    /// and kind, then what `payload` rejected.
+    pub fn load_snapshot<T>(
+        &self,
+        payload: impl FnOnce(&mut Cursor<'_>) -> Decoded<T>,
+    ) -> Result<Option<T>, CheckpointError> {
+        let bytes = match std::fs::read(&self.snapshot) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(e.into()),
+        };
+        self.snapshot_bytes.set(bytes.len() as u64);
+        let (kind, payload) = read_document(verified(&bytes)?, payload)?;
+        expect_kind(&self.snapshot, self.kind, kind)?;
+        Ok(Some(payload?))
     }
 
     /// Pass the log's whole frames, each payload with the byte offset it
@@ -701,12 +772,16 @@ mod tests {
 
     /// Save `frame` through `ckpt`, with `sample()` as the snapshot.
     fn save_frame(ckpt: &SnapshotLog, disk: &dyn Disk, frame: &str) -> Result<(), CheckpointError> {
-        ckpt.save(disk, || Some(frame.to_string()), || sample().payload)
+        ckpt.save(
+            disk,
+            || Some(frame.to_string()),
+            |out| hdd_json::write_value(&sample().payload, out),
+        )
     }
 
     /// The snapshot's payload and the frames `ckpt` restores.
     fn restored(ckpt: &SnapshotLog) -> Result<(Option<Value>, Vec<String>), CheckpointError> {
-        let snapshot = ckpt.load_snapshot()?;
+        let snapshot = ckpt.load_snapshot(|c| c.value().map(Ok))?;
         let mut frames = Vec::new();
         ckpt.replay_log(|all| {
             frames = all.iter().map(|f| f.1.to_string()).collect();

@@ -57,7 +57,10 @@ use crate::ingest::{FeedCursor, RoutedLine};
 use crate::monitor::{prune_history, DriveMonitor};
 use crate::stats::ShardStats;
 use hdd_eval::{ModelError, Predictor, SavedModel, VotingRule, VotingState};
-use hdd_json::{JsonCodec, JsonError, Value};
+use hdd_json::{
+    f64_field, list, numbers_field, usize_field, usize_of, write_list, write_number, Cursor,
+    Decoded, JsonError,
+};
 use hdd_par::{CancelToken, ParError};
 use hdd_smart::csv::{parse_data_line, ValueFault};
 use std::collections::BTreeMap;
@@ -132,41 +135,67 @@ pub struct RowEvent {
     pub incumbent_score: f64,
 }
 
-impl JsonCodec for RowEvent {
-    fn to_json(&self) -> Value {
-        let mut fields = vec![
-            ("seq".to_string(), Value::Num(self.seq as f64)),
-            ("drive".to_string(), Value::Num(f64::from(self.drive))),
-            ("hour".to_string(), Value::Num(f64::from(self.hour))),
-        ];
+impl RowEvent {
+    /// Append the event as a shard snapshot holds it: `seq`, `drive`,
+    /// `hour`, `fail_hour` (failed drives only), `features`, `score`.
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"seq\":");
+        write_number(self.seq as f64, out);
+        out.push_str(",\"drive\":");
+        write_number(f64::from(self.drive), out);
+        out.push_str(",\"hour\":");
+        write_number(f64::from(self.hour), out);
         if let Some(fail) = self.fail_hour {
-            fields.push(("fail_hour".to_string(), Value::Num(f64::from(fail))));
+            out.push_str(",\"fail_hour\":");
+            write_number(f64::from(fail), out);
         }
-        fields.push((
-            "features".to_string(),
-            Value::from_f64s(self.features.iter().copied()),
-        ));
-        fields.push(("score".to_string(), Value::Num(self.incumbent_score)));
-        Value::Obj(fields)
+        out.push_str(",\"features\":");
+        write_list(out, &self.features, |&v, out| write_number(v, out));
+        out.push_str(",\"score\":");
+        write_number(self.incumbent_score, out);
+        out.push('}');
     }
 
-    fn from_json(value: &Value) -> Result<Self, JsonError> {
-        let fail_hour = match value.get("fail_hour") {
-            None => None,
-            Some(v) => Some(
-                v.as_usize()
-                    .ok_or_else(|| JsonError::expected("an hour", "fail_hour"))?
-                    as u32,
-            ),
-        };
-        Ok(RowEvent {
-            seq: value.usize_field("seq")? as u64,
-            drive: value.usize_field("drive")? as u32,
-            hour: value.usize_field("hour")? as u32,
-            fail_hour,
-            features: value.f64_vec_field("features")?,
-            incumbent_score: value.f64_field("score")?,
-        })
+    /// Read an event [`RowEvent::write_json`] wrote.
+    fn read_json(cursor: &mut Cursor<'_>) -> Decoded<Self> {
+        let (mut seq, mut drive, mut hour, mut fail_hour) = (None, None, None, None);
+        let (mut features, mut read, mut score) = (Vec::new(), None, None);
+        cursor.object(|key, c| {
+            match key {
+                "seq" if seq.is_none() => seq = Some(c.number()?),
+                "drive" if drive.is_none() => drive = Some(c.number()?),
+                "hour" if hour.is_none() => hour = Some(c.number()?),
+                "fail_hour" if fail_hour.is_none() => fail_hour = Some(c.number()?),
+                "features" if read.is_none() => read = Some(c.numbers(|n| features.push(n))?),
+                "score" if score.is_none() => score = Some(c.number()?),
+                _ => c.skip()?,
+            }
+            Ok(())
+        })?;
+        Ok((|| {
+            let fail_hour = match fail_hour {
+                None => None,
+                Some(raw) => Some(
+                    raw.and_then(usize_of)
+                        .ok_or_else(|| JsonError::expected("an hour", "fail_hour"))?
+                        as u32,
+                ),
+            };
+            let (seq, drive, hour) = (
+                usize_field(seq, "seq")? as u64,
+                usize_field(drive, "drive")? as u32,
+                usize_field(hour, "hour")? as u32,
+            );
+            numbers_field(read, "features")?;
+            Ok(RowEvent {
+                seq,
+                drive,
+                hour,
+                fail_hour,
+                features,
+                incumbent_score: f64_field(score, "score")?,
+            })
+        })())
     }
 }
 
@@ -181,23 +210,40 @@ pub struct SeqAlarm {
     pub alarm: Alarm,
 }
 
-impl JsonCodec for SeqAlarm {
-    fn to_json(&self) -> Value {
-        Value::Obj(vec![
-            ("seq".to_string(), Value::Num(self.seq as f64)),
-            ("drive".to_string(), Value::Num(f64::from(self.alarm.drive))),
-            ("hour".to_string(), Value::Num(f64::from(self.alarm.hour))),
-        ])
+impl SeqAlarm {
+    /// Append the alarm as a shard snapshot holds it: `seq`, `drive`,
+    /// `hour`.
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"seq\":");
+        write_number(self.seq as f64, out);
+        out.push_str(",\"drive\":");
+        write_number(f64::from(self.alarm.drive), out);
+        out.push_str(",\"hour\":");
+        write_number(f64::from(self.alarm.hour), out);
+        out.push('}');
     }
 
-    fn from_json(value: &Value) -> Result<Self, JsonError> {
-        Ok(SeqAlarm {
-            seq: value.usize_field("seq")? as u64,
-            alarm: Alarm {
-                drive: value.usize_field("drive")? as u32,
-                hour: value.usize_field("hour")? as u32,
-            },
-        })
+    /// Read an alarm [`SeqAlarm::write_json`] wrote.
+    fn read_json(cursor: &mut Cursor<'_>) -> Decoded<Self> {
+        let (mut seq, mut drive, mut hour) = (None, None, None);
+        cursor.object(|key, c| {
+            match key {
+                "seq" if seq.is_none() => seq = Some(c.number()?),
+                "drive" if drive.is_none() => drive = Some(c.number()?),
+                "hour" if hour.is_none() => hour = Some(c.number()?),
+                _ => c.skip()?,
+            }
+            Ok(())
+        })?;
+        Ok((|| {
+            Ok(SeqAlarm {
+                seq: usize_field(seq, "seq")? as u64,
+                alarm: Alarm {
+                    drive: usize_field(drive, "drive")? as u32,
+                    hour: usize_field(hour, "hour")? as u32,
+                },
+            })
+        })())
     }
 }
 
@@ -668,45 +714,29 @@ impl EngineShard {
         Ok(())
     }
 
-    /// Serialize everything a checkpoint needs to resume this shard.
-    #[must_use]
-    pub fn state_to_json(&self) -> Value {
-        Value::Obj(vec![
-            (
-                "cursors".to_string(),
-                Value::Arr(self.cursors.iter().map(JsonCodec::to_json).collect()),
-            ),
-            ("stats".to_string(), self.stats.to_json()),
-            ("breaker".to_string(), self.breaker.to_json()),
-            (
-                "unmerged".to_string(),
-                Value::Arr(self.unmerged.iter().map(JsonCodec::to_json).collect()),
-            ),
-            (
-                "events".to_string(),
-                Value::Arr(self.events.iter().map(JsonCodec::to_json).collect()),
-            ),
-            (
-                "drives".to_string(),
-                Value::Arr(
-                    self.drives
-                        .iter()
-                        .map(|(id, monitor)| {
-                            let mut fields =
-                                vec![("drive".to_string(), Value::Num(f64::from(*id)))];
-                            if let Value::Obj(monitor_fields) = monitor.to_json() {
-                                fields.extend(monitor_fields);
-                            }
-                            Value::Obj(fields)
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+    /// Append everything a checkpoint needs to resume this shard, as the
+    /// JSON object a shard snapshot's payload holds: `cursors`, `stats`,
+    /// `breaker`, `unmerged`, `events` and `drives` (by id).
+    pub fn write_state(&self, out: &mut String) {
+        out.push_str("{\"cursors\":");
+        write_list(out, &self.cursors, FeedCursor::write_json);
+        out.push_str(",\"stats\":");
+        self.stats.write_json(out);
+        out.push_str(",\"breaker\":");
+        self.breaker.write_json(out);
+        out.push_str(",\"unmerged\":");
+        write_list(out, &self.unmerged, SeqAlarm::write_json);
+        out.push_str(",\"events\":");
+        write_list(out, &self.events, RowEvent::write_json);
+        out.push_str(",\"drives\":");
+        write_list(out, &self.drives, |(&id, monitor), out| {
+            monitor.write_json(id, out);
+        });
+        out.push('}');
     }
 
-    /// Restore state serialized by [`EngineShard::state_to_json`],
-    /// replacing whatever this shard held.
+    /// Restore state [`EngineShard::write_state`] wrote, replacing
+    /// whatever this shard held; on an error nothing changes.
     ///
     /// The model and feature set are *not* part of the state — the
     /// caller loads the (possibly newer) model file separately; restored
@@ -715,63 +745,118 @@ impl EngineShard {
     ///
     /// # Errors
     ///
-    /// Returns [`JsonError`] when the document does not describe a valid
-    /// shard state for this shard's feed count.
-    pub fn restore_state(&mut self, value: &Value) -> Result<(), JsonError> {
-        let raw_cursors = value
-            .field("cursors")?
-            .as_arr()
-            .ok_or_else(|| JsonError::new("`cursors` must be an array"))?;
-        if raw_cursors.len() != self.n_feeds {
-            return Err(JsonError::new(format!(
-                "checkpoint has {} feed cursors, this topology tails {}",
-                raw_cursors.len(),
-                self.n_feeds
-            )));
-        }
-        let cursors = raw_cursors
-            .iter()
-            .map(FeedCursor::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let stats = ShardStats::from_json(value.field("stats")?)?;
-        let breaker = CircuitBreaker::from_json(value.field("breaker")?)?;
-        let unmerged = value
-            .field("unmerged")?
-            .as_arr()
-            .ok_or_else(|| JsonError::new("`unmerged` must be an array"))?
-            .iter()
-            .map(SeqAlarm::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        // `events` is tolerant-optional: checkpoints written before the
-        // lifecycle existed (or with recording off) simply have none.
-        let events = match value.get("events") {
-            None => Vec::new(),
-            Some(raw) => raw
-                .as_arr()
-                .ok_or_else(|| JsonError::new("`events` must be an array"))?
-                .iter()
-                .map(RowEvent::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-        };
-        let raw_drives = value
-            .field("drives")?
-            .as_arr()
-            .ok_or_else(|| JsonError::new("`drives` must be an array"))?;
-        let mut drives = BTreeMap::new();
-        for entry in raw_drives {
-            let id = entry.usize_field("drive")? as u32;
-            if drives.insert(id, DriveMonitor::from_json(entry)?).is_some() {
-                return Err(JsonError::new(format!("drive {id} appears twice")));
-            }
-        }
-        self.cursors = cursors;
-        self.stats = stats;
-        self.breaker = breaker;
-        self.unmerged = unmerged;
-        self.events = events;
-        self.drives = drives;
+    /// Returns [`JsonError`] when `text` is not JSON or does not describe
+    /// a valid shard state for this shard's feed count.
+    pub fn read_state(&mut self, text: &str) -> Result<(), JsonError> {
+        let mut cursor = Cursor::new(text);
+        let state = self.decode_state(&mut cursor)?;
+        cursor.finish()?;
+        self.install(state?);
         Ok(())
     }
+
+    /// Read the state at `cursor` in one pass, for [`EngineShard::install`].
+    /// Members may come in any order (a repeated key is skipped), and a
+    /// shape error ranks as it does when the parsed document is decoded
+    /// field by field: `cursors` (their count first), `stats`, `breaker`,
+    /// `unmerged`, `events` (optional), `drives`, each array at its first
+    /// bad element.
+    pub(crate) fn decode_state(&self, cursor: &mut Cursor<'_>) -> Decoded<ShardState> {
+        let (mut cursors, mut stats, mut breaker) = (None, None, None);
+        let (mut unmerged, mut events, mut drives) = (None, None, None);
+        cursor.object(|key, c| {
+            match key {
+                "cursors" if cursors.is_none() => cursors = Some(list(c, FeedCursor::read_json)?),
+                "stats" if stats.is_none() => stats = Some(ShardStats::read_json(c)?),
+                "breaker" if breaker.is_none() => breaker = Some(CircuitBreaker::read_json(c)?),
+                "unmerged" if unmerged.is_none() => unmerged = Some(list(c, SeqAlarm::read_json)?),
+                "events" if events.is_none() => events = Some(list(c, RowEvent::read_json)?),
+                "drives" if drives.is_none() => drives = Some(read_drives(c)?),
+                _ => c.skip()?,
+            }
+            Ok(())
+        })?;
+        let must_be_array = |key: &str| JsonError::new(format!("`{key}` must be an array"));
+        Ok((|| {
+            let (count, cursors) = cursors
+                .ok_or_else(|| JsonError::missing("cursors"))?
+                .ok_or_else(|| must_be_array("cursors"))?;
+            if count != self.n_feeds {
+                return Err(JsonError::new(format!(
+                    "checkpoint has {count} feed cursors, this topology tails {}",
+                    self.n_feeds
+                )));
+            }
+            let cursors = cursors?;
+            let stats = stats.ok_or_else(|| JsonError::missing("stats"))??;
+            let breaker = breaker.ok_or_else(|| JsonError::missing("breaker"))??;
+            let unmerged = unmerged
+                .ok_or_else(|| JsonError::missing("unmerged"))?
+                .ok_or_else(|| must_be_array("unmerged"))?
+                .1?;
+            // `events` is tolerant-optional: checkpoints written before the
+            // lifecycle existed simply have none.
+            let events = match events {
+                None => Vec::new(),
+                Some(listed) => listed.ok_or_else(|| must_be_array("events"))?.1?,
+            };
+            let drives = drives.ok_or_else(|| JsonError::missing("drives"))??;
+            Ok(ShardState {
+                cursors,
+                stats,
+                breaker,
+                unmerged,
+                events,
+                drives,
+            })
+        })())
+    }
+
+    /// Replace this shard's state with `state`.
+    pub(crate) fn install(&mut self, state: ShardState) {
+        self.cursors = state.cursors;
+        self.stats = state.stats;
+        self.breaker = state.breaker;
+        self.unmerged = state.unmerged;
+        self.events = state.events;
+        self.drives = state.drives;
+    }
+}
+
+/// A shard's checkpointed state, read but not yet installed.
+#[derive(Debug)]
+pub(crate) struct ShardState {
+    cursors: Vec<FeedCursor>,
+    stats: ShardStats,
+    breaker: CircuitBreaker,
+    unmerged: Vec<SeqAlarm>,
+    events: Vec<RowEvent>,
+    drives: BTreeMap<u32, DriveMonitor>,
+}
+
+/// Read the `drives` array into a map by id: the map, or the first
+/// entry's shape error (a repeated id is one, after the entry itself
+/// decodes).
+fn read_drives(cursor: &mut Cursor<'_>) -> Decoded<BTreeMap<u32, DriveMonitor>> {
+    let mut drives = Ok(BTreeMap::new());
+    let is_array = cursor.array(|c| {
+        let Ok(map) = &mut drives else {
+            return c.skip();
+        };
+        match DriveMonitor::read_json(c)? {
+            Ok((id, monitor)) => {
+                if map.insert(id, monitor).is_some() {
+                    drives = Err(JsonError::new(format!("drive {id} appears twice")));
+                }
+            }
+            Err(e) => drives = Err(e),
+        }
+        Ok(())
+    })?;
+    if !is_array {
+        return Ok(Err(JsonError::new("`drives` must be an array")));
+    }
+    Ok(drives)
 }
 
 /// Log a committed line: `L <seq> <end offset> <generation> <score> <n> <text>`.
@@ -782,7 +867,7 @@ fn log_line(log: &mut String, line: &RoutedLine, score: Option<f64>) {
     }
     log.push(' ');
     match score {
-        Some(score) => hdd_json::write_number(score, log),
+        Some(score) => write_number(score, log),
         None => log.push('-'),
     }
     log_number(log, line.text.len() as u64);
@@ -795,7 +880,7 @@ fn log_line(log: &mut String, line: &RoutedLine, score: Option<f64>) {
 /// 2^53), without the formatting machinery: this runs for every line.
 fn log_number(log: &mut String, n: u64) {
     log.push(' ');
-    hdd_json::write_number(n as f64, log);
+    write_number(n as f64, log);
 }
 
 /// Log released seqs as one `<kind> <seq>…` record, if there are any.
@@ -823,6 +908,13 @@ pub(crate) mod tests {
     use std::time::Duration;
 
     const VOTERS: usize = 11;
+
+    /// The shard's state as its snapshot payload.
+    pub(crate) fn encoded(shard: &EngineShard) -> String {
+        let mut text = String::new();
+        shard.write_state(&mut text);
+        text
+    }
 
     pub(crate) fn fleet() -> Vec<SmartSeries> {
         let ds = DatasetGenerator::new(FamilyProfile::w().scaled(0.004), 99).generate();
@@ -974,20 +1066,18 @@ pub(crate) mod tests {
 
         let mut reference_shard = shard(model.clone(), &features);
         let reference = run(&mut reference_shard, &lines, 64);
-        let reference_state = hdd_json::to_string(&reference_shard.state_to_json());
+        let reference_state = encoded(&reference_shard);
 
         for split in [0, 1, 17, lines.len() / 2, lines.len() - 1] {
             let mut first = shard(model.clone(), &features);
             let mut alarms = run(&mut first, &lines[..split], 64);
-            let snapshot = first.state_to_json();
-            // Serialize through text, like a real checkpoint file.
-            let restored = hdd_json::parse(&hdd_json::to_string(&snapshot)).unwrap();
+            let snapshot = encoded(&first);
             let mut second = shard(model.clone(), &features);
-            second.restore_state(&restored).unwrap();
+            second.read_state(&snapshot).unwrap();
             alarms.extend(run(&mut second, &lines[split..], 64));
             assert_eq!(alarms, reference, "split at line {split}");
             assert_eq!(
-                hdd_json::to_string(&second.state_to_json()),
+                encoded(&second),
                 reference_state,
                 "state after split at line {split}"
             );
@@ -1004,7 +1094,7 @@ pub(crate) mod tests {
 
         let mut reference_shard = shard(model.clone(), &features);
         run(&mut reference_shard, &lines, 64);
-        let reference_state = hdd_json::to_string(&reference_shard.state_to_json());
+        let reference_state = encoded(&reference_shard);
 
         // Replay the whole feed with a stale prefix: the first half is
         // fed twice, exactly what a crash-resume with an old ingest
@@ -1019,7 +1109,7 @@ pub(crate) mod tests {
         }
         assert_eq!(replayed, lines.len(), "the stale prefix is skipped");
         assert_eq!(
-            hdd_json::to_string(&eng.state_to_json()),
+            encoded(&eng),
             reference_state,
             "replay must not disturb counters, breaker or voting"
         );
@@ -1049,17 +1139,14 @@ pub(crate) mod tests {
 
         // Undrained events are checkpointed state: they round-trip
         // through the serialized form bit for bit.
-        let snapshot = hdd_json::parse(&hdd_json::to_string(&eng.state_to_json())).unwrap();
         let mut restored = shard(model.clone(), &features);
-        restored.restore_state(&snapshot).unwrap();
+        restored.read_state(&encoded(&eng)).unwrap();
         assert_eq!(restored.events(), eng.events());
 
         // A pre-events checkpoint (no `events` field) still restores.
-        let legacy =
-            hdd_json::to_string(&eng.state_to_json()).replacen("\"events\":[", "\"legacy\":[", 1);
+        let legacy = encoded(&eng).replacen("\"events\":[", "\"legacy\":[", 1);
         let mut old = shard(model.clone(), &features);
-        old.restore_state(&hdd_json::parse(&legacy).unwrap())
-            .unwrap();
+        old.read_state(&legacy).unwrap();
         assert!(old.events().is_empty());
 
         // Draining below a seq removes exactly the covered prefix, and
@@ -1219,31 +1306,24 @@ pub(crate) mod tests {
         let mut eng = recording();
         run(&mut eng, head, 64);
         assert!(!eng.events().is_empty());
-        let before = hdd_json::to_string(&eng.state_to_json());
+        let before = encoded(&eng);
 
         for token in [CancelToken::new(), CancelToken::with_budget(Duration::ZERO)] {
             token.cancel();
             let err = eng.process(&token, tail).unwrap_err();
             assert!(matches!(err, ParError::Cancelled), "{err}");
-            assert_eq!(
-                hdd_json::to_string(&eng.state_to_json()),
-                before,
-                "nothing committed"
-            );
+            assert_eq!(encoded(&eng), before, "nothing committed");
         }
         let expired = CancelToken::with_budget(Duration::ZERO);
         let err = eng.process(&expired, tail).unwrap_err();
         assert!(matches!(err, ParError::DeadlineExceeded), "{err}");
-        assert_eq!(hdd_json::to_string(&eng.state_to_json()), before);
+        assert_eq!(encoded(&eng), before);
 
         // The identical retry under a fresh token commits normally.
         eng.process(&CancelToken::new(), tail).unwrap();
         let mut whole = recording();
         run(&mut whole, &lines, usize::MAX);
-        assert_eq!(
-            hdd_json::to_string(&eng.state_to_json()),
-            hdd_json::to_string(&whole.state_to_json())
-        );
+        assert_eq!(encoded(&eng), encoded(&whole));
     }
 
     #[test]
@@ -1277,7 +1357,7 @@ pub(crate) mod tests {
         let series = fleet();
         let model = model(&series, &features);
         let mut eng = shard(model, &features);
-        let good = hdd_json::to_string(&eng.state_to_json());
+        let good = encoded(&eng);
         for bad in [
             good.replacen("\"cursors\"", "\"cursers\"", 1),
             good.replacen("\"drives\":[]", "\"drives\":7", 1),
@@ -1288,10 +1368,7 @@ pub(crate) mod tests {
                 1,
             ),
         ] {
-            assert!(
-                eng.restore_state(&hdd_json::parse(&bad).unwrap()).is_err(),
-                "{bad}"
-            );
+            assert!(eng.read_state(&bad).is_err(), "{bad}");
         }
     }
 }

@@ -26,7 +26,7 @@
 
 use crate::router::ShardRouter;
 use crate::tailer::{FeedTailer, TailEvent};
-use hdd_json::{JsonCodec, JsonError, Value};
+use hdd_json::{usize_field, write_number, Cursor, Decoded};
 use hdd_smart::csv::is_header_line;
 use std::path::PathBuf;
 
@@ -65,21 +65,38 @@ impl FeedCursor {
     }
 }
 
-impl JsonCodec for FeedCursor {
-    fn to_json(&self) -> Value {
-        Value::Obj(vec![
-            ("next_line".to_string(), Value::Num(self.next_line as f64)),
-            ("offset".to_string(), Value::Num(self.offset as f64)),
-            ("generation".to_string(), Value::Num(self.generation as f64)),
-        ])
+impl FeedCursor {
+    /// Append the cursor as a shard snapshot holds it:
+    /// `{"next_line":…,"offset":…,"generation":…}`.
+    pub(crate) fn write_json(&self, out: &mut String) {
+        out.push_str("{\"next_line\":");
+        write_number(self.next_line as f64, out);
+        out.push_str(",\"offset\":");
+        write_number(self.offset as f64, out);
+        out.push_str(",\"generation\":");
+        write_number(self.generation as f64, out);
+        out.push('}');
     }
 
-    fn from_json(value: &Value) -> Result<Self, JsonError> {
-        Ok(FeedCursor {
-            next_line: value.usize_field("next_line")? as u64,
-            offset: value.usize_field("offset")? as u64,
-            generation: value.usize_field("generation")? as u64,
-        })
+    /// Read a cursor [`FeedCursor::write_json`] wrote.
+    pub(crate) fn read_json(cursor: &mut Cursor<'_>) -> Decoded<Self> {
+        let (mut next_line, mut offset, mut generation) = (None, None, None);
+        cursor.object(|key, c| {
+            match key {
+                "next_line" if next_line.is_none() => next_line = Some(c.number()?),
+                "offset" if offset.is_none() => offset = Some(c.number()?),
+                "generation" if generation.is_none() => generation = Some(c.number()?),
+                _ => c.skip()?,
+            }
+            Ok(())
+        })?;
+        Ok((|| {
+            Ok(FeedCursor {
+                next_line: usize_field(next_line, "next_line")? as u64,
+                offset: usize_field(offset, "offset")? as u64,
+                generation: usize_field(generation, "generation")? as u64,
+            })
+        })())
     }
 }
 
@@ -490,11 +507,11 @@ mod tests {
             offset: 123,
             generation: 2,
         };
-        let text = hdd_json::to_string(&c.to_json());
-        assert_eq!(
-            FeedCursor::from_json(&hdd_json::parse(&text).unwrap()).unwrap(),
-            c
-        );
+        let mut text = String::new();
+        c.write_json(&mut text);
+        assert_eq!(text, "{\"next_line\":7,\"offset\":123,\"generation\":2}");
+        let back = FeedCursor::read_json(&mut hdd_json::Cursor::new(&text));
+        assert_eq!(back.unwrap().unwrap(), c);
         assert!(c.position_key() > FeedCursor::default().position_key());
     }
 }

@@ -51,8 +51,8 @@ pub mod topology;
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use checkpoint::{
-    Checkpoint, CheckpointError, CheckpointKind, SnapshotLog, CHECKPOINT_FORMAT_VERSION,
-    CHECKPOINT_MAGIC,
+    save_snapshot, Checkpoint, CheckpointError, CheckpointKind, SnapshotLog,
+    CHECKPOINT_FORMAT_VERSION, CHECKPOINT_MAGIC,
 };
 pub use engine::{Alarm, BatchOutcome, EngineConfig, EngineShard, RowEvent, SeqAlarm};
 pub use ingest::{FeedCursor, MultiFeedIngest, PollOutcome, RoutedLine};

@@ -2,11 +2,13 @@
 //!
 //! A [`DriveMonitor`] is everything a shard remembers about one drive
 //! the feed has mentioned. It advances only when a line for that drive
-//! commits, and its JSON codec round-trips exactly, so a checkpointed
-//! monitor resumes bit-identically.
+//! commits, and its snapshot codec round-trips exactly, so a
+//! checkpointed monitor resumes bit-identically.
 
 use hdd_eval::VotingState;
-use hdd_json::{JsonCodec, JsonError, Value};
+use hdd_json::{
+    list, numbers_field, usize_field, write_list, write_number, Cursor, Decoded, Field, JsonError,
+};
 use hdd_smart::{DriveClass, Hour, SmartSample, NUM_ATTRIBUTES};
 
 /// Live state of one drive the feed has mentioned.
@@ -22,97 +24,141 @@ pub(crate) struct DriveMonitor {
     pub(crate) alarmed: bool,
 }
 
-fn class_to_json(class: DriveClass) -> Vec<(String, Value)> {
-    match class {
-        DriveClass::Good => vec![("failed".to_string(), Value::Bool(false))],
-        DriveClass::Failed { fail_hour } => vec![
-            ("failed".to_string(), Value::Bool(true)),
-            ("fail_hour".to_string(), Value::Num(f64::from(fail_hour.0))),
-        ],
-    }
-}
-
-fn class_from_json(value: &Value) -> Result<DriveClass, JsonError> {
-    let failed = value
-        .field("failed")?
-        .as_bool()
-        .ok_or_else(|| JsonError::new("`failed` must be a boolean"))?;
-    if failed {
-        Ok(DriveClass::Failed {
-            fail_hour: Hour(value.usize_field("fail_hour")? as u32),
-        })
-    } else {
-        Ok(DriveClass::Good)
-    }
-}
-
-impl JsonCodec for DriveMonitor {
-    fn to_json(&self) -> Value {
-        let mut fields = class_to_json(self.class);
-        fields.push(("alarmed".to_string(), Value::Bool(self.alarmed)));
-        fields.push((
-            "history".to_string(),
-            Value::Arr(
-                self.history
-                    .iter()
-                    .map(|s| {
-                        Value::Obj(vec![
-                            ("hour".to_string(), Value::Num(f64::from(s.hour.0))),
-                            (
-                                "values".to_string(),
-                                Value::from_f64s(s.values.iter().map(|&v| f64::from(v))),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
-        fields.push(("voting".to_string(), self.voting.to_json()));
-        Value::Obj(fields)
-    }
-
-    fn from_json(value: &Value) -> Result<Self, JsonError> {
-        let class = class_from_json(value)?;
-        let alarmed = value
-            .field("alarmed")?
-            .as_bool()
-            .ok_or_else(|| JsonError::new("`alarmed` must be a boolean"))?;
-        let raw_history = value
-            .field("history")?
-            .as_arr()
-            .ok_or_else(|| JsonError::new("`history` must be an array"))?;
-        let mut history = Vec::with_capacity(raw_history.len());
-        for entry in raw_history {
-            let hour = Hour(entry.usize_field("hour")? as u32);
-            let values = entry.f64_vec_field("values")?;
-            if values.len() != NUM_ATTRIBUTES {
-                return Err(JsonError::new(format!(
-                    "history sample has {} values, expected {NUM_ATTRIBUTES}",
-                    values.len()
-                )));
+impl DriveMonitor {
+    /// Append drive `id`'s entry of a shard snapshot: `drive`, `failed`
+    /// (and `fail_hour` for a failed drive), `alarmed`, `history` (each
+    /// sample's `hour` and `values`) and `voting`.
+    pub(crate) fn write_json(&self, id: u32, out: &mut String) {
+        out.push_str("{\"drive\":");
+        write_number(f64::from(id), out);
+        match self.class {
+            DriveClass::Good => out.push_str(",\"failed\":false"),
+            DriveClass::Failed { fail_hour } => {
+                out.push_str(",\"failed\":true,\"fail_hour\":");
+                write_number(f64::from(fail_hour.0), out);
             }
-            let mut sample = SmartSample {
-                hour,
-                values: [0.0; NUM_ATTRIBUTES],
+        }
+        out.push_str(if self.alarmed {
+            ",\"alarmed\":true,\"history\":"
+        } else {
+            ",\"alarmed\":false,\"history\":"
+        });
+        write_list(out, &self.history, |sample, out| {
+            out.push_str("{\"hour\":");
+            write_number(f64::from(sample.hour.0), out);
+            out.push_str(",\"values\":");
+            write_list(out, &sample.values, |&v, out| {
+                write_number(f64::from(v), out)
+            });
+            out.push('}');
+        });
+        out.push_str(",\"voting\":");
+        self.voting.write_json(out);
+        out.push('}');
+    }
+
+    /// Read a drive entry [`DriveMonitor::write_json`] wrote: its id and
+    /// monitor. Shape errors rank as the fields are listed there, a
+    /// history sample's before the history's order.
+    pub(crate) fn read_json(cursor: &mut Cursor<'_>) -> Decoded<(u32, DriveMonitor)> {
+        let (mut drive, mut failed, mut fail_hour, mut alarmed) = (None, None, None, None);
+        let (mut history, mut voting) = (None, None);
+        cursor.object(|key, c| {
+            match key {
+                "drive" if drive.is_none() => drive = Some(c.number()?),
+                "failed" if failed.is_none() => failed = Some(c.boolean()?),
+                "fail_hour" if fail_hour.is_none() => fail_hour = Some(c.number()?),
+                "alarmed" if alarmed.is_none() => alarmed = Some(c.boolean()?),
+                "history" if history.is_none() => history = Some(read_history(c)?),
+                "voting" if voting.is_none() => voting = Some(VotingState::read_json(c)?),
+                _ => c.skip()?,
+            }
+            Ok(())
+        })?;
+        let boolean = |field: Field<bool>, key: &str| {
+            field
+                .ok_or_else(|| JsonError::missing(key))?
+                .ok_or_else(|| JsonError::new(format!("`{key}` must be a boolean")))
+        };
+        Ok((|| {
+            let id = usize_field(drive, "drive")? as u32;
+            let class = if boolean(failed, "failed")? {
+                DriveClass::Failed {
+                    fail_hour: Hour(usize_field(fail_hour, "fail_hour")? as u32),
+                }
+            } else {
+                DriveClass::Good
             };
-            for (slot, v) in sample.values.iter_mut().zip(&values) {
-                *slot = *v as f32;
-            }
-            history.push(sample);
-        }
-        // audit:allow(R3) reason="windows(2) yields exactly-2-element slices; w[0] and w[1] always exist"
-        if !history.windows(2).all(|w| w[0].hour < w[1].hour) {
-            return Err(JsonError::new(
-                "history must be strictly increasing in time",
-            ));
-        }
-        Ok(DriveMonitor {
-            class,
-            history,
-            voting: VotingState::from_json(value.field("voting")?)?,
-            alarmed,
-        })
+            let alarmed = boolean(alarmed, "alarmed")?;
+            let history = history.ok_or_else(|| JsonError::missing("history"))??;
+            let voting = voting.ok_or_else(|| JsonError::missing("voting"))??;
+            let monitor = DriveMonitor {
+                class,
+                history,
+                voting,
+                alarmed,
+            };
+            Ok((id, monitor))
+        })())
     }
+}
+
+/// Read a drive's `history` array: the samples, or the first sample's
+/// shape error, or (when every sample decodes) that the hours do not
+/// strictly increase.
+fn read_history(cursor: &mut Cursor<'_>) -> Decoded<Vec<SmartSample>> {
+    let mut increasing = true;
+    let mut previous: Option<Hour> = None;
+    let listed = list(cursor, |c| {
+        let sample = read_sample(c)?;
+        if let Ok(sample) = &sample {
+            increasing &= previous.is_none_or(|hour| hour < sample.hour);
+            previous = Some(sample.hour);
+        }
+        Ok(sample)
+    })?;
+    let Some((_, samples)) = listed else {
+        return Ok(Err(JsonError::new("`history` must be an array")));
+    };
+    if samples.is_ok() && !increasing {
+        return Ok(Err(JsonError::new(
+            "history must be strictly increasing in time",
+        )));
+    }
+    Ok(samples)
+}
+
+/// Read one history sample, `{"hour":…,"values":[…]}`, its values as the
+/// `f32`s of their `f64`s.
+fn read_sample(cursor: &mut Cursor<'_>) -> Decoded<SmartSample> {
+    let (mut hour, mut read) = (None, None);
+    let mut values = [0.0f32; NUM_ATTRIBUTES];
+    let mut count = 0;
+    cursor.object(|key, c| {
+        match key {
+            "hour" if hour.is_none() => hour = Some(c.number()?),
+            "values" if read.is_none() => {
+                read = Some(c.numbers(|v| {
+                    if let Some(slot) = values.get_mut(count) {
+                        *slot = v as f32;
+                    }
+                    count += 1;
+                })?);
+            }
+            _ => c.skip()?,
+        }
+        Ok(())
+    })?;
+    Ok((|| {
+        let hour = Hour(usize_field(hour, "hour")? as u32);
+        numbers_field(read, "values")?;
+        if count != NUM_ATTRIBUTES {
+            return Err(JsonError::new(format!(
+                "history sample has {count} values, expected {NUM_ATTRIBUTES}"
+            )));
+        }
+        Ok(SmartSample { hour, values })
+    })())
 }
 
 /// Drop samples too old for any feature lookback from `newest`: a sample
@@ -152,20 +198,28 @@ mod tests {
         }
     }
 
+    fn encode(m: &DriveMonitor) -> String {
+        let mut text = String::new();
+        m.write_json(42, &mut text);
+        text
+    }
+
+    fn decode(text: &str) -> Result<(u32, DriveMonitor), JsonError> {
+        DriveMonitor::read_json(&mut Cursor::new(text)).unwrap()
+    }
+
     #[test]
     fn codec_round_trips_through_text() {
         let m = monitor();
-        let text = hdd_json::to_string(&m.to_json());
-        let back = DriveMonitor::from_json(&hdd_json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, m);
+        assert_eq!(decode(&encode(&m)).unwrap(), (42, m));
     }
 
     #[test]
     fn unsorted_history_is_rejected() {
         let mut m = monitor();
         m.history.swap(0, 1);
-        let doc = m.to_json();
-        assert!(DriveMonitor::from_json(&doc).is_err());
+        let err = decode(&encode(&m)).unwrap_err();
+        assert!(err.to_string().contains("strictly increasing"), "{err}");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! per-shard but queue-level, so the topology checkpoints them beside
 //! the merge state rather than inside the engine state.
 
-use hdd_json::{JsonCodec, JsonError, Value};
+use hdd_json::{usize_field, write_number, Cursor, Decoded, Field};
 
 /// Row-level counters for one shard, serialized into its checkpoint.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -115,22 +115,38 @@ const STAT_FIELDS: [StatField; 10] = [
     ),
 ];
 
-impl JsonCodec for ShardStats {
-    fn to_json(&self) -> Value {
-        Value::Obj(
-            STAT_FIELDS
-                .iter()
-                .map(|(key, get, _)| ((*key).to_string(), Value::Num(*get(self) as f64)))
-                .collect(),
-        )
+impl ShardStats {
+    /// Append the counters as a shard snapshot holds them: one
+    /// `"key":n` member per [`STAT_FIELDS`] entry, in its order.
+    pub(crate) fn write_json(&self, out: &mut String) {
+        for (i, (key, get, _)) in STAT_FIELDS.iter().enumerate() {
+            out.push(if i == 0 { '{' } else { ',' });
+            out.push('"');
+            out.push_str(key);
+            out.push_str("\":");
+            write_number(*get(self) as f64, out);
+        }
+        out.push('}');
     }
 
-    fn from_json(value: &Value) -> Result<Self, JsonError> {
-        let mut stats = ShardStats::default();
-        for (key, _, get_mut) in &STAT_FIELDS {
-            *get_mut(&mut stats) = value.usize_field(key)?;
-        }
-        Ok(stats)
+    /// Read counters [`ShardStats::write_json`] wrote.
+    pub(crate) fn read_json(cursor: &mut Cursor<'_>) -> Decoded<Self> {
+        let mut fields: [Field<f64>; STAT_FIELDS.len()] = [None; STAT_FIELDS.len()];
+        cursor.object(|key, c| {
+            let slot = STAT_FIELDS.iter().position(|(k, ..)| *k == key);
+            match slot.and_then(|i| fields.get_mut(i)) {
+                Some(slot @ None) => *slot = Some(c.number()?),
+                _ => c.skip()?,
+            }
+            Ok(())
+        })?;
+        Ok((|| {
+            let mut stats = ShardStats::default();
+            for ((key, _, get_mut), field) in STAT_FIELDS.iter().zip(fields) {
+                *get_mut(&mut stats) = usize_field(field, key)?;
+            }
+            Ok(stats)
+        })())
     }
 }
 
@@ -138,21 +154,32 @@ impl JsonCodec for ShardStats {
 mod tests {
     use super::*;
 
+    fn decode(text: &str) -> Result<ShardStats, hdd_json::JsonError> {
+        ShardStats::read_json(&mut Cursor::new(text)).unwrap()
+    }
+
     #[test]
     fn codec_round_trips_every_field() {
         let mut stats = ShardStats::default();
         for (i, (_, _, get_mut)) in STAT_FIELDS.iter().enumerate() {
             *get_mut(&mut stats) = i + 1;
         }
-        let back = ShardStats::from_json(&stats.to_json()).unwrap();
-        assert_eq!(back, stats);
+        let mut text = String::new();
+        stats.write_json(&mut text);
+        assert!(
+            text.starts_with("{\"rows_seen\":1,\"rows_accepted\":2,"),
+            "{text}"
+        );
+        assert_eq!(decode(&text).unwrap(), stats);
     }
 
     #[test]
     fn missing_field_is_rejected() {
-        let doc = ShardStats::default().to_json();
-        let text = hdd_json::to_string(&doc).replacen("\"stale_rows\"", "\"stole_rows\"", 1);
-        assert!(ShardStats::from_json(&hdd_json::parse(&text).unwrap()).is_err());
+        let mut text = String::new();
+        ShardStats::default().write_json(&mut text);
+        let text = text.replacen("\"stale_rows\"", "\"stole_rows\"", 1);
+        let err = decode(&text).unwrap_err();
+        assert_eq!(err.to_string(), "json: missing field `stale_rows`");
     }
 
     #[test]

@@ -72,17 +72,18 @@ impl ShardSlot {
         self.engine.start_log();
         let engine = &self.engine;
         let ckpt = self.ckpt.get_or_insert_with(|| shard_ckpt(dir, k));
-        ckpt.save(disk, || records, || engine.state_to_json())
+        ckpt.save(disk, || records, |out| engine.write_state(out))
     }
 
     /// Restore shard `k` of `dir`: its snapshot, if any, then its log's
     /// records through the engine's commit path.
     fn restore(&mut self, dir: &Path, k: usize) -> Result<(), CheckpointError> {
         let ckpt = self.ckpt.insert(shard_ckpt(dir, k));
-        if let Some(payload) = ckpt.load_snapshot()? {
-            self.engine.restore_state(&payload)?;
+        let engine = &mut self.engine;
+        if let Some(state) = ckpt.load_snapshot(|c| engine.decode_state(c))? {
+            engine.install(state);
         }
-        let (engine, log_path) = (&mut self.engine, ckpt.log_path());
+        let log_path = ckpt.log_path();
         ckpt.replay_log(|frames| {
             for &(offset, records) in frames {
                 engine
@@ -1127,9 +1128,7 @@ mod tests {
     }
 
     fn shard_states(topo: &ServeTopology) -> Vec<String> {
-        topo.shards()
-            .map(|shard| hdd_json::to_string(&shard.state_to_json()))
-            .collect()
+        topo.shards().map(crate::engine::tests::encoded).collect()
     }
 
     fn log_len(ckpt: &Path, k: usize) -> usize {

@@ -667,6 +667,42 @@ fn a_step_whose_saves_all_append_syncs_each_log_once() {
     let _ = std::fs::remove_dir_all(&fx.dir);
 }
 
+/// Sync calls per compaction: a shard save that replaces its snapshot
+/// while its log holds frames makes three, the replace's two (the temp
+/// file's `fdatasync` and the directory `fsync`) and one `fdatasync` of
+/// the emptied log. The replace has just synced the directory the log
+/// shares, and cutting a file's length changes no directory entry, so
+/// the log's emptying needs no second directory `fsync`.
+#[test]
+fn a_compaction_syncs_its_snapshot_twice_and_its_log_once() {
+    let hours = (680, 700, 720);
+    let fx = Fixture {
+        queue: 256,
+        ..fleet_fixture("compaction-syncs", 2, Scenario::CalibratedMix, SCALE, hours)
+    };
+    for shards in [1, 2] {
+        let saves = log_saves(&fx, &config(&fx, "compaction-syncs", shards, false));
+        let per_step: Vec<usize> = saves.iter().map(|s| s.syncs).collect();
+        println!("sync calls per step at {shards} shard(s): {per_step:?}");
+        let mut compactions = 0;
+        for step in &saves {
+            let saved = step.shard_appends + step.shard_compactions;
+            if step.shard_compactions == 0 || saved != shards || step.log_created {
+                continue;
+            }
+            let topology = 2;
+            let expected = usize::from(step.sink_grew)
+                + topology
+                + step.shard_appends
+                + 3 * step.shard_compactions;
+            assert_eq!(step.syncs, expected, "{shards} shard(s): {step:?}");
+            compactions += step.shard_compactions;
+        }
+        assert!(compactions >= 1, "no step compacted: {saves:?}");
+    }
+    let _ = std::fs::remove_dir_all(&fx.dir);
+}
+
 /// Replayed votes take the score the log recorded, not the live model's:
 /// kill the daemon right after the step that promotes a candidate, while
 /// the shard's log still holds frames scored by the incumbent, and the
@@ -716,7 +752,11 @@ fn shard_states(daemon: &Daemon) -> Vec<String> {
     daemon
         .topology()
         .shards()
-        .map(|shard| hddpred::hdd_json::to_string(&shard.state_to_json()))
+        .map(|shard| {
+            let mut state = String::new();
+            shard.write_state(&mut state);
+            state
+        })
         .collect()
 }
 

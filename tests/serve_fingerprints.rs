@@ -36,7 +36,7 @@ use hddpred::lifecycle::{
     LifecycleManager,
 };
 use hddpred::serve::{
-    shard_log_path, shard_path, Checkpoint, CheckpointKind, EngineConfig, ServeTopology,
+    save_snapshot, shard_log_path, shard_path, CheckpointKind, EngineConfig, ServeTopology,
 };
 use hddpred::smart::rng::{fnv1a_extend, FNV1A_OFFSET};
 use hddpred::stats::FeatureSet;
@@ -270,10 +270,8 @@ fn checkpoint_pins(config: &DaemonConfig, label: &str) -> Vec<(String, u64)> {
     let restored = (0..config.shards).any(logged).then(|| restore(config));
     let lifecycle = restore_lifecycle(config);
     let encoded = ckpt.with_extension("encoded");
-    let encode = |kind: CheckpointKind, payload: Value| {
-        Checkpoint { kind, payload }
-            .save(&RealDisk, &encoded)
-            .expect("encode restored state");
+    let encode = |kind: CheckpointKind, payload: &dyn Fn(&mut String)| {
+        save_snapshot(&RealDisk, &encoded, kind, payload).expect("encode restored state");
         fingerprint(&encoded)
     };
     let mut pins: Vec<(String, u64)> = files
@@ -284,12 +282,15 @@ fn checkpoint_pins(config: &DaemonConfig, label: &str) -> Vec<(String, u64)> {
             let hash = match (shard.filter(|&k| logged(k)), &restored, &lifecycle) {
                 (Some(k), Some(topology), _) => {
                     let engine = topology.shards().nth(k).expect("shard k");
-                    encode(CheckpointKind::Shard, engine.state_to_json())
+                    encode(CheckpointKind::Shard, &|out| engine.write_state(out))
                 }
                 (None, _, Some(manager))
                     if *path == lifecycle_path(ckpt) && holds_frames(lifecycle_log_path(ckpt)) =>
                 {
-                    encode(CheckpointKind::Lifecycle, manager.state_to_json())
+                    let state = manager.state_to_json();
+                    encode(CheckpointKind::Lifecycle, &|out| {
+                        hddpred::hdd_json::write_value(&state, out);
+                    })
                 }
                 _ => fingerprint(path),
             };
