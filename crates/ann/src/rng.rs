@@ -1,30 +1,22 @@
 //! Seeded sequential PRNG for weight initialization and epoch shuffling.
 //!
 //! Training only needs a reproducible stream, not cryptographic quality:
-//! a SplitMix64 sequence is plenty.
+//! the workspace's sequential SplitMix64 is plenty.
 
-use hdd_smart::rng::splitmix64;
+use hdd_smart::rng::SplitMix64;
 
-/// A sequential SplitMix64 generator.
+/// Training draws over a sequential SplitMix64 stream.
 #[derive(Debug, Clone)]
-pub(crate) struct TrainRng {
-    state: u64,
-}
+pub(crate) struct TrainRng(SplitMix64);
 
 impl TrainRng {
     pub(crate) fn seed_from_u64(seed: u64) -> Self {
-        TrainRng { state: seed }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        let z = splitmix64(self.state);
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z
+        TrainRng(SplitMix64::new(seed))
     }
 
     /// Uniform in `[0, 1)`.
     fn uniform(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+        (self.0.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
     /// Uniform in `[lo, hi)`.
@@ -38,7 +30,7 @@ impl TrainRng {
         let n = n as u64;
         let zone = u64::MAX - u64::MAX % n;
         loop {
-            let v = self.next_u64();
+            let v = self.0.next_u64();
             if v < zone {
                 return (v % n) as usize;
             }
@@ -62,7 +54,7 @@ mod tests {
         let mut a = TrainRng::seed_from_u64(42);
         let mut b = TrainRng::seed_from_u64(42);
         for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
+            assert_eq!(a.0.next_u64(), b.0.next_u64());
         }
     }
 

@@ -20,6 +20,12 @@
 //! serve loop (CI fails if the file or the p99, parse or snapshot
 //! columns are missing).
 
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "timing harness: wall-clock measurement is its purpose"
+)]
+
 use hdd_bench::report::Report;
 use hdd_bench::section;
 use hdd_cart::classifier::ClassificationTreeBuilder;

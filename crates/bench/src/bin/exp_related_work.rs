@@ -10,6 +10,11 @@ use hdd_bench::{ann_experiment, ct_experiment, pct, section, Options};
 use hdd_cart::{AdaBoostBuilder, Class};
 use hdd_eval::VotingRule;
 
+#[expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "timing harness: wall-clock measurement is its purpose"
+)]
 fn main() {
     let options = Options::from_args();
     let dataset = options.dataset_w();

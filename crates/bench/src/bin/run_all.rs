@@ -25,6 +25,11 @@ const EXPERIMENTS: [&str; 12] = [
     "exp_table6",
 ];
 
+#[expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "timing harness: wall-clock measurement is its purpose"
+)]
 fn main() {
     // Validate the shared options up front (and fail fast on typos)
     // before spending minutes inside the first experiment.

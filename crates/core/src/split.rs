@@ -261,7 +261,10 @@ pub fn best_classification_split(
 ///
 /// Both searches call this, so their floating-point accumulations — and
 /// therefore the chosen splits — are bit-identical.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the sweep's inputs are independent borrows and scalars that both split searches pass; a parameter struct would only rename them"
+)]
 fn sweep_classification_feature(
     order: &[u32],
     vals: &[f64],
@@ -365,7 +368,10 @@ pub fn best_regression_split(
 /// feature's thresholds over samples already in feature order (with
 /// position-aligned `vals`), comparing against `floor` with strict
 /// inequality.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the sweep's inputs are independent borrows and scalars that both split searches pass; a parameter struct would only rename them"
+)]
 fn sweep_regression_feature(
     order: &[u32],
     vals: &[f64],
@@ -579,7 +585,10 @@ impl SplitWorkspace {
     /// [`best_classification_split`] over the node's members. `None` for
     /// a pure node.
     #[must_use]
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "node bounds, per-sample slices and training knobs, one argument each, as the member-list search it must match bit for bit takes them"
+    )]
     pub fn best_classification_split(
         &self,
         start: usize,
@@ -621,7 +630,10 @@ impl SplitWorkspace {
     /// passes in — same result, bit for bit, as [`best_regression_split`]
     /// over the node's members. `None` for a constant-target node.
     #[must_use]
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "node bounds, per-sample slices and training knobs, one argument each, as the member-list search it must match bit for bit takes them"
+    )]
     pub fn best_regression_split(
         &self,
         start: usize,

@@ -80,8 +80,8 @@ pub fn simulate_triage<P: Predictor>(
 
     // BTreeMaps by construction: triage results feed reports and tests,
     // so even a future refactor that iterates these maps directly stays
-    // deterministic (audit rule R2 enforces the same property in the
-    // sink/checkpoint crates).
+    // deterministic (rule R2, `clippy.toml`'s disallowed types, enforces
+    // the same property workspace-wide).
     let mut state: BTreeMap<DriveId, DriveState> = BTreeMap::new();
 
     // Pre-compute per-drive daily scores from each drive's series.

@@ -22,7 +22,7 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use hdd_smart::rng::splitmix64;
+use hdd_smart::rng::{splitmix64, SplitMix64};
 
 /// A SMART CSV row has `drive,failed,fail_hour,hour` plus the twelve
 /// feature columns of the paper's Table II.
@@ -318,7 +318,7 @@ impl FaultInjector {
             }
             FaultClass::GarbageRow => {
                 for idx in pick(&mut rng, data, quota) {
-                    lines[idx] = format!("%%garbage#{:016x}%%", rng.next());
+                    lines[idx] = format!("%%garbage#{:016x}%%", rng.next_u64());
                     report.garbage_rows += 1;
                 }
             }
@@ -429,8 +429,8 @@ impl FaultInjector {
             return None;
         }
         let mut rng = SplitMix64::new(self.seed ^ salt.wrapping_mul(0xD1B5_4A32_D192_ED03));
-        let offset = (rng.next() % bytes.len() as u64) as usize;
-        let bit = (rng.next() % 8) as u8;
+        let offset = (rng.next_u64() % bytes.len() as u64) as usize;
+        let bit = (rng.next_u64() % 8) as u8;
         bytes[offset] ^= 1 << bit;
         Some(BitFlip { offset, bit })
     }
@@ -514,7 +514,7 @@ fn pick(rng: &mut SplitMix64, range: std::ops::Range<usize>, quota: usize) -> Ve
     let mut indices: Vec<usize> = range.collect();
     let quota = quota.min(indices.len());
     for i in 0..quota {
-        let j = i + (rng.next() % (indices.len() - i) as u64) as usize;
+        let j = i + (rng.next_u64() % (indices.len() - i) as u64) as usize;
         indices.swap(i, j);
     }
     indices.truncate(quota);
@@ -529,7 +529,7 @@ fn replace_feature(line: &mut String, rng: &mut SplitMix64, value: &str) -> bool
     if fields.len() != ROW_FIELDS {
         return false;
     }
-    let slot = FIRST_FEATURE + (rng.next() % (ROW_FIELDS - FIRST_FEATURE) as u64) as usize;
+    let slot = FIRST_FEATURE + (rng.next_u64() % (ROW_FIELDS - FIRST_FEATURE) as u64) as usize;
     fields[slot] = value;
     *line = fields.join(",");
     true
@@ -549,7 +549,7 @@ fn swap_adjacent(lines: &mut [String], rng: &mut SplitMix64, quota: usize) -> us
         .collect();
     // Shuffle, then greedily accept non-adjacent positions.
     for i in (1..candidates.len()).rev() {
-        let j = (rng.next() % (i as u64 + 1)) as usize;
+        let j = (rng.next_u64() % (i as u64 + 1)) as usize;
         candidates.swap(i, j);
     }
     let mut accepted: Vec<usize> = Vec::new();
@@ -565,25 +565,6 @@ fn swap_adjacent(lines: &mut [String], rng: &mut SplitMix64, quota: usize) -> us
         lines.swap(i, i + 1);
     }
     accepted.len()
-}
-
-/// Sequential SplitMix64: yields [`splitmix64`] of its state, then
-/// advances the state by the golden-ratio increment.
-#[derive(Debug, Clone)]
-struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-
-    fn next(&mut self) -> u64 {
-        let z = splitmix64(self.state);
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z
-    }
 }
 
 #[cfg(test)]
@@ -767,8 +748,8 @@ mod tests {
         let csv = clean_csv();
         let (out, r) = FaultInjector::new(11).corrupt_csv(&csv, FaultClass::ShardSkewedIds, 1.0);
         assert_eq!(r.skewed_rows, 60, "every data row is remapped");
-        let mut per_original: std::collections::HashMap<u64, Vec<usize>> =
-            std::collections::HashMap::new();
+        let mut per_original: std::collections::BTreeMap<u64, Vec<usize>> =
+            std::collections::BTreeMap::new();
         for (i, line) in out.lines().skip(1).enumerate() {
             let id: u64 = line.split(',').next().unwrap().parse().unwrap();
             assert_eq!(splitmix64(id) % 4, 0, "id {id} must hash to shard 0 of 4");

@@ -22,7 +22,15 @@
 //! [`Daemon`] that `hddpred serve`, the workload gauntlet and the serve
 //! bench all drive, with the lifecycle as an optional part of its step.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod buffer;

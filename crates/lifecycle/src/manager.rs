@@ -78,11 +78,6 @@ pub struct LifecycleConfig {
     pub voters: usize,
     /// Voting rule for shadow scoring (match the live detector).
     pub rule: VotingRule,
-    /// Optional wall-clock training budget in milliseconds. **Daemon
-    /// only**: an over-budget result is discarded with backoff, which
-    /// makes candidate timing depend on the clock — leave `None`
-    /// anywhere replay determinism matters (the gauntlet always does).
-    pub train_budget_ms: Option<u64>,
 }
 
 impl LifecycleConfig {
@@ -106,7 +101,6 @@ impl LifecycleConfig {
             max_alarm_rate_delta: 0.05,
             voters,
             rule,
-            train_budget_ms: None,
         }
     }
 }
@@ -182,7 +176,7 @@ pub struct LifecycleCounters {
     pub rollbacks: usize,
     /// Trainer panics contained.
     pub trainer_panics: usize,
-    /// Trainer errors (unlearnable buffer, over-budget, staging I/O).
+    /// Trainer errors (unlearnable buffer, staging I/O).
     pub train_failures: usize,
 }
 
@@ -691,16 +685,9 @@ impl LifecycleManager {
         } else {
             self.buffer.samples()
         };
-        // Wall-clock training budget: daemon-only containment (see
-        // LifecycleConfig::train_budget_ms for the determinism caveat).
-        let started = self.config.train_budget_ms.map(|_| {
-            // audit:allow(R1) reason="budget enforcement is containment of the off-path trainer, never serve state; gauntlet and tests run with train_budget_ms=None"
-            std::time::Instant::now()
-        });
         let trained = pool.try_parallel_map(&[()], |_| {
             if panic_now {
-                // audit:allow(R3) reason="seeded fault injection proving trainer panics are contained by try_parallel_map"
-                panic!("injected trainer panic (attempt {attempt})");
+                inject_trainer_panic(attempt);
             }
             ClassificationTreeBuilder::new()
                 .build(&samples)
@@ -723,46 +710,27 @@ impl LifecycleManager {
                     &mut self.backoff_mult,
                     "lifecycle: training failed on the buffered window; backing off".to_string(),
                 ),
-                Some(Ok(model)) => {
-                    let over_budget = match (started, self.config.train_budget_ms) {
-                        // audit:allow(R1) reason="opt-in training time budget: bounds whether a candidate is produced, never which rows commit or which alarms the incumbent emits"
-                        (Some(t0), Some(budget)) => t0.elapsed().as_millis() as u64 > budget,
-                        _ => false,
-                    };
-                    if over_budget {
+                Some(Ok(model)) => match self.store.stage_candidate(&model) {
+                    Ok(fingerprint) => {
+                        self.candidate = Some(Arc::new(model));
+                        self.candidate_fingerprint = Some(fingerprint);
+                        self.shadow = Some(ShadowScorer::new(self.config.voters, self.config.rule));
+                        self.phase = Phase::Shadow;
+                        self.backoff_mult = 1;
+                        notes.push(format!(
+                            "lifecycle: candidate {fingerprint:016x} trained on {} rows; shadow begins",
+                            self.buffer.len()
+                        ));
+                    }
+                    Err(e) => {
                         fail(
                             &mut self.counters.train_failures,
                             &mut self.backoff_mult,
-                            "lifecycle: training exceeded its time budget; candidate discarded"
-                                .to_string(),
+                            format!("lifecycle: staging the candidate failed ({e}); backing off"),
                         );
-                    } else {
-                        match self.store.stage_candidate(&model) {
-                            Ok(fingerprint) => {
-                                self.candidate = Some(Arc::new(model));
-                                self.candidate_fingerprint = Some(fingerprint);
-                                self.shadow =
-                                    Some(ShadowScorer::new(self.config.voters, self.config.rule));
-                                self.phase = Phase::Shadow;
-                                self.backoff_mult = 1;
-                                notes.push(format!(
-                                    "lifecycle: candidate {fingerprint:016x} trained on {} rows; shadow begins",
-                                    self.buffer.len()
-                                ));
-                            }
-                            Err(e) => {
-                                fail(
-                                    &mut self.counters.train_failures,
-                                    &mut self.backoff_mult,
-                                    format!(
-                                        "lifecycle: staging the candidate failed ({e}); backing off"
-                                    ),
-                                );
-                                self.disk_error = Some(e);
-                            }
-                        }
+                        self.disk_error = Some(e);
                     }
-                }
+                },
             },
         }
     }
@@ -1011,6 +979,15 @@ impl LifecycleManager {
         })?;
         Ok(())
     }
+}
+
+/// The seeded `trainer_panic` fault: panics inside the training fan-out.
+#[expect(
+    clippy::panic,
+    reason = "seeded fault injection proving trainer panics are contained by try_parallel_map"
+)]
+fn inject_trainer_panic(attempt: usize) -> ! {
+    panic!("injected trainer panic (attempt {attempt})");
 }
 
 #[cfg(test)]

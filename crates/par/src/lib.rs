@@ -38,14 +38,27 @@
 //! ```
 
 #![warn(missing_docs)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )
+)]
 
 use std::any::Any;
 use std::ops::Range;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+#[expect(
+    clippy::disallowed_types,
+    reason = "CancelToken tick-budget deadlines: bounds when work commits, never what commits"
+)]
+use std::time::Instant;
 
 /// Why a fallible combinator returned without a full result set.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,11 +118,20 @@ pub struct CancelToken {
 }
 
 #[derive(Debug, Default)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "CancelToken tick-budget deadlines: bounds when work commits, never what commits"
+)]
 struct TokenInner {
     cancelled: AtomicBool,
     deadline: Option<Instant>,
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "CancelToken tick-budget deadlines: bounds when work commits, never what commits"
+)]
 impl CancelToken {
     /// A token that never expires on its own; only
     /// [`CancelToken::cancel`] trips it.
@@ -241,7 +263,10 @@ where
 fn reraise<R>(result: Result<Vec<R>, ParError>) -> Vec<R> {
     match result {
         Ok(out) => out,
-        // audit:allow(R3) reason="re-raises a worker panic already contained by the fan-out; the try_ combinators are the no-panic API"
+        #[expect(
+            clippy::panic,
+            reason = "re-raises a worker panic already contained by the fan-out; the try_ combinators are the no-panic API"
+        )]
         Err(e) => panic!("{e}"),
     }
 }

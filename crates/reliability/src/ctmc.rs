@@ -14,7 +14,7 @@
 //! transition stays within a few indices, so even chains with tens of
 //! thousands of states solve in linear time.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Builder and solver for an absorbing CTMC.
 ///
@@ -86,7 +86,7 @@ impl Ctmc {
 
         // Transient states get solver rows; absorbing states contribute 0.
         let transient: Vec<usize> = (0..self.n_states).filter(|&s| outflow[s] > 0.0).collect();
-        let row_of: HashMap<usize, usize> =
+        let row_of: BTreeMap<usize, usize> =
             transient.iter().enumerate().map(|(r, &s)| (s, r)).collect();
         let n = transient.len();
 

@@ -486,7 +486,10 @@ impl EngineShard {
     ) -> Commit {
         let n = self.n_feeds as u64;
         let (feed, index) = ((line.seq % n) as usize, line.seq / n);
-        // audit:allow(R3) reason="seq % n_feeds is below n_feeds and cursors is sized to n_feeds at construction"
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "seq % n_feeds is below n_feeds and cursors is sized to n_feeds at construction"
+        )]
         let cursor = &mut self.cursors[feed];
         if index < cursor.next_line {
             outcome.replayed += 1;

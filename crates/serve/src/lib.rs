@@ -32,7 +32,15 @@
 //!   counts every drop (the serve loop polls within
 //!   [`ServeTopology::free`], so it never actually drops).
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod breaker;

@@ -102,7 +102,10 @@ impl JsonCodec for MergeState {
             .into_iter()
             .map(|v| v as u64)
             .collect();
-        // audit:allow(R3) reason="windows(2) yields exactly-2-element slices; w[0] and w[1] always exist"
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "windows(2) yields exactly-2-element slices; w[0] and w[1] always exist"
+        )]
         if !ahead.windows(2).all(|w| w[0] < w[1]) {
             return Err(JsonError::new("`ahead` must be strictly ascending"));
         }

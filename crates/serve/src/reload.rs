@@ -17,11 +17,17 @@
 use hdd_eval::{ModelError, SavedModel};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-// audit:allow(R1) reason="mtime is a change-detection fingerprint only; it never enters engine state, scores, or checkpoints"
+#[expect(
+    clippy::disallowed_types,
+    reason = "mtime is a change-detection fingerprint only; it never enters engine state, scores, or checkpoints"
+)]
 use std::time::SystemTime;
 
 /// A model file's change-detection fingerprint.
-// audit:allow(R1) reason="mtime is a change-detection fingerprint only; it never enters engine state, scores, or checkpoints"
+#[expect(
+    clippy::disallowed_types,
+    reason = "mtime is a change-detection fingerprint only; it never enters engine state, scores, or checkpoints"
+)]
 type Stamp = (SystemTime, u64);
 
 fn stamp(path: &Path) -> Option<Stamp> {
@@ -97,7 +103,7 @@ mod tests {
 
     /// Overwrite `path` and make sure its fingerprint actually moves even
     /// on filesystems with coarse mtime granularity.
-    fn overwrite(path: &Path, bytes: &[u8], old: Option<(SystemTime, u64)>) {
+    fn overwrite(path: &Path, bytes: &[u8], old: Option<Stamp>) {
         std::fs::write(path, bytes).unwrap();
         for _ in 0..50 {
             if stamp(path) != old {

@@ -361,7 +361,10 @@ impl ServeTopology {
                 let take = SUB_BATCH_LINES.min(slot.queue.len());
                 // A copy, not a borrow: borrowing measured a higher backfill
                 // peak RSS (OPTIMIZATION_LOG entry 11).
-                // audit:allow(R3) reason="take is min(SUB_BATCH_LINES, queue.len()), never past the contiguous slice"
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "take is min(SUB_BATCH_LINES, queue.len()), never past the contiguous slice"
+                )]
                 let batch = slot.queue.make_contiguous()[..take].to_vec();
                 let tok = if res.processed == 0 {
                     &first_batch
@@ -610,12 +613,15 @@ impl ServeTopology {
     /// *earliest* position any shard's checkpoint needs — shards ahead
     /// of it skip the replayed overlap by cursor.
     #[must_use]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every shard engine is built with the same n_feeds, so cursors() has an entry for f"
+    )]
     pub fn ingest_resume_cursors(&self) -> Vec<FeedCursor> {
         (0..self.n_feeds)
             .map(|f| {
                 self.slots
                     .iter()
-                    // audit:allow(R3) reason="every shard engine is built with the same n_feeds, so cursors() has an entry for f"
                     .map(|s| s.engine.cursors()[f])
                     .min_by_key(FeedCursor::position_key)
                     .unwrap_or_default()

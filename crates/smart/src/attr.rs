@@ -220,9 +220,9 @@ mod tests {
 
     #[test]
     fn names_and_mnemonics_unique() {
-        use std::collections::HashSet;
-        let names: HashSet<_> = BASIC_ATTRIBUTES.iter().map(|a| a.name()).collect();
-        let mnems: HashSet<_> = BASIC_ATTRIBUTES.iter().map(|a| a.mnemonic()).collect();
+        use std::collections::BTreeSet;
+        let names: BTreeSet<_> = BASIC_ATTRIBUTES.iter().map(|a| a.name()).collect();
+        let mnems: BTreeSet<_> = BASIC_ATTRIBUTES.iter().map(|a| a.mnemonic()).collect();
         assert_eq!(names.len(), NUM_ATTRIBUTES);
         assert_eq!(mnems.len(), NUM_ATTRIBUTES);
     }

@@ -213,8 +213,8 @@ mod tests {
 
     #[test]
     fn labels_unique() {
-        use std::collections::HashSet;
-        let labels: HashSet<_> = ALL_FAILURE_MODES.iter().map(|m| m.label()).collect();
+        use std::collections::BTreeSet;
+        let labels: BTreeSet<_> = ALL_FAILURE_MODES.iter().map(|m| m.label()).collect();
         assert_eq!(labels.len(), ALL_FAILURE_MODES.len());
     }
 }

@@ -7,8 +7,9 @@
 //! `(dataset seed, drive id, stream, hour)` instead of a sequential stream.
 //!
 //! This module also holds the workspace's one copy of each hash primitive:
-//! [`splitmix64`] (seed mixing, shard routing, the sequential generators)
-//! and FNV-1a ([`fnv1a_extend`], for fingerprints and line routing).
+//! [`splitmix64`] (seed mixing, shard routing), its sequential stream
+//! [`SplitMix64`] (fault injection, network training) and FNV-1a
+//! ([`fnv1a_extend`], for fingerprints and line routing).
 
 /// A counter-based deterministic random source.
 ///
@@ -27,6 +28,30 @@ pub fn splitmix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// Sequential SplitMix64: yields [`splitmix64`] of its state, then
+/// advances the state by the golden-ratio increment. For consumers that
+/// need a seeded stream rather than random access (fault injection,
+/// network initialization and shuffling).
+#[derive(Debug, Clone)]
+pub struct SplitMix64 {
+    state: u64,
+}
+
+impl SplitMix64 {
+    /// A generator whose first draw is `splitmix64(seed)`.
+    #[must_use]
+    pub fn new(seed: u64) -> Self {
+        SplitMix64 { state: seed }
+    }
+
+    /// The next 64 uniform bits.
+    pub fn next_u64(&mut self) -> u64 {
+        let z = splitmix64(self.state);
+        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z
+    }
 }
 
 /// FNV-1a 64 offset basis: the hash of the empty byte string.
@@ -114,6 +139,18 @@ mod tests {
         // Extending is streaming: split points do not matter.
         let split = fnv1a_extend(fnv1a_extend(FNV1A_OFFSET, b"foo"), b"bar");
         assert_eq!(split, 0x8594_4171_F739_67E8);
+    }
+
+    #[test]
+    fn sequential_splitmix_hashes_golden_ratio_steps() {
+        let mut rng = SplitMix64::new(0);
+        assert_eq!(rng.next_u64(), 0xE220_A839_7B1D_CDAF);
+        for k in 1..16u64 {
+            assert_eq!(
+                rng.next_u64(),
+                splitmix64(k.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            );
+        }
     }
 
     #[test]

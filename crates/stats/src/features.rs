@@ -11,7 +11,7 @@ use hdd_smart::{Attribute, SmartSample, SmartSeries, BASIC_ATTRIBUTES};
 use std::fmt;
 
 /// One model input.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FeatureSpec {
     /// The attribute's current value.
     Value(Attribute),
@@ -78,7 +78,7 @@ impl FeatureSet {
     #[must_use]
     pub fn new(name: impl Into<String>, features: Vec<FeatureSpec>) -> Self {
         assert!(!features.is_empty(), "feature set must not be empty");
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for f in &features {
             assert!(seen.insert(*f), "duplicate feature {f}");
         }

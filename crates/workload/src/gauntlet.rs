@@ -496,10 +496,17 @@ fn run_manifest(
 
 /// Time one closure, returning its result and the wall milliseconds.
 fn time_ms<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    // audit:allow(R1) reason="gauntlet tick latency is observability-only; the measured value is reported in BENCH_gauntlet.json and never feeds back into engine state or alarm output"
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "gauntlet tick latency is observability-only; the measured value is reported in BENCH_gauntlet.json and never feeds back into engine state or alarm output"
+    )]
     let start = std::time::Instant::now();
     let out = f();
-    // audit:allow(R1) reason="gauntlet tick latency is observability-only; the measured value is reported in BENCH_gauntlet.json and never feeds back into engine state or alarm output"
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "gauntlet tick latency is observability-only; the measured value is reported in BENCH_gauntlet.json and never feeds back into engine state or alarm output"
+    )]
     let ms = start.elapsed().as_secs_f64() * 1e3;
     (out, ms)
 }

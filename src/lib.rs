@@ -21,9 +21,6 @@
 //! * [`lifecycle`] — guarded online retraining over the serve stream:
 //!   shadow-scored candidate models, atomic two-phase promotion,
 //!   automatic rollback, trainer fault containment,
-//! * [`audit`] — the workspace's own static analyzer: a lexical scanner
-//!   that enforces the determinism and panic-safety invariants the
-//!   crates above rely on (`hddpred audit`),
 //! * [`workload`] — deterministic scenario fleet generation (expected /
 //!   stress / adversarial profiles) and the replayable resilience
 //!   gauntlet that drives [`serve`] against ground truth
@@ -59,7 +56,6 @@
 #![warn(missing_docs)]
 
 pub use hdd_ann as ann;
-pub use hdd_audit as audit;
 pub use hdd_baselines as baselines;
 pub use hdd_cart as cart;
 pub use hdd_eval as eval;

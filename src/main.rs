@@ -38,7 +38,7 @@ use hddpred::smart::csv::{
 use hddpred::smart::rng::DeterministicRng;
 use hddpred::smart::{DatasetGenerator, FamilyProfile, Hour, SmartSeries};
 use hddpred::stats::FeatureSet;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write as _};
 use std::path::{Path, PathBuf};
@@ -55,7 +55,6 @@ fn main() -> ExitCode {
         Some("serve") => parse_flags(&args[1..]).and_then(|flags| serve(&flags)),
         Some("gauntlet") => parse_flags(&args[1..]).and_then(|flags| gauntlet(&flags)),
         Some("lifecycle") => parse_flags(&args[1..]).and_then(|flags| lifecycle_status(&flags)),
-        Some("audit") => parse_flags(&args[1..]).and_then(|flags| audit(&flags)),
         Some("--help" | "-h" | "help") | None => {
             eprint!("{USAGE}");
             return ExitCode::SUCCESS;
@@ -92,7 +91,7 @@ USAGE:
                      [--min-lead <hours>] [--retrain-mode accumulation|replacing]
                      [--buffer-cap <n>] [--retrain-window <hours>]
                      [--retrain-history <n>] [--alarm-rate-delta <f>]
-                     [--train-budget-ms <n>] [--threads <n>]
+                     [--threads <n>]
     hddpred gauntlet --profile expected|stress|adversarial [--seed <n>]
                      [--scenario <name>] [--shards <n>] [--scale <f>]
                      [--rate <n>] [--voters <n>] [--max-quarantine <f>]
@@ -102,7 +101,6 @@ USAGE:
                      [--probation-rows <n>] [--lifecycle-fault <class>]
                      [--threads <n>]
     hddpred lifecycle --model <model.json> [--checkpoint <dir>] [--history <n>]
-    hddpred audit    [--root <dir>] [--json <path>] [--no-json] [--quiet]
 
 `--threads` sets the worker-thread count (default: HDDPRED_THREADS, else
 the hardware count). Results are bit-identical at any setting.
@@ -140,9 +138,8 @@ the last `--retrain-history` models; for `--probation-rows` rows after
 a promotion the live alarm rate is watched and the previous model is
 rolled back automatically if a breaker trips or the rate exceeds the
 shadow baseline by `--alarm-rate-delta`. Trainer panics are contained
-with exponential backoff; `--train-budget-ms` discards over-budget
-candidates (daemon only — it consults the wall clock). Incompatible
-with `--model-watch`: the lifecycle owns the model file.
+with exponential backoff. Incompatible with `--model-watch`: the
+lifecycle owns the model file.
 
 `gauntlet` generates a deterministic scenario fleet (`--profile` picks
 the scenario set, `--scenario` narrows to one) or replays one from a
@@ -169,16 +166,9 @@ live/candidate/history fingerprints from disk, plus the phase and
 counters from `lifecycle.ckpt` and `lifecycle.log` when `--checkpoint`
 is given.
 
-`audit` runs the workspace's own static analyzer (rules R1-R3 and R5:
-wall-clock ban, unordered-iteration ban, panic-surface ban, crate
-hygiene; S0 flags malformed or stale suppressions) over the Rust
-sources under `--root` (default: the current directory) and writes the machine-readable `AUDIT.json` report next to
-it unless `--no-json` is given. Unsuppressed findings exit with code 9;
-suppressions need `// audit:allow(<rule>) reason=\"...\"`.
-
 EXIT CODES:
     0  success            4  unusable input data    8  serve failure
-    2  usage error        5  model file rejected    9  audit findings
+    2  usage error        5  model file rejected
     3  i/o failure        6  training failed
                           7  quarantine ceiling exceeded
 ";
@@ -205,8 +195,6 @@ enum CliError {
     /// The streaming service could not start or had to stop: corrupt
     /// checkpoint, inconsistent alarm sink, or a scoring worker panic.
     Serve(String),
-    /// The static audit found unsuppressed rule violations.
-    Audit { findings: usize },
 }
 
 impl CliError {
@@ -221,7 +209,6 @@ impl CliError {
             CliError::Train { .. } => 6,
             CliError::Quarantine { .. } => 7,
             CliError::Serve(_) => 8,
-            CliError::Audit { .. } => 9,
         }
     }
 }
@@ -238,9 +225,6 @@ impl std::fmt::Display for CliError {
             }
             CliError::Quarantine { path, source } => write!(f, "{path}: {source}"),
             CliError::Serve(msg) => write!(f, "{msg}"),
-            CliError::Audit { findings } => {
-                write!(f, "audit found {findings} unsuppressed violation(s)")
-            }
         }
     }
 }
@@ -292,8 +276,8 @@ fn io_error(path: &str) -> impl Fn(std::io::Error) -> CliError + '_ {
 /// The `--name value` pairs of `args`. A flag given twice is a usage
 /// error: keeping either value would silently drop the other (a second
 /// `--feed` is not a second feed; feeds are one comma-separated list).
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, CliError> {
-    let mut flags = HashMap::new();
+fn parse_flags(args: &[String]) -> Result<BTreeMap<String, String>, CliError> {
+    let mut flags = BTreeMap::new();
     let mut iter = args.iter().peekable();
     while let Some(key) = iter.next() {
         if let Some(name) = key.strip_prefix("--") {
@@ -314,7 +298,7 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, CliError> {
     Ok(flags)
 }
 
-fn flag<'a>(flags: &'a HashMap<String, String>, name: &str) -> Result<&'a str, CliError> {
+fn flag<'a>(flags: &'a BTreeMap<String, String>, name: &str) -> Result<&'a str, CliError> {
     flags
         .get(name)
         .map(String::as_str)
@@ -323,7 +307,7 @@ fn flag<'a>(flags: &'a HashMap<String, String>, name: &str) -> Result<&'a str, C
 
 /// Parse an optional numeric flag, naming the flag on failure.
 fn num_flag<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
+    flags: &BTreeMap<String, String>,
     name: &str,
     default: T,
     expected: &str,
@@ -337,7 +321,7 @@ fn num_flag<T: std::str::FromStr>(
 }
 
 /// Apply the shared `--threads` flag as the process-wide worker count.
-fn apply_threads(flags: &HashMap<String, String>) -> Result<(), CliError> {
+fn apply_threads(flags: &BTreeMap<String, String>) -> Result<(), CliError> {
     if flags.contains_key("threads") {
         let threads: usize = num_flag(flags, "threads", 0, "an integer")?;
         if threads == 0 {
@@ -351,7 +335,7 @@ fn apply_threads(flags: &HashMap<String, String>) -> Result<(), CliError> {
 /// Quarantine-based CSV ingestion shared by `train` and `detect`:
 /// unusable rows are skipped and itemized on stderr, bounded by the
 /// `--max-quarantine` ceiling.
-fn load_series(path: &str, flags: &HashMap<String, String>) -> Result<Vec<SmartSeries>, CliError> {
+fn load_series(path: &str, flags: &BTreeMap<String, String>) -> Result<Vec<SmartSeries>, CliError> {
     let ceiling: f64 = num_flag(flags, "max-quarantine", 0.1, "a fraction in [0, 1]")?;
     if !(0.0..=1.0).contains(&ceiling) {
         return Err(CliError::Usage(format!(
@@ -371,7 +355,7 @@ fn load_series(path: &str, flags: &HashMap<String, String>) -> Result<Vec<SmartS
 }
 
 /// `hddpred generate`: synthesize a fleet and dump every series as CSV.
-fn generate(flags: &HashMap<String, String>) -> Result<(), CliError> {
+fn generate(flags: &BTreeMap<String, String>) -> Result<(), CliError> {
     let out = flag(flags, "out")?;
     let family = match flags.get("family").map(String::as_str).unwrap_or("W") {
         "W" | "w" => FamilyProfile::w(),
@@ -403,7 +387,7 @@ fn generate(flags: &HashMap<String, String>) -> Result<(), CliError> {
 
 /// `hddpred train`: fit a CT model on labelled series, compile it and
 /// write the versioned model file.
-fn train(flags: &HashMap<String, String>) -> Result<(), CliError> {
+fn train(flags: &BTreeMap<String, String>) -> Result<(), CliError> {
     let data = flag(flags, "data")?;
     let out = flag(flags, "out")?;
     let window: u32 = num_flag(flags, "window", 168, "an hour count")?;
@@ -441,7 +425,7 @@ fn train(flags: &HashMap<String, String>) -> Result<(), CliError> {
 }
 
 /// `hddpred detect`: reload a model file and scan every series for alarms.
-fn detect(flags: &HashMap<String, String>) -> Result<(), CliError> {
+fn detect(flags: &BTreeMap<String, String>) -> Result<(), CliError> {
     let data = flag(flags, "data")?;
     let model_path = flag(flags, "model")?;
     let voters: usize = num_flag(flags, "voters", 11, "an integer")?;
@@ -487,34 +471,6 @@ fn detect(flags: &HashMap<String, String>) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `hddpred audit`: run the workspace static analyzer (see
-/// [`hddpred::audit`]) over `--root` and fail on unsuppressed findings.
-fn audit(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    let root = flags.get("root").map_or(".", String::as_str);
-    let report = hddpred::audit::run_audit(Path::new(root))
-        .map_err(|e| CliError::Usage(format!("audit: {e}")))?;
-    if !flags.contains_key("no-json") {
-        let json = flags.get("json").map_or("AUDIT.json", String::as_str);
-        let json_path = if Path::new(json).is_absolute() {
-            PathBuf::from(json)
-        } else {
-            Path::new(root).join(json)
-        };
-        std::fs::write(&json_path, report.to_json()).map_err(|source| CliError::Io {
-            path: json_path.display().to_string(),
-            source,
-        })?;
-    }
-    if !flags.contains_key("quiet") {
-        eprint!("{}", report.to_text());
-    }
-    let findings = report.n_unsuppressed();
-    if findings > 0 {
-        return Err(CliError::Audit { findings });
-    }
-    Ok(())
-}
-
 /// One status line summarizing the whole topology, plus the daemon's
 /// process counters (replayed lines and feed rotations since start —
 /// observability, not stream state, so they reset on restart).
@@ -557,7 +513,7 @@ fn daemon_error(source: DaemonError) -> CliError {
 /// sink file — surviving crashes, bad model pushes, slow ticks and
 /// corrupt feeds (see [`USAGE`]). The loop itself is [`Daemon::step`];
 /// this adds the poll cadence, the idle exit and the operator output.
-fn serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
+fn serve(flags: &BTreeMap<String, String>) -> Result<(), CliError> {
     let feed = flag(flags, "feed")?;
     let model_path = flag(flags, "model")?;
     let out = flag(flags, "out")?;
@@ -687,7 +643,7 @@ fn serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
 /// Parse the `--retrain-*` flag family into a lifecycle config; `None`
 /// when `--retrain-rows` is absent (retraining off).
 fn serve_lifecycle_config(
-    flags: &HashMap<String, String>,
+    flags: &BTreeMap<String, String>,
     voters: usize,
     rule: VotingRule,
 ) -> Result<Option<LifecycleConfig>, CliError> {
@@ -727,9 +683,6 @@ fn serve_lifecycle_config(
             ))
         })?;
     }
-    if flags.contains_key("train-budget-ms") {
-        lc.train_budget_ms = Some(num_flag(flags, "train-budget-ms", 0u64, "milliseconds")?);
-    }
     Ok(Some(lc))
 }
 
@@ -737,7 +690,7 @@ fn serve_lifecycle_config(
 /// model file — live/candidate/history fingerprints from disk plus the
 /// phase and counters that `lifecycle.ckpt` and `lifecycle.log` restore
 /// when `--checkpoint` is given (see [`USAGE`]).
-fn lifecycle_status(flags: &HashMap<String, String>) -> Result<(), CliError> {
+fn lifecycle_status(flags: &BTreeMap<String, String>) -> Result<(), CliError> {
     let model_path = flag(flags, "model")?;
     let history: usize = num_flag(flags, "history", 3, "an integer")?;
     let store = ModelStore::new(PathBuf::from(model_path), history);
@@ -825,7 +778,7 @@ fn gauntlet_error(source: hddpred::workload::GauntletError) -> CliError {
 /// replay a committed manifest), drive the sharded serve engine over it
 /// against ground truth, assert bounded degradation, and merge scored
 /// rows into the benchmark report (see [`USAGE`]).
-fn gauntlet(flags: &HashMap<String, String>) -> Result<(), CliError> {
+fn gauntlet(flags: &BTreeMap<String, String>) -> Result<(), CliError> {
     use hddpred::workload::{gauntlet as gl, Profile, Scenario};
 
     let seed: u64 = num_flag(flags, "seed", 42, "an integer")?;

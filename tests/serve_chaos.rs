@@ -11,6 +11,11 @@
 //! well as crashes.
 
 #![cfg(unix)]
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "test timeouts bound how long a test waits for the daemon; the clock never reaches its output"
+)]
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
