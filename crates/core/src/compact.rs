@@ -50,7 +50,7 @@ const _: () = assert!(std::mem::size_of::<Node>() == 32, "Node must stay 32 byte
 /// Node 0 is the root; children always have larger indices than their
 /// parent (growth and pruning both emit pre-order arenas), so traversal
 /// is guaranteed to terminate. A node is a leaf when its left link is
-/// [`LEAF`]; leaves carry a single `f64` payload — the class target
+/// `u32::MAX`; leaves carry a single `f64` payload — the class target
 /// (`±1`) for classification trees, the mean target for regression
 /// trees. The JSON form stays struct-of-arrays (one array per field).
 #[derive(Debug, Clone, PartialEq)]

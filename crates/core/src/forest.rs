@@ -107,12 +107,6 @@ impl RandomForestBuilder {
         self
     }
 
-    /// Hyper-parameters of the member trees.
-    pub fn tree_builder(&mut self, base: ClassificationTreeBuilder) -> &mut Self {
-        self.base = base;
-        self
-    }
-
     /// Bootstrap/feature-sampling seed.
     pub fn seed(&mut self, seed: u64) -> &mut Self {
         self.seed = seed;

@@ -274,39 +274,6 @@ impl From<JsonError> for ModelError {
     }
 }
 
-/// Wrap a model payload in the versioned envelope every model file uses:
-/// `{"format_version": 2, "kind": ..., "n_features": ..., "model": ...}`.
-#[must_use]
-pub fn envelope(kind: &str, n_features: usize, payload: Value) -> Value {
-    Value::Obj(vec![
-        (
-            "format_version".to_string(),
-            Value::Num(MODEL_FORMAT_VERSION as f64),
-        ),
-        ("kind".to_string(), Value::Str(kind.to_string())),
-        ("n_features".to_string(), Value::Num(n_features as f64)),
-        ("model".to_string(), payload),
-    ])
-}
-
-/// Open a model envelope: verify the format version and return
-/// `(kind, n_features, payload)`.
-///
-/// # Errors
-///
-/// Returns [`ModelError`] when the header is malformed or the version is
-/// not [`MODEL_FORMAT_VERSION`].
-pub fn open_envelope(value: &Value) -> Result<(&str, usize, &Value), ModelError> {
-    let version = value.usize_field("format_version")?;
-    if version != MODEL_FORMAT_VERSION {
-        return Err(ModelError::UnsupportedVersion(version));
-    }
-    let kind = value.str_field("kind")?;
-    let n_features = value.usize_field("n_features")?;
-    let payload = value.field("model")?;
-    Ok((kind, n_features, payload))
-}
-
 /// A model loaded from (or about to be written to) a model file: any of
 /// the serving forms the CLI and the evaluation harness can run.
 #[derive(Debug, Clone, PartialEq)]
@@ -339,24 +306,42 @@ impl SavedModel {
         }
     }
 
-    /// Encode into the versioned envelope document.
+    /// Encode into the versioned envelope every model file uses:
+    /// `{"format_version": 2, "kind": ..., "n_features": ..., "model": ...}`.
     #[must_use]
     pub fn to_json(&self) -> Value {
         let payload = match self {
             SavedModel::Forest(forest) => forest.to_json(),
             SavedModel::Ann(ann) => ann.to_json(),
         };
-        envelope(self.kind(), Predictor::n_features(self), payload)
+        let n_features = Predictor::n_features(self);
+        Value::Obj(vec![
+            (
+                "format_version".to_string(),
+                Value::Num(MODEL_FORMAT_VERSION as f64),
+            ),
+            ("kind".to_string(), Value::Str(self.kind().to_string())),
+            ("n_features".to_string(), Value::Num(n_features as f64)),
+            ("model".to_string(), payload),
+        ])
     }
 
     /// Decode from an envelope document.
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError`] on version/kind/shape problems, including a
-    /// payload whose feature count disagrees with the header.
+    /// Returns [`ModelError::UnsupportedVersion`] when the version is not
+    /// [`MODEL_FORMAT_VERSION`], and [`ModelError`] on other header, kind
+    /// or shape problems, including a payload whose feature count
+    /// disagrees with the header.
     pub fn from_json(value: &Value) -> Result<Self, ModelError> {
-        let (kind, n_features, payload) = open_envelope(value)?;
+        let version = value.usize_field("format_version")?;
+        if version != MODEL_FORMAT_VERSION {
+            return Err(ModelError::UnsupportedVersion(version));
+        }
+        let kind = value.str_field("kind")?;
+        let n_features = value.usize_field("n_features")?;
+        let payload = value.field("model")?;
         let model = match kind {
             "compact-forest" => SavedModel::Forest(CompactForest::from_json(payload)?),
             "bp-ann" => SavedModel::Ann(BpAnn::from_json(payload)?),
@@ -410,19 +395,28 @@ impl SavedModel {
     }
 
     /// Read a model from a checksummed model file written by
-    /// [`SavedModel::save`], verifying every payload block's CRC-32
-    /// before parsing.
+    /// [`SavedModel::save`]: one read, then [`SavedModel::from_bytes`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::Io`] when the file cannot be read, else
+    /// what [`SavedModel::from_bytes`] returns.
+    pub fn load(path: &Path) -> Result<Self, ModelError> {
+        SavedModel::from_bytes(&std::fs::read(path)?)
+    }
+
+    /// Decode the bytes of a model file, verifying every payload block's
+    /// CRC-32 before parsing.
     ///
     /// # Errors
     ///
     /// Returns [`ModelError::Corrupt`] (naming the failing byte offset)
     /// when the bytes contradict the recorded checksums or container
     /// layout, [`ModelError::UnsupportedVersion`] for pre-checksum
-    /// version-1 files, and [`ModelError`] on I/O, parse, version or
-    /// shape problems.
-    pub fn load(path: &Path) -> Result<Self, ModelError> {
-        let bytes = std::fs::read(path)?;
-        let text = std::str::from_utf8(&bytes).map_err(|e| ModelError::Corrupt {
+    /// version-1 files, and [`ModelError`] on parse, version or shape
+    /// problems.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, ModelError> {
+        let text = std::str::from_utf8(bytes).map_err(|e| ModelError::Corrupt {
             offset: e.valid_up_to(),
             detail: "invalid UTF-8".to_string(),
         })?;
@@ -648,6 +642,10 @@ mod tests {
             for bit in 0..8 {
                 let mut bytes = clean.clone();
                 bytes[byte] ^= 1 << bit;
+                assert!(
+                    SavedModel::from_bytes(&bytes).is_err(),
+                    "flip of byte {byte} bit {bit} was accepted from bytes"
+                );
                 std::fs::write(&path, &bytes).unwrap();
                 assert!(
                     SavedModel::load(&path).is_err(),
@@ -710,6 +708,8 @@ mod tests {
             "\"format_version\":1",
             1,
         );
+        let err = SavedModel::from_bytes(v1.as_bytes()).unwrap_err();
+        assert!(matches!(err, ModelError::UnsupportedVersion(1)), "{err}");
         std::fs::write(&path, v1).unwrap();
         let err = SavedModel::load(&path).unwrap_err();
         assert!(matches!(err, ModelError::UnsupportedVersion(1)), "{err}");
@@ -736,6 +736,10 @@ mod tests {
         let (_, path) = saved_file("truncated.json");
         let bytes = std::fs::read(&path).unwrap();
         for keep in [0, 1, bytes.len() / 2, bytes.len() - 1] {
+            assert!(
+                SavedModel::from_bytes(&bytes[..keep]).is_err(),
+                "kept {keep} bytes"
+            );
             std::fs::write(&path, &bytes[..keep]).unwrap();
             assert!(SavedModel::load(&path).is_err(), "kept {keep} bytes");
         }

@@ -10,18 +10,17 @@
 //! prints — cadence, idle exit and operator output are the caller's.
 
 use crate::manager::{LifecycleConfig, LifecycleError, LifecycleFaults, LifecycleManager};
-use crate::promote::Recovery;
+use crate::promote::{fingerprint, Recovery};
 use hdd_eval::{ModelError, SavedModel, VotingRule};
 use hdd_json::disk::{Disk, RealDisk};
 use hdd_par::{CancelToken, ParError, ThreadPool};
 use hdd_serve::{
-    Backoff, BreakerState, CheckpointError, EngineConfig, ModelWatcher, MultiFeedIngest, SeqAlarm,
-    ServeTopology,
+    Backoff, BreakerState, CheckpointError, EngineConfig, MultiFeedIngest, SeqAlarm, ServeTopology,
 };
 use hdd_stats::FeatureSet;
 use std::fmt;
 use std::io;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -38,7 +37,7 @@ pub struct DaemonConfig {
     pub shards: usize,
     /// `--checkpoint`: the checkpoint directory; `None` persists nothing.
     pub checkpoint: Option<PathBuf>,
-    /// `--model-watch`: hot-reload the model file when it changes.
+    /// `--model-watch`: hot-reload the model file when its bytes change.
     pub model_watch: bool,
     /// `--voters`: the voting-window size.
     pub voters: usize,
@@ -226,7 +225,9 @@ pub struct Daemon {
     topology: ServeTopology,
     ingest: MultiFeedIngest,
     lifecycle: Option<LifecycleManager>,
-    watcher: Option<ModelWatcher>,
+    /// With `--model-watch`, the fingerprint of the model file's bytes
+    /// as last read, valid or not.
+    watched: Option<u64>,
     backoff: Backoff,
     pool: ThreadPool,
     sink_bytes: u64,
@@ -260,7 +261,9 @@ impl Daemon {
         };
 
         let model_err = |e| DaemonError::Model(config.model.clone(), e);
-        let model = SavedModel::load_expecting(&config.model, features.len()).map_err(model_err)?;
+        let bytes = std::fs::read(&config.model).map_err(|e| model_err(ModelError::Io(e)))?;
+        let model = SavedModel::from_bytes(&bytes).map_err(model_err)?;
+        model.expect_features(features.len()).map_err(model_err)?;
         let mut topology = ServeTopology::new(
             &Arc::new(model),
             &features,
@@ -303,9 +306,7 @@ impl Daemon {
         let cursors = topology.ingest_resume_cursors();
         Ok(Daemon {
             ingest: MultiFeedIngest::resume(&config.feeds, topology.router(), &cursors),
-            watcher: config
-                .model_watch
-                .then(|| ModelWatcher::new(&config.model, features.len())),
+            watched: config.model_watch.then(|| fingerprint(&bytes)),
             config,
             topology,
             lifecycle,
@@ -350,10 +351,11 @@ impl Daemon {
     pub fn step(&mut self) -> Result<StepReport, DaemonError> {
         let mut report = StepReport::default();
         let sink_start = self.sink_bytes;
-        if let Some(watcher) = self.watcher.as_mut() {
-            report.reload = watcher
-                .poll()
-                .map(|loaded| loaded.and_then(|m| self.topology.swap_model(&m)));
+        if let Some(seen) = self.watched.as_mut() {
+            // The swap checks the feature count; a rejected file leaves
+            // the last-known-good model serving.
+            report.reload = changed_model(&self.config.model, seen)
+                .map(|loaded| loaded.and_then(|m| self.topology.swap_model(&Arc::new(m))));
         }
 
         // Backpressure lands on the durable feed files, not on queued rows.
@@ -486,10 +488,24 @@ impl Daemon {
     }
 }
 
+/// The model file at `path` when its bytes differ from those last seen
+/// (fingerprint `seen`, which then moves to them): the model they decode
+/// to, or why they do not. The file is read once, and a bad replacement
+/// is reported once, not on every step. A missing or unreadable file is
+/// no change.
+fn changed_model(path: &Path, seen: &mut u64) -> Option<Result<SavedModel, ModelError>> {
+    let bytes = std::fs::read(path).ok()?;
+    let fp = fingerprint(&bytes);
+    if fp == *seen {
+        return None;
+    }
+    *seen = fp;
+    Some(SavedModel::from_bytes(&bytes))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::Path;
 
     fn config() -> DaemonConfig {
         DaemonConfig::new(vec![PathBuf::from("feed.csv")], "model.json", "alarms.csv")
@@ -567,5 +583,156 @@ mod tests {
             Err(DaemonError::Model(path, _)) => assert_eq!(path, Path::new("model.json")),
             other => panic!("expected a model error, got {other:?}"),
         }
+    }
+
+    /// A one-leaf, 13-feature model file that scores every row `payload`
+    /// (negative fails) under ensemble weight `weight`.
+    fn model_file(payload: i32, weight: u32) -> Vec<u8> {
+        let leaf = u32::MAX;
+        let envelope = format!(
+            r#"{{"format_version":2,"kind":"compact-forest","n_features":13,"model":{{"n_features":13,"clamp":false,"weights":[{weight}],"trees":[{{"feature":[0],"threshold":[0],"left":[{leaf}],"right":[{leaf}],"payload":[{payload}],"nan":[0]}}]}}}}"#
+        );
+        let model = SavedModel::from_json(&hdd_json::parse(&envelope).unwrap()).unwrap();
+        model.document().into_bytes()
+    }
+
+    /// The model that fails every drive it scores.
+    fn failing() -> Vec<u8> {
+        model_file(-1, 1)
+    }
+
+    /// A model that passes every drive, and whose file is as long as
+    /// [`failing`]'s.
+    fn passing_same_length() -> Vec<u8> {
+        let want = failing().len();
+        (10..100)
+            .map(|w| model_file(1, w))
+            .find(|bytes| bytes.len() == want)
+            .expect("a passing model file as long as the failing one")
+    }
+
+    /// A daemon with `--model-watch` over `model`, voting on one row,
+    /// serving a two-drive feed of 24 hours, in a fresh directory.
+    fn watching(tag: &str, model: &[u8]) -> (Daemon, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("hdd-daemon-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut feed = Vec::new();
+        hdd_smart::csv::write_header(&mut feed).unwrap();
+        for hour in 0..24 {
+            for drive in 0..2 {
+                let row = format!("{drive},0,,{hour},112,97,99,69,239,99,102,58,103,100,0,0\n");
+                feed.extend_from_slice(row.as_bytes());
+            }
+        }
+        std::fs::write(dir.join("feed.csv"), feed).unwrap();
+        std::fs::write(dir.join("model.json"), model).unwrap();
+        let mut config = DaemonConfig::new(
+            vec![dir.join("feed.csv")],
+            dir.join("model.json"),
+            dir.join("alarms.csv"),
+        );
+        config.model_watch = true;
+        config.voters = 1;
+        config.tick_budget = None;
+        (Daemon::open(config).unwrap(), dir)
+    }
+
+    /// Step to idle, asserting no reload on the way; returns the sink.
+    fn serve_to_idle(daemon: &mut Daemon, dir: &Path) -> Vec<u8> {
+        for _ in 0..100 {
+            let report = daemon.step().unwrap();
+            assert!(report.reload.is_none(), "{:?}", report.reload);
+            if report.idle {
+                return std::fs::read(dir.join("alarms.csv")).unwrap_or_default();
+            }
+        }
+        panic!("the daemon never went idle");
+    }
+
+    /// The sink of a run that never sees a push, opened on `model`.
+    fn reference(tag: &str, model: &[u8]) -> Vec<u8> {
+        let (mut daemon, dir) = watching(tag, model);
+        let sink = serve_to_idle(&mut daemon, &dir);
+        std::fs::remove_dir_all(&dir).ok();
+        sink
+    }
+
+    #[test]
+    fn an_unchanged_model_file_is_not_a_reload() {
+        let (mut daemon, dir) = watching("unchanged", &failing());
+        assert!(daemon.step().unwrap().reload.is_none());
+        assert!(daemon.step().unwrap().reload.is_none());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn rewriting_identical_bytes_is_not_a_reload() {
+        let (mut daemon, dir) = watching("identical", &failing());
+        std::fs::write(dir.join("model.json"), failing()).unwrap();
+        let sink = serve_to_idle(&mut daemon, &dir);
+        assert_eq!(sink, reference("identical-ref", &failing()));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_different_valid_model_swaps_in() {
+        let failed_all = reference("swap-ref", &failing());
+        assert!(!failed_all.is_empty(), "the failing model raises alarms");
+        let (mut daemon, dir) = watching("swap", &failing());
+        std::fs::write(dir.join("model.json"), model_file(1, 1)).unwrap();
+        assert!(matches!(daemon.step().unwrap().reload, Some(Ok(()))));
+        assert!(serve_to_idle(&mut daemon, &dir).is_empty());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_bit_flipped_model_is_rejected_once_and_the_last_known_good_keeps_scoring() {
+        let (mut daemon, dir) = watching("flipped", &failing());
+        let mut bytes = failing();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x10;
+        std::fs::write(dir.join("model.json"), &bytes).unwrap();
+        match daemon.step().unwrap().reload {
+            Some(Err(ModelError::Corrupt { .. })) => {}
+            other => panic!("expected a corrupt-model rejection, got {other:?}"),
+        }
+        // Reported once; the unchanged bad file stays quiet after that.
+        let sink = serve_to_idle(&mut daemon, &dir);
+        assert_eq!(sink, reference("flipped-ref", &failing()));
+        assert!(!sink.is_empty());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_vanished_model_file_is_no_change() {
+        let (mut daemon, dir) = watching("vanished", &failing());
+        std::fs::remove_file(dir.join("model.json")).unwrap();
+        let sink = serve_to_idle(&mut daemon, &dir);
+        assert_eq!(sink, reference("vanished-ref", &failing()));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_same_length_replacement_with_its_old_mtime_is_picked_up() {
+        let (mut daemon, dir) = watching("same-length", &failing());
+        let path = dir.join("model.json");
+        let before = std::fs::metadata(&path).unwrap();
+        let replacement = passing_same_length();
+        std::fs::write(&path, &replacement).unwrap();
+        let times = std::fs::FileTimes::new().set_modified(before.modified().unwrap());
+        std::fs::File::options()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_times(times)
+            .unwrap();
+        let after = std::fs::metadata(&path).unwrap();
+        assert_eq!(after.len(), before.len());
+        assert_eq!(after.modified().unwrap(), before.modified().unwrap());
+
+        assert!(matches!(daemon.step().unwrap().reload, Some(Ok(()))));
+        assert!(serve_to_idle(&mut daemon, &dir).is_empty());
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

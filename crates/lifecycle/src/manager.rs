@@ -38,7 +38,7 @@
 //! in order, and takes every other field from the last whole frame.
 
 use crate::buffer::{BufferPush, TrainingBuffer, WindowMode};
-use crate::promote::{ModelStore, PromoteError, Recovery};
+use crate::promote::{read_model, ModelStore, PromoteError, Recovery};
 use crate::shadow::{PromotionGate, ShadowScorer};
 use hdd_cart::ClassificationTreeBuilder;
 use hdd_eval::{ModelError, Predictor, SavedModel, VotingRule};
@@ -517,12 +517,6 @@ impl LifecycleManager {
         self.candidate_fingerprint
     }
 
-    /// The in-flight shadow comparison, when a candidate is shadowing.
-    #[must_use]
-    pub fn shadow_comparison(&self) -> Option<crate::shadow::ShadowComparison> {
-        self.shadow.as_ref().map(ShadowScorer::comparison)
-    }
-
     /// Whether a staged promotion or rollback is waiting for a quiesce.
     #[must_use]
     pub fn has_staged_swap(&self) -> bool {
@@ -748,8 +742,7 @@ impl LifecycleManager {
         match self.phase {
             Phase::Promoting => {
                 self.store.promote()?;
-                let live = self.store.live_fingerprint()?;
-                let model = Arc::new(SavedModel::load(self.store.model_path())?);
+                let (live, model) = self.read_live()?;
                 if Some(live) == self.candidate_fingerprint {
                     self.counters.promotions += 1;
                     self.enter_probation();
@@ -758,20 +751,29 @@ impl LifecycleManager {
                     // the last known good; abandon the promotion.
                     self.reset_to_idle();
                 }
-                Ok(Some(model))
+                Ok(Some(Arc::new(model)))
             }
             Phase::RollingBack => {
-                let live = self.store.live_fingerprint()?;
-                if self.rollback_target != Some(live) {
-                    self.store.rollback()?;
-                }
-                let model = Arc::new(SavedModel::load(self.store.model_path())?);
+                let (_, model) = if self.rollback_target == Some(self.store.live_fingerprint()?) {
+                    self.read_live()?
+                } else {
+                    self.store.rollback()?
+                };
                 self.counters.rollbacks += 1;
                 self.reset_to_idle();
-                Ok(Some(model))
+                Ok(Some(Arc::new(model)))
             }
             _ => Ok(None),
         }
+    }
+
+    /// The live model file, read once; a file that does not decode is a
+    /// [`LifecycleError::Model`].
+    fn read_live(&self) -> Result<(u64, SavedModel), LifecycleError> {
+        read_model(self.store.model_path()).map_err(|e| match e {
+            PromoteError::Model(e) => LifecycleError::Model(e),
+            e => LifecycleError::Promote(e),
+        })
     }
 
     fn enter_probation(&mut self) {
@@ -910,13 +912,11 @@ impl LifecycleManager {
             Phase::Shadow | Phase::Promoting => {
                 let path = self.store.candidate_path();
                 let loaded = match self.candidate_fingerprint {
-                    Some(expected) if path.exists() => {
-                        if self.store.fingerprint_of(&path)? == expected {
-                            SavedModel::load(&path).ok().map(Arc::new)
-                        } else {
-                            None
-                        }
-                    }
+                    Some(expected) if path.exists() => match read_model(&path) {
+                        Ok((fp, model)) => (fp == expected).then(|| Arc::new(model)),
+                        Err(PromoteError::Model(_)) => None,
+                        Err(e) => return Err(e.into()),
+                    },
                     _ => None,
                 };
                 if let Some(model) = loaded {

@@ -208,17 +208,6 @@ impl ModelStore {
         self.fingerprint_of(&path)
     }
 
-    /// Remove a staged candidate (gate refusal). Missing file is fine.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PromoteError::Io`] on any failure other than the file
-    /// already being gone.
-    pub fn drop_candidate(&self) -> Result<(), PromoteError> {
-        let path = self.candidate_path();
-        self.disk.remove(&path).map_err(io_at(&path))
-    }
-
     /// Run protocol steps 2–5 over the already-staged candidate and
     /// return the promoted file's fingerprint. A crash part-way is
     /// repaired by [`ModelStore::recover`] at the next start.
@@ -266,8 +255,11 @@ impl ModelStore {
         };
 
         let candidate_ok = candidate.exists()
-            && self.fingerprint_of(&candidate)? == expected
-            && SavedModel::load(&candidate).is_ok();
+            && match read_model(&candidate) {
+                Ok((fp, _)) => fp == expected,
+                Err(PromoteError::Model(_)) => false,
+                Err(e) => return Err(e),
+            };
         if candidate_ok {
             // Resume: crash landed between steps 2 and 4. If the live
             // model is still in place the rotation may not have finished —
@@ -303,25 +295,26 @@ impl ModelStore {
     }
 
     /// Stage the newest history entry and promote it, demoting the
-    /// current (bad) live model into history.
+    /// current (bad) live model into history. Returns the promoted
+    /// file's fingerprint and the model its bytes hold.
     ///
     /// # Errors
     ///
     /// [`PromoteError::NoHistory`] when no predecessor exists, or the
     /// protocol's own errors.
-    pub fn rollback(&self) -> Result<u64, PromoteError> {
+    pub fn rollback(&self) -> Result<(u64, SavedModel), PromoteError> {
         let prev = self.prev_path(1);
         if !prev.exists() {
             return Err(PromoteError::NoHistory);
         }
         // Validate before staging: a rollback target must itself load.
-        SavedModel::load(&prev)?;
         let bytes = std::fs::read(&prev).map_err(io_at(&prev))?;
+        let model = SavedModel::from_bytes(&bytes)?;
         let candidate = self.candidate_path();
         self.disk
             .replace(&candidate, &bytes)
             .map_err(io_at(&candidate))?;
-        self.promote()
+        Ok((self.promote()?, model))
     }
 
     fn write_marker(&self, fp: u64) -> Result<(), PromoteError> {
@@ -389,6 +382,13 @@ impl ModelStore {
             ),
         })
     }
+}
+
+/// The model file at `path`, read once: the fingerprint of its bytes
+/// and the model they decode to.
+pub(crate) fn read_model(path: &Path) -> Result<(u64, SavedModel), PromoteError> {
+    let bytes = std::fs::read(path).map_err(io_at(path))?;
+    Ok((fingerprint(&bytes), SavedModel::from_bytes(&bytes)?))
 }
 
 fn sibling(path: &Path, suffix: &str) -> PathBuf {
@@ -587,8 +587,9 @@ mod tests {
         let good_fp = store.live_fingerprint().unwrap();
         store.stage_candidate(&model(4.0)).unwrap();
         let bad_fp = store.promote().unwrap();
-        let restored = store.rollback().unwrap();
+        let (restored, model) = store.rollback().unwrap();
         assert_eq!(restored, good_fp);
+        assert_eq!(model, SavedModel::load(store.model_path()).unwrap());
         assert_eq!(store.live_fingerprint().unwrap(), good_fp);
         assert_eq!(store.fingerprint_of(&store.prev_path(1)).unwrap(), bad_fp);
     }

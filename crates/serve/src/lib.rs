@@ -17,10 +17,11 @@
 //!   `topology.ckpt`, all through the CRC-checked container with atomic
 //!   rename; a restart replays the feed suffixes and produces a
 //!   byte-identical alarm sink.
-//! - **Bad model pushes**: one [`ModelWatcher`] validates every
-//!   replacement through the checksummed model loader and hands the
-//!   same `Arc`'d model to every shard; a corrupt or mismatched file is
-//!   rejected and the last-known-good model keeps serving.
+//! - **Bad model pushes**: a replacement model is validated once,
+//!   through the checksummed model loader, and
+//!   [`ServeTopology::swap_model`] hands the same `Arc`'d model to every
+//!   shard; a corrupt or mismatched file is rejected and the
+//!   last-known-good model keeps serving.
 //! - **Slow ticks**: scoring runs under a [`hdd_par::CancelToken`] time
 //!   budget; an over-budget batch commits *nothing* and is retried, so
 //!   deadlines never change what gets alarmed, only when.
@@ -50,7 +51,6 @@ pub mod ingest;
 pub mod merge;
 pub mod monitor;
 pub mod queue;
-pub mod reload;
 pub mod retry;
 pub mod router;
 pub mod stats;
@@ -66,7 +66,6 @@ pub use engine::{Alarm, BatchOutcome, EngineConfig, EngineShard, RowEvent, SeqAl
 pub use ingest::{FeedCursor, MultiFeedIngest, PollOutcome, RoutedLine};
 pub use merge::MergeState;
 pub use queue::BoundedQueue;
-pub use reload::ModelWatcher;
 pub use retry::Backoff;
 pub use router::ShardRouter;
 pub use stats::ShardStats;

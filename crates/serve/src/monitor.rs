@@ -1,6 +1,6 @@
 //! Per-drive streaming state: history, voting window, alarm latch.
 //!
-//! A [`DriveMonitor`] is everything a shard remembers about one drive
+//! A `DriveMonitor` is everything a shard remembers about one drive
 //! the feed has mentioned. It advances only when a line for that drive
 //! commits, and its snapshot codec round-trips exactly, so a
 //! checkpointed monitor resumes bit-identically.

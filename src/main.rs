@@ -116,10 +116,12 @@ SMART rows and appends `drive,hour` alarm lines to `--out`. `--shards`
 partitions drives across that many detection shards (a power of two;
 default 1) ticked in parallel; the alarm output is bit-identical at any
 shard count. A drive's rows must all arrive on the same feed. With
-`--checkpoint` it snapshots into that directory (`topology.ckpt` +
-`shard-<k>.ckpt`) after every batch and resumes after a crash with a
-byte-identical alarm file; with `--model-watch` one watcher hot-reloads
-`--model` for all shards when the file changes, keeping the
+`--checkpoint` it checkpoints into that directory after every batch
+(`topology.ckpt`, each shard's `shard-<k>.ckpt` snapshot and
+`shard-<k>.log` record log, and with retraining the lifecycle's
+`lifecycle.ckpt` and `lifecycle.log`) and resumes after a crash with a
+byte-identical alarm file; with `--model-watch` it hot-reloads `--model`
+for all shards when the file's bytes change, keeping the
 last-known-good model if the replacement is rejected.
 `--exit-on-idle <n>` exits cleanly after `n` idle polls (0 = run
 forever); `--threshold <f>` switches voting from majority to

@@ -334,24 +334,13 @@ fn hot_reload_rejects_bit_flip_and_keeps_serving() {
     let mut child = spawn_daemon(&feeds, shards, &model, &sink, &ckpt, &["--model-watch"]);
     wait_for(&stderr_log, "serving", Duration::from_secs(30));
 
-    // Push a bit-flipped replacement model. Rewrite until the file's
-    // (mtime, len) fingerprint actually moves so the watcher must see it.
+    // Push a bit-flipped replacement model: its bytes differ, so the
+    // daemon sees it whatever its mtime.
     let clean = std::fs::read(&model).expect("read model");
     let mut flipped = clean.clone();
     let mid = flipped.len() / 2;
     flipped[mid] ^= 0x08;
-    let fingerprint = |p: &Path| {
-        let meta = std::fs::metadata(p).expect("stat model");
-        (meta.modified().expect("mtime"), meta.len())
-    };
-    let before = fingerprint(&model);
-    for _ in 0..100 {
-        std::fs::write(&model, &flipped).expect("write flipped model");
-        if fingerprint(&model) != before {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    std::fs::write(&model, &flipped).expect("write flipped model");
     let text = wait_for(
         &stderr_log,
         "model reload rejected",
@@ -396,14 +385,7 @@ fn hot_reload_rejects_bit_flip_and_keeps_serving() {
     }
 
     // A valid model push is picked up and swapped into every shard.
-    let rejected = fingerprint(&model);
-    for _ in 0..100 {
-        std::fs::write(&model, &clean).expect("restore model");
-        if fingerprint(&model) != rejected {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    std::fs::write(&model, &clean).expect("restore model");
     wait_for(&stderr_log, "model reloaded", Duration::from_secs(30));
 
     child.kill().expect("stop daemon");
