@@ -378,16 +378,16 @@ fn bench_forest_training(report: &mut Report, smoke: bool) {
         "legacy baseline grew no trees — the measurement is meaningless"
     );
 
-    let mut serial_builder = RandomForestBuilder::new();
-    serial_builder.n_trees(n_trees).threads(Some(1));
-    let mut parallel_builder = RandomForestBuilder::new();
-    parallel_builder.n_trees(n_trees).threads(Some(8));
+    let mut builder = RandomForestBuilder::new();
+    builder.n_trees(n_trees);
+    let build_on = |threads| {
+        ThreadPool::new(threads)
+            .install(|| builder.build(black_box(&samples)))
+            .unwrap()
+    };
 
-    let (serial_time, serial_forest) =
-        best_of(runs, || serial_builder.build(black_box(&samples)).unwrap());
-    let (parallel_time, parallel_forest) = best_of(runs, || {
-        parallel_builder.build(black_box(&samples)).unwrap()
-    });
+    let (serial_time, serial_forest) = best_of(runs, || build_on(1));
+    let (parallel_time, parallel_forest) = best_of(runs, || build_on(8));
 
     assert_eq!(
         serial_forest, parallel_forest,

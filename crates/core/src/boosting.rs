@@ -18,7 +18,6 @@ use hdd_par::ThreadPool;
 pub struct AdaBoostBuilder {
     rounds: usize,
     weak_depth: usize,
-    threads: Option<usize>,
 }
 
 impl Default for AdaBoostBuilder {
@@ -26,7 +25,6 @@ impl Default for AdaBoostBuilder {
         AdaBoostBuilder {
             rounds: 30,
             weak_depth: 2,
-            threads: None,
         }
     }
 }
@@ -61,23 +59,12 @@ impl AdaBoostBuilder {
         self
     }
 
-    /// Worker threads (`None` — the default — uses the process-wide
-    /// resolution). Boosting rounds are inherently sequential (each
-    /// re-weights from the last), so the pool accelerates the inside of
-    /// a round: the weak learner's split search and the per-sample
-    /// prediction pass. The trained ensemble is bit-identical for every
-    /// setting.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is `Some(0)`.
-    pub fn threads(&mut self, n: Option<usize>) -> &mut Self {
-        assert!(n != Some(0), "thread count must be at least 1");
-        self.threads = n;
-        self
-    }
-
     /// Train an ensemble (discrete AdaBoost).
+    ///
+    /// Boosting rounds are inherently sequential (each re-weights from
+    /// the last), so [`ThreadPool::global`] accelerates the inside of a
+    /// round: the weak learner's split search and the per-sample
+    /// prediction pass. The ensemble is bit-identical on any pool.
     ///
     /// # Errors
     ///
@@ -90,9 +77,7 @@ impl AdaBoostBuilder {
             return Err(TrainError::SingleClass);
         }
 
-        let pool = self
-            .threads
-            .map_or_else(ThreadPool::global, ThreadPool::new);
+        let pool = ThreadPool::global();
         let mut weak_builder = ClassificationTreeBuilder::new();
         weak_builder
             .max_depth(Some(self.weak_depth + 1)) // depth counts the root
@@ -100,8 +85,7 @@ impl AdaBoostBuilder {
             .min_bucket(1)
             .complexity(0.0)
             .failed_weight_fraction(None)
-            .false_alarm_loss(1.0)
-            .threads(Some(pool.n_threads()));
+            .false_alarm_loss(1.0);
 
         // The feature matrix is constant across rounds: sort its stripes
         // once and memcpy the pristine copy back before each round instead
@@ -318,13 +302,11 @@ mod tests {
     #[test]
     fn bit_identical_across_thread_counts() {
         let samples = diagonal(150);
-        let mut serial = AdaBoostBuilder::new();
-        serial.threads(Some(1));
-        let mut parallel = AdaBoostBuilder::new();
-        parallel.threads(Some(4));
+        let build =
+            |threads| ThreadPool::new(threads).install(|| AdaBoostBuilder::new().build(&samples));
         assert_eq!(
-            serial.build(&samples).unwrap(),
-            parallel.build(&samples).unwrap(),
+            build(1).unwrap(),
+            build(4).unwrap(),
             "ensemble must not depend on thread count"
         );
     }

@@ -50,7 +50,6 @@ pub struct ClassificationTreeBuilder {
     failed_weight_fraction: Option<f64>,
     false_alarm_loss: f64,
     criterion: SplitCriterion,
-    threads: Option<usize>,
 }
 
 impl Default for ClassificationTreeBuilder {
@@ -60,7 +59,6 @@ impl Default for ClassificationTreeBuilder {
             failed_weight_fraction: Some(0.2),
             false_alarm_loss: 10.0,
             criterion: SplitCriterion::InformationGain,
-            threads: None,
         }
     }
 }
@@ -129,26 +127,8 @@ impl ClassificationTreeBuilder {
         self
     }
 
-    /// Worker threads for the split search (`None` — the default — uses
-    /// the process-wide resolution: `--threads` / `HDDPRED_THREADS` /
-    /// hardware). Trained trees are bit-identical for every setting.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is `Some(0)`.
-    pub fn threads(&mut self, n: Option<usize>) -> &mut Self {
-        assert!(n != Some(0), "thread count must be at least 1");
-        self.threads = n;
-        self
-    }
-
-    /// The pool this builder trains with.
-    pub(crate) fn pool(&self) -> ThreadPool {
-        self.threads
-            .map_or_else(ThreadPool::global, ThreadPool::new)
-    }
-
-    /// Train a tree on `samples` (Algorithm 1).
+    /// Train a tree on `samples` (Algorithm 1). The split search fans out
+    /// on [`ThreadPool::global`]; the tree is bit-identical on any pool.
     ///
     /// # Errors
     ///
@@ -181,7 +161,7 @@ impl ClassificationTreeBuilder {
         validate_features(samples.iter().map(|s| s.features.as_slice()))?;
         let classes: Vec<Class> = samples.iter().map(|s| s.class).collect();
         let matrix = FeatureMatrix::from_rows(samples.iter().map(|s| s.features.as_slice()));
-        let pool = self.pool();
+        let pool = ThreadPool::global();
         let mut workspace = SplitWorkspace::new();
         workspace.reset_sorted(&matrix, pool);
         self.build_weighted_prepared(&classes, weights, &mut workspace, pool)

@@ -14,9 +14,9 @@
 //! the whole ensemble is a pure function of `(samples, seed)`.
 //!
 //! Trees are independent given their seeds, so training fans out across
-//! the [`hdd_par::ThreadPool`] — members are merged in tree order, and
-//! each member trains with a serial split search when the outer pool is
-//! parallel, keeping the forest bit-identical at any thread count.
+//! [`hdd_par::ThreadPool::global`] — members are merged in tree order, and
+//! each spawned worker's split search is serial (`hdd-par` runs nested
+//! fan-outs inline), keeping the forest bit-identical at any thread count.
 
 use crate::classifier::{ClassificationTree, ClassificationTreeBuilder};
 use crate::compact::{CompactForest, CompactTree};
@@ -60,7 +60,6 @@ pub struct RandomForestBuilder {
     feature_fraction: f64,
     base: ClassificationTreeBuilder,
     seed: u64,
-    threads: Option<usize>,
 }
 
 impl Default for RandomForestBuilder {
@@ -70,7 +69,6 @@ impl Default for RandomForestBuilder {
             feature_fraction: 0.6,
             base: ClassificationTreeBuilder::new(),
             seed: 0xF0_4E57,
-            threads: None,
         }
     }
 }
@@ -113,19 +111,6 @@ impl RandomForestBuilder {
         self
     }
 
-    /// Worker threads for per-tree training (`None` — the default — uses
-    /// the process-wide resolution). The trained forest is bit-identical
-    /// for every setting.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is `Some(0)`.
-    pub fn threads(&mut self, n: Option<usize>) -> &mut Self {
-        assert!(n != Some(0), "thread count must be at least 1");
-        self.threads = n;
-        self
-    }
-
     /// Train a forest.
     ///
     /// # Errors
@@ -143,17 +128,9 @@ impl RandomForestBuilder {
         let per_tree =
             ((n_features as f64 * self.feature_fraction).ceil() as usize).clamp(1, n_features);
 
-        let pool = self
-            .threads
-            .map_or_else(ThreadPool::global, ThreadPool::new);
         // Each tree is a pure function of its seed, so the pool can fan out
-        // across trees; the inner split search goes serial when the outer
-        // pool is parallel to avoid oversubscribing the machine.
-        let inner_pool = if pool.is_parallel() {
-            ThreadPool::serial()
-        } else {
-            self.base.pool()
-        };
+        // across trees.
+        let pool = ThreadPool::global();
 
         let n = samples.len();
         let classes: Vec<Class> = samples.iter().map(|s| s.class).collect();
@@ -186,6 +163,9 @@ impl RandomForestBuilder {
             let mut offsets: Vec<u32> = vec![0; n];
             let mut slots: Vec<u32> = vec![0; n];
             let mut proj_classes: Vec<Class> = Vec::with_capacity(n);
+            // Serial in a spawned worker; the caller's pool when all the
+            // trees are one inline chunk.
+            let inner_pool = ThreadPool::global();
 
             let mut members = Vec::with_capacity(ids.len());
             for t in ids.clone() {
@@ -422,9 +402,9 @@ mod tests {
             let floor = FOREST_MIN_TASK_ROWS.div_ceil(samples.len());
             assert!(floor > 25_usize.div_ceil(8), "floor must bind");
             let build = |threads| {
-                let mut builder = RandomForestBuilder::new();
-                builder.threads(Some(threads));
-                builder.build(&samples).unwrap()
+                ThreadPool::new(threads)
+                    .install(|| RandomForestBuilder::new().build(&samples))
+                    .unwrap()
             };
             let serial = build(1);
             for threads in [2, 4, 8] {
@@ -436,12 +416,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn rejects_zero_threads() {
-        let _ = RandomForestBuilder::new().threads(Some(0));
     }
 
     #[test]

@@ -27,7 +27,6 @@ impl fmt::Display for RegLeaf {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RegressionTreeBuilder {
     limits: Limits,
-    threads: Option<usize>,
 }
 
 impl RegressionTreeBuilder {
@@ -62,20 +61,9 @@ impl RegressionTreeBuilder {
         self
     }
 
-    /// Worker threads for the split search (`None` — the default — uses
-    /// the process-wide resolution). Trained trees are bit-identical for
-    /// every setting.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is `Some(0)`.
-    pub fn threads(&mut self, n: Option<usize>) -> &mut Self {
-        assert!(n != Some(0), "thread count must be at least 1");
-        self.threads = n;
-        self
-    }
-
-    /// Train a tree on `samples` with unit weights.
+    /// Train a tree on `samples` with unit weights. The split search fans
+    /// out on [`ThreadPool::global`]; the tree is bit-identical on any
+    /// pool.
     ///
     /// # Errors
     ///
@@ -114,9 +102,7 @@ impl RegressionTreeBuilder {
         }
         let targets: Vec<f64> = samples.iter().map(|s| s.target).collect();
         let matrix = FeatureMatrix::from_rows(samples.iter().map(|s| s.features.as_slice()));
-        let pool = self
-            .threads
-            .map_or_else(ThreadPool::global, ThreadPool::new);
+        let pool = ThreadPool::global();
         let mut workspace = SplitWorkspace::new();
         workspace.reset_sorted(&matrix, pool);
         let kind = Regression {

@@ -16,6 +16,7 @@ use hdd_cart::{
     RandomForestBuilder, RegSample, RegressionTreeBuilder,
 };
 use hdd_eval::SavedModel;
+use hdd_par::ThreadPool;
 use hdd_smart::rng::{fnv1a_extend, DeterministicRng, FNV1A_OFFSET};
 
 /// FNV-1a 64 of the envelope JSON `SavedModel::save` would seal.
@@ -79,9 +80,9 @@ fn paper_classification_tree_bytes_are_pinned() {
     );
     let samples = class_samples(41, n, dim);
     for threads in [1, 4] {
-        let mut builder = ClassificationTreeBuilder::new();
-        builder.threads(Some(threads));
-        let tree = builder.build(&samples).unwrap();
+        let tree = ThreadPool::new(threads)
+            .install(|| ClassificationTreeBuilder::new().build(&samples))
+            .unwrap();
         assert!(tree.tree().n_nodes() > 3, "the tree must actually split");
         assert_eq!(
             fingerprint(tree.compile()),
@@ -115,8 +116,10 @@ fn random_forest_bytes_are_pinned_at_one_and_four_threads() {
     let samples = class_samples(3, 2_100, 8);
     for threads in [1, 4] {
         let mut builder = RandomForestBuilder::new();
-        builder.n_trees(9).seed(0xBEEF).threads(Some(threads));
-        let forest = builder.build(&samples).unwrap();
+        builder.n_trees(9).seed(0xBEEF);
+        let forest = ThreadPool::new(threads)
+            .install(|| builder.build(&samples))
+            .unwrap();
         assert_eq!(
             fingerprint(forest.compile()),
             0xC089_7FA7_1418_80CB,

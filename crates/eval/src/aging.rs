@@ -11,6 +11,7 @@ use crate::detect::VotingRule;
 use crate::model::Predictor;
 use crate::pipeline::Experiment;
 use hdd_cart::ClassSample;
+use hdd_par::ThreadPool;
 use hdd_smart::{Dataset, Hour, OBSERVATION_WEEKS};
 
 /// How (and whether) the model is refreshed as weeks pass.
@@ -99,9 +100,10 @@ pub struct AgingOutcome {
 /// (failed samples carry no chronology in the dataset, §V-B3).
 ///
 /// Each retraining cycle's model is a pure function of its training
-/// weeks, so the distinct cycles train concurrently on the experiment's
-/// thread pool before the weeks are evaluated in order — the outcome is
-/// bit-identical to the serial train-as-you-go schedule.
+/// weeks, so the distinct cycles train concurrently on
+/// [`ThreadPool::global`] before the weeks are evaluated in order — the
+/// outcome is bit-identical to the serial train-as-you-go schedule. A
+/// `train` call on a spawned worker sees the serial pool.
 #[must_use]
 pub fn weekly_far<P, F>(
     experiment: &Experiment,
@@ -126,7 +128,7 @@ where
             cycles.push(weeks);
         }
     }
-    let models = experiment.pool().parallel_map(&cycles, |weeks| {
+    let models = ThreadPool::global().parallel_map(&cycles, |weeks| {
         let mut samples = failed_samples.clone();
         for week in weeks.clone() {
             for (features, _) in experiment.good_features_in(dataset, Hour::week_range(week)) {
@@ -232,5 +234,26 @@ mod tests {
             assert!((0.0..=1.0).contains(&p.far));
             assert!((0.0..=1.0).contains(&p.fdr));
         }
+    }
+
+    #[test]
+    fn cycles_trained_on_workers_see_the_serial_pool() {
+        // Accumulation has seven distinct cycles: four chunks on four
+        // threads, all spawned, so no training fans out again.
+        let ds = DatasetGenerator::new(FamilyProfile::w().scaled(0.01), 4).generate();
+        let exp = Experiment::builder()
+            .voters(3)
+            .build()
+            .expect("valid test configuration");
+        let builder = ClassificationTreeBuilder::new();
+        let seen = std::sync::Mutex::new(Vec::new());
+        let outcome = ThreadPool::new(4).install(|| {
+            weekly_far(&exp, &ds, UpdateStrategy::Accumulation, |samples| {
+                seen.lock().unwrap().push(ThreadPool::global().n_threads());
+                builder.build(samples).expect("trainable").compile()
+            })
+        });
+        assert_eq!(outcome.weekly.len(), 7);
+        assert_eq!(seen.into_inner().unwrap(), vec![1; 7]);
     }
 }

@@ -64,8 +64,6 @@ pub enum ConfigError {
     ZeroGoodSamples,
     /// `rt_samples_per_failed` must be at least 1.
     ZeroRtSamples,
-    /// `threads`, when given explicitly, must be at least 1.
-    ZeroThreads,
 }
 
 impl fmt::Display for ConfigError {
@@ -79,7 +77,6 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroRtSamples => {
                 write!(f, "RT samples per failed drive must be at least 1")
             }
-            ConfigError::ZeroThreads => write!(f, "threads must be at least 1"),
         }
     }
 }
@@ -102,7 +99,6 @@ pub struct Experiment {
     rt_samples_per_failed: usize,
     fallback_window_hours: u32,
     seed: u64,
-    threads: Option<usize>,
 }
 
 /// Builder for [`Experiment`]. Setters record values as given;
@@ -130,7 +126,6 @@ impl Default for ExperimentBuilder {
                 rt_samples_per_failed: 12,
                 fallback_window_hours: 24,
                 seed: 0xCA27,
-                threads: None,
             },
         }
     }
@@ -213,15 +208,6 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Worker threads for evaluation (`None` — the default — uses the
-    /// process-wide resolution: `HDDPRED_THREADS`, else the hardware
-    /// count). Metrics are bit-identical for every setting; per-drive
-    /// results are merged in drive order.
-    pub fn threads(&mut self, n: Option<usize>) -> &mut Self {
-        self.experiment.threads = n;
-        self
-    }
-
     /// Validate the configuration and finish.
     ///
     /// # Errors
@@ -241,9 +227,6 @@ impl ExperimentBuilder {
         }
         if e.rt_samples_per_failed < 1 {
             return Err(ConfigError::ZeroRtSamples);
-        }
-        if e.threads == Some(0) {
-            return Err(ConfigError::ZeroThreads);
         }
         Ok(e.clone())
     }
@@ -272,13 +255,6 @@ impl Experiment {
     #[must_use]
     pub fn voters(&self) -> usize {
         self.voters
-    }
-
-    /// The thread pool this experiment evaluates on.
-    #[must_use]
-    pub fn pool(&self) -> ThreadPool {
-        self.threads
-            .map_or_else(ThreadPool::global, ThreadPool::new)
     }
 
     /// Compute the train/test split for `dataset`.
@@ -506,9 +482,9 @@ impl Experiment {
     /// Evaluate with an explicit good-drive test range and failed-drive
     /// list (the model-aging simulations test later weeks; Figs. 6–9).
     ///
-    /// Drives fan out across the experiment's [`ThreadPool`] in
-    /// contiguous chunks; partial metrics are merged in drive order, so
-    /// the result is bit-identical for every thread count.
+    /// Drives fan out across [`ThreadPool::global`] in contiguous chunks;
+    /// partial metrics are merged in drive order, so the result is
+    /// bit-identical for every thread count.
     #[must_use]
     pub fn evaluate_in<P: Predictor>(
         &self,
@@ -520,7 +496,7 @@ impl Experiment {
     ) -> PredictionMetrics {
         let lookback = self.feature_set.max_lookback_hours();
         let drives = dataset.drives();
-        let partials = self.pool().parallel_for_chunks(drives, |part| {
+        let partials = ThreadPool::global().parallel_for_chunks(drives, |part| {
             let mut m = PredictionMetrics::default();
             let detector = VotingDetector::new(predictor, &self.feature_set, self.voters, rule);
             for spec in part {
@@ -792,10 +768,6 @@ mod tests {
                 .unwrap_err(),
             ConfigError::ZeroRtSamples
         );
-        assert_eq!(
-            Experiment::builder().threads(Some(0)).build().unwrap_err(),
-            ConfigError::ZeroThreads
-        );
         let err = Experiment::builder().voters(0).build().unwrap_err();
         assert!(err.to_string().contains("voters"), "{err}");
     }
@@ -803,20 +775,10 @@ mod tests {
     #[test]
     fn evaluation_is_bit_identical_across_thread_counts() {
         let ds = dataset();
-        let serial = Experiment::builder()
-            .voters(3)
-            .threads(Some(1))
-            .build()
-            .unwrap();
-        let parallel = Experiment::builder()
-            .voters(3)
-            .threads(Some(4))
-            .build()
-            .unwrap();
-        assert_eq!(
-            serial.run_ct(&ds).unwrap().metrics,
-            parallel.run_ct(&ds).unwrap().metrics
-        );
+        let exp = Experiment::builder().voters(3).build().unwrap();
+        let run_on =
+            |threads| ThreadPool::new(threads).install(|| exp.run_ct(&ds).unwrap().metrics);
+        assert_eq!(run_on(1), run_on(4));
     }
 
     #[test]

@@ -10,6 +10,7 @@ use crate::model::Predictor;
 use crate::pipeline::Experiment;
 use crate::split::Split;
 use hdd_cart::HealthModel;
+use hdd_par::ThreadPool;
 use hdd_smart::Dataset;
 
 /// One operating point of a ROC curve.
@@ -40,11 +41,11 @@ impl RocPoint {
 /// Sweep the voting detector over `voter_counts` (Figures 2 and 5; the
 /// paper uses N = 1, 3, 5, 7, 9, 11, 15, 17, 27).
 ///
-/// Operating points are independent, so they fan out across the
-/// experiment's thread pool (each point then evaluates serially to keep
-/// the machine from oversubscribing); points come back in input order
-/// and are bit-identical to a serial sweep. A voter count of zero falls
-/// back to the source experiment's voter count.
+/// Operating points are independent, so they fan out across
+/// [`ThreadPool::global`] (a point evaluated on a worker evaluates
+/// serially); points come back in input order and are bit-identical to a
+/// serial sweep. A voter count of zero falls back to the source
+/// experiment's voter count.
 #[must_use]
 pub fn sweep_voters<P: Predictor>(
     experiment: &Experiment,
@@ -53,14 +54,10 @@ pub fn sweep_voters<P: Predictor>(
     predictor: &P,
     voter_counts: &[usize],
 ) -> Vec<RocPoint> {
-    let pool = experiment.pool();
-    pool.parallel_map(voter_counts, |&n| {
+    ThreadPool::global().parallel_map(voter_counts, |&n| {
         let exp = {
             let mut b = crate::pipeline::ExperimentBuilder::from(experiment.clone());
             b.voters(n);
-            if pool.is_parallel() {
-                b.threads(Some(1));
-            }
             // A zero voter count cannot rebuild; fall back to the
             // source experiment (its voter count) instead of panicking
             // inside a worker thread.
@@ -76,8 +73,8 @@ pub fn sweep_voters<P: Predictor>(
 }
 
 /// Sweep the health-degree model's detection threshold (Figure 10; the
-/// paper sweeps −0.94 … 0.0 with N = 11). Points fan out across the
-/// experiment's thread pool like [`sweep_voters`].
+/// paper sweeps −0.94 … 0.0 with N = 11). Points fan out like
+/// [`sweep_voters`].
 #[must_use]
 pub fn sweep_thresholds(
     experiment: &Experiment,
@@ -89,19 +86,9 @@ pub fn sweep_thresholds(
     // The threshold only enters through the voting rule; the compiled
     // scores are the same at every point, so compile once.
     let compiled = model.compile();
-    let pool = experiment.pool();
-    let point_exp = {
-        let mut b = crate::pipeline::ExperimentBuilder::from(experiment.clone());
-        if pool.is_parallel() {
-            b.threads(Some(1));
-        }
-        // Rebuilding a valid experiment with fewer threads cannot fail;
-        // degrade to the source experiment if it somehow does.
-        b.build().unwrap_or_else(|_| experiment.clone())
-    };
-    pool.parallel_map(thresholds, |&threshold| {
+    ThreadPool::global().parallel_map(thresholds, |&threshold| {
         let metrics =
-            point_exp.evaluate(dataset, split, &compiled, VotingRule::MeanBelow(threshold));
+            experiment.evaluate(dataset, split, &compiled, VotingRule::MeanBelow(threshold));
         RocPoint {
             voters: experiment.voters(),
             threshold,

@@ -102,8 +102,16 @@ impl DaemonConfig {
         if !(0.0..=1.0).contains(&self.max_quarantine) {
             return Err(ConfigError::CeilingOutOfRange(self.max_quarantine));
         }
-        if self.model_watch && self.retrain.is_some() {
-            return Err(ConfigError::WatchWithRetrain);
+        if let Some(lc) = &self.retrain {
+            if lc.retrain_rows == 0 {
+                return Err(ConfigError::NoRetrainRows);
+            }
+            if lc.buffer_cap == 0 {
+                return Err(ConfigError::NoBufferCap);
+            }
+            if self.model_watch {
+                return Err(ConfigError::WatchWithRetrain);
+            }
         }
         Ok(())
     }
@@ -122,6 +130,11 @@ pub enum ConfigError {
     NoQueue,
     /// `max_quarantine` is outside `[0, 1]`.
     CeilingOutOfRange(f64),
+    /// `retrain.retrain_rows` is zero: the lifecycle would train on
+    /// every row.
+    NoRetrainRows,
+    /// `retrain.buffer_cap` is zero: nothing could ever be trained on.
+    NoBufferCap,
     /// `model_watch` with `retrain`: both would own the model file.
     WatchWithRetrain,
 }
@@ -142,6 +155,8 @@ impl fmt::Display for ConfigError {
                     "--max-quarantine must be a fraction in [0, 1], got `{c}`"
                 )
             }
+            ConfigError::NoRetrainRows => f.write_str("--retrain-rows must be at least 1"),
+            ConfigError::NoBufferCap => f.write_str("--buffer-cap must be at least 1"),
             ConfigError::WatchWithRetrain => f.write_str(
                 "--model-watch cannot be combined with --retrain-rows: \
                  the retraining lifecycle owns the model file",
@@ -559,6 +574,18 @@ mod tests {
             }),
             ConfigError::WatchWithRetrain
         );
+        let retrain = |edit: fn(&mut LifecycleConfig)| {
+            refused(|c| {
+                let mut lc = LifecycleConfig::new(11, VotingRule::Majority);
+                edit(&mut lc);
+                c.retrain = Some(lc);
+            })
+        };
+        assert_eq!(
+            retrain(|lc| lc.retrain_rows = 0),
+            ConfigError::NoRetrainRows
+        );
+        assert_eq!(retrain(|lc| lc.buffer_cap = 0), ConfigError::NoBufferCap);
     }
 
     #[test]
@@ -569,6 +596,8 @@ mod tests {
             (ConfigError::NoFeeds, "--feed"),
             (ConfigError::NoQueue, "--queue"),
             (ConfigError::CeilingOutOfRange(2.0), "--max-quarantine"),
+            (ConfigError::NoRetrainRows, "--retrain-rows"),
+            (ConfigError::NoBufferCap, "--buffer-cap"),
             (ConfigError::WatchWithRetrain, "--model-watch"),
         ];
         for (error, flag) in cases {

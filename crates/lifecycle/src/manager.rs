@@ -51,8 +51,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Knobs for the online lifecycle. Every cadence is counted in
-/// committed rows, never seconds — the only exception is the optional
-/// wall-clock training budget, which is daemon-only (see field docs).
+/// committed rows, never seconds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LifecycleConfig {
     /// Committed rows between training attempts (backoff multiplies it).

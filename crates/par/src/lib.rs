@@ -16,16 +16,29 @@
 //!
 //! # Thread-count resolution
 //!
-//! [`ThreadPool::global`] picks the worker count from, in order:
+//! Library code never takes a thread count: it asks for
+//! [`ThreadPool::global`], which picks the pool from, in order:
 //!
-//! 1. the process-wide override set by [`configure_threads`] (what a
+//! 1. the pool installed on the calling thread by [`ThreadPool::install`]
+//!    (every spawned worker runs under an installed serial pool),
+//! 2. the process-wide override set by [`configure_threads`] (what a
 //!    `--threads` CLI flag plumbs through),
-//! 2. the `HDDPRED_THREADS` environment variable (ignored unless it
+//! 3. the `HDDPRED_THREADS` environment variable (ignored unless it
 //!    parses to an integer ≥ 1),
-//! 3. [`hardware_threads`].
+//! 4. [`hardware_threads`].
 //!
 //! Every count is clamped to 64: fork-join gains flatten well before
 //! that, and a runaway environment value must not fork-bomb.
+//!
+//! # No nesting
+//!
+//! Each spawned worker runs its chunk with [`ThreadPool::serial`]
+//! installed, so a fan-out nested inside a worker is one chunk run inline
+//! on that worker: an outer fan-out of `n` threads never has more than
+//! `n` workers live, however deep the calls nest. A call that yields one
+//! chunk spawns nothing and runs on the caller with the caller's pool, so
+//! work wrapped in a one-item fan-out (for panic containment) still
+//! parallelises inside.
 //!
 //! # Example
 //!
@@ -49,6 +62,7 @@
 )]
 
 use std::any::Any;
+use std::cell::Cell;
 use std::ops::Range;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -217,13 +231,19 @@ fn resolve_threads() -> usize {
     }
 }
 
+thread_local! {
+    /// The pool [`ThreadPool::install`] set on this thread, if any.
+    static INSTALLED: Cell<Option<ThreadPool>> = const { Cell::new(None) };
+}
+
 /// Run `run` over `chunks`, in parallel when there is more than one, and
 /// concatenate the per-chunk results in submission order.
 ///
 /// A panic in a chunk is caught, every worker is joined before the
 /// merge, and the earliest failing chunk's error wins, so the same input
 /// always yields the same result or the same error. On failure no
-/// partial results are returned.
+/// partial results are returned. Spawned workers run under the serial
+/// pool; a single chunk runs inline under the caller's.
 fn fan_out<C, R, F>(chunks: impl ExactSizeIterator<Item = C>, run: F) -> Result<Vec<R>, ParError>
 where
     C: Send,
@@ -241,7 +261,10 @@ where
     let attempt = &attempt;
     let results: Vec<Result<Vec<R>, ParError>> = std::thread::scope(|scope| {
         let handles: Vec<_> = chunks
-            .map(|c| (c.0, scope.spawn(move || attempt(c))))
+            .map(|(chunk, part)| {
+                let worker = move || ThreadPool::serial().install(|| attempt((chunk, part)));
+                (chunk, scope.spawn(worker))
+            })
             .collect();
         handles
             .into_iter()
@@ -304,25 +327,41 @@ impl ThreadPool {
         ThreadPool { n_threads: 1 }
     }
 
-    /// The pool resolved from the process-wide configuration
-    /// (override / environment / hardware).
+    /// The pool this thread should fan out on: the one
+    /// [`ThreadPool::install`]ed here if any (serial inside a worker),
+    /// else the process-wide configuration (override / environment /
+    /// hardware).
     #[must_use]
     pub fn global() -> Self {
-        ThreadPool {
+        INSTALLED.with(Cell::get).unwrap_or_else(|| ThreadPool {
             n_threads: resolve_threads(),
+        })
+    }
+
+    /// Run `f` with `self` as this thread's [`ThreadPool::global`], then
+    /// restore the previous pool, also when `f` unwinds.
+    ///
+    /// ```
+    /// use hdd_par::ThreadPool;
+    ///
+    /// let n = ThreadPool::new(3).install(|| ThreadPool::global().n_threads());
+    /// assert_eq!(n, 3);
+    /// ```
+    pub fn install<R>(self, f: impl FnOnce() -> R) -> R {
+        struct Restore(Option<ThreadPool>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                INSTALLED.with(|cell| cell.set(self.0));
+            }
         }
+        let _restore = Restore(INSTALLED.with(|cell| cell.replace(Some(self))));
+        f()
     }
 
     /// Worker count.
     #[must_use]
     pub fn n_threads(&self) -> usize {
         self.n_threads
-    }
-
-    /// Whether this pool actually forks (more than one worker).
-    #[must_use]
-    pub fn is_parallel(&self) -> bool {
-        self.n_threads > 1
     }
 
     /// Items per chunk for `n` items: an even split across workers.
@@ -542,6 +581,53 @@ mod tests {
     }
 
     #[test]
+    fn nested_fan_outs_run_inline_on_their_worker() {
+        let outer: Vec<u32> = (0..8).collect();
+        let inner: Vec<u32> = (0..16).collect();
+        let here = std::thread::current().id();
+        let seen = ThreadPool::new(4).parallel_map(&outer, |_| {
+            let worker = std::thread::current().id();
+            let ids = ThreadPool::global().parallel_map(&inner, |_| std::thread::current().id());
+            (worker, ids)
+        });
+        for (worker, ids) in seen {
+            assert_ne!(worker, here, "the outer call forks");
+            assert!(
+                ids.iter().all(|&id| id == worker),
+                "inner items ran off the worker"
+            );
+        }
+    }
+
+    #[test]
+    fn install_restores_the_previous_pool() {
+        ThreadPool::new(3).install(|| {
+            let inner = ThreadPool::new(5).install(|| ThreadPool::global().n_threads());
+            assert_eq!(inner, 5);
+            assert_eq!(ThreadPool::global().n_threads(), 3, "after return");
+            let caught = std::panic::catch_unwind(|| {
+                ThreadPool::new(7).install(|| panic!("inside install"));
+            });
+            assert!(caught.is_err());
+            assert_eq!(ThreadPool::global().n_threads(), 3, "after a panic");
+        });
+    }
+
+    #[test]
+    fn a_one_chunk_call_keeps_the_installed_pool() {
+        let here = std::thread::current().id();
+        let seen = ThreadPool::new(4).install(|| {
+            ThreadPool::global().parallel_map(&[()], |()| {
+                (
+                    std::thread::current().id(),
+                    ThreadPool::global().n_threads(),
+                )
+            })
+        });
+        assert_eq!(seen, vec![(here, 4)]);
+    }
+
+    #[test]
     #[should_panic(expected = "at least 1")]
     fn zero_threads_panics() {
         let _ = ThreadPool::new(0);
@@ -550,8 +636,7 @@ mod tests {
     #[test]
     fn pool_constructors() {
         assert_eq!(ThreadPool::serial().n_threads(), 1);
-        assert!(!ThreadPool::serial().is_parallel());
-        assert!(ThreadPool::new(2).is_parallel());
+        assert_eq!(ThreadPool::new(2).n_threads(), 2);
         assert!(ThreadPool::global().n_threads() >= 1);
         assert_eq!(ThreadPool::new(1_000_000).n_threads(), MAX_THREADS);
         assert!((1..=MAX_THREADS).contains(&hardware_threads()));

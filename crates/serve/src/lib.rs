@@ -11,12 +11,13 @@
 //!   [`ServeTopology`]; the merge stage orders alarms by the seq of the
 //!   line that raised them, so the sink bytes are identical at any
 //!   shard count and any feed interleaving.
-//! - **`kill -9`**: each shard snapshots its state (feed cursors,
-//!   voting windows, counters, breaker, unmerged alarms) into a
-//!   per-shard [`Checkpoint`] file, with the merge state in
-//!   `topology.ckpt`, all through the CRC-checked container with atomic
-//!   rename; a restart replays the feed suffixes and produces a
-//!   byte-identical alarm sink.
+//! - **`kill -9`**: each shard keeps its state (feed cursors, voting
+//!   windows, counters, breaker, unmerged alarms) as a [`SnapshotLog`]:
+//!   a snapshot plus a record log of CRC-framed appends since it, with
+//!   the merge state in `topology.ckpt`, every snapshot written through
+//!   the CRC-checked container with atomic rename; a restart replays the
+//!   log and the feed suffixes and produces a byte-identical alarm
+//!   sink.
 //! - **Bad model pushes**: a replacement model is validated once,
 //!   through the checksummed model loader, and
 //!   [`ServeTopology::swap_model`] hands the same `Arc`'d model to every

@@ -15,10 +15,11 @@
 //! Checkpoints live in a **directory**: `topology.ckpt` holds the merge
 //! state (plus the shard/feed counts it was written for); shard `k`'s
 //! engine state is the snapshot `shard-<k>.ckpt` plus the frames of its
-//! record log `shard-<k>.log`. The save order — sink first, then
-//! `topology.ckpt`, then dirty shards — is what makes a crash between
-//! any two writes recoverable: a shard's files can only ever be *behind*
-//! the merge state, so replayed lines regenerate alarms that
+//! record log `shard-<k>.log`. The save order — sink first, then the
+//! lifecycle's save when the daemon retrains, then `topology.ckpt`, then
+//! dirty shards — is what makes a crash between any two writes
+//! recoverable: a shard's files can only ever be *behind* the merge
+//! state, so replayed lines regenerate alarms that
 //! [`MergeState::already_emitted`] then filters out.
 //!
 //! A dirty shard's save costs what it changed, not what it holds: its

@@ -654,22 +654,12 @@ fn serve_lifecycle_config(
     }
     let mut lc = LifecycleConfig::new(voters, rule);
     lc.retrain_rows = num_flag(flags, "retrain-rows", lc.retrain_rows, "an integer")?;
-    if lc.retrain_rows == 0 {
-        return Err(CliError::Usage(
-            "--retrain-rows must be at least 1".to_string(),
-        ));
-    }
     lc.shadow_rows = num_flag(flags, "shadow-rows", lc.shadow_rows, "an integer")?;
     lc.probation_rows = num_flag(flags, "probation-rows", lc.probation_rows, "an integer")?;
     lc.gate.min_fdr = num_flag(flags, "min-fdr", lc.gate.min_fdr, "a fraction")?;
     lc.gate.max_far = num_flag(flags, "max-far", lc.gate.max_far, "a fraction")?;
     lc.gate.min_lead_hours = num_flag(flags, "min-lead", lc.gate.min_lead_hours, "hours")?;
     lc.buffer_cap = num_flag(flags, "buffer-cap", lc.buffer_cap, "an integer")?;
-    if lc.buffer_cap == 0 {
-        return Err(CliError::Usage(
-            "--buffer-cap must be at least 1".to_string(),
-        ));
-    }
     lc.window_hours = num_flag(flags, "retrain-window", lc.window_hours, "hours")?;
     lc.history = num_flag(flags, "retrain-history", lc.history, "an integer")?;
     lc.max_alarm_rate_delta = num_flag(
