@@ -13,12 +13,13 @@
 //! artifact schema in seconds. Results land in `BENCH_serve.json` at
 //! the workspace root: one `serve_ingest` row with `tracked_drives`,
 //! `rows_ingested`, `rows_per_sec`, `p99_tick_ms` (per daemon step),
-//! `parse_us_per_row` (the row parser alone over the same feed lines)
-//! and `snapshot_encode_us_per_drive` / `snapshot_decode_us_per_drive`
-//! (each shard's end state encoded as its snapshot payload and restored
-//! into a fresh shard, once) columns, the last three timed outside the
-//! serve loop (CI fails if the file or the p99, parse or snapshot
-//! columns are missing).
+//! `parse_us_per_row` (the row parser alone over the same feed lines),
+//! `ingest_us_per_row` (`MultiFeedIngest::poll` alone over the same
+//! feeds: tail, decode and route) and `snapshot_encode_us_per_drive` /
+//! `snapshot_decode_us_per_drive` (each shard's end state encoded as its
+//! snapshot payload and restored into a fresh shard, once) columns, the
+//! last four timed outside the serve loop (CI fails if the file or the
+//! p99, parse, ingest or snapshot columns are missing).
 
 #![expect(
     clippy::disallowed_methods,
@@ -32,7 +33,7 @@ use hdd_cart::classifier::ClassificationTreeBuilder;
 use hdd_eval::{series_training_set, SavedModel, VotingRule};
 use hdd_lifecycle::{Daemon, DaemonConfig};
 use hdd_par::hardware_threads;
-use hdd_serve::{EngineConfig, EngineShard};
+use hdd_serve::{EngineConfig, EngineShard, MultiFeedIngest, ShardRouter};
 use hdd_smart::csv::parse_data_line;
 use hdd_smart::rng::DeterministicRng;
 use hdd_smart::{DatasetGenerator, FamilyProfile, NUM_ATTRIBUTES};
@@ -110,6 +111,25 @@ fn parse_us_per_row(paths: &[PathBuf]) -> f64 {
     elapsed.as_secs_f64() * 1e6 / rows as f64
 }
 
+/// Microseconds per row of `MultiFeedIngest::poll` alone over the feeds,
+/// polling as the daemon does with a queue's worth of budget; dropping
+/// what each poll routed is not timed.
+fn ingest_us_per_row(paths: &[PathBuf]) -> f64 {
+    let mut ingest = MultiFeedIngest::new(paths, ShardRouter::new(SHARDS));
+    let (mut rows, mut elapsed) = (0usize, Duration::ZERO);
+    loop {
+        let t = Instant::now();
+        let out = ingest.poll(QUEUE_CAP);
+        elapsed += t.elapsed();
+        assert!(out.errors.is_empty(), "feed reads must not fail");
+        if out.lines_read == 0 {
+            break;
+        }
+        rows += out.lines_read;
+    }
+    elapsed.as_secs_f64() * 1e6 / rows as f64
+}
+
 /// Microseconds per tracked drive to encode every shard's state as its
 /// snapshot payload, and to restore that payload into a fresh shard,
 /// each shard once.
@@ -155,6 +175,8 @@ fn main() {
     println!("feeds written in {:.1} s", t.elapsed().as_secs_f64());
     let parse_us = parse_us_per_row(&paths);
     println!("parse alone: {parse_us:.3} us/row");
+    let ingest_us = ingest_us_per_row(&paths);
+    println!("ingest alone: {ingest_us:.3} us/row");
 
     let mut config = DaemonConfig::new(paths, model_path, dir.join("alarms.csv"));
     config.shards = SHARDS;
@@ -222,6 +244,7 @@ fn main() {
             ("rows_per_sec", rate),
             ("p99_tick_ms", p99),
             ("parse_us_per_row", parse_us),
+            ("ingest_us_per_row", ingest_us),
             ("snapshot_encode_us_per_drive", encode_us),
             ("snapshot_decode_us_per_drive", decode_us),
         ],

@@ -63,6 +63,7 @@ use hdd_json::{
 };
 use hdd_par::{CancelToken, ParError};
 use hdd_smart::csv::{parse_data_line, ValueFault};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -279,6 +280,30 @@ pub struct EngineShard {
     events: Vec<RowEvent>,
     /// Records of what changed since the last save, once logging is on.
     log: Option<String>,
+    /// The feature vector of the row being scored, reused by every row;
+    /// an event keeps a copy of it.
+    scratch: Vec<f64>,
+}
+
+/// A line as the commit path reads it: borrowed from a routed line, or
+/// from a log record on replay.
+#[derive(Debug, Clone, Copy)]
+struct Line<'a> {
+    seq: u64,
+    text: &'a str,
+    end_offset: u64,
+    generation: u64,
+}
+
+impl<'a> From<&'a RoutedLine> for Line<'a> {
+    fn from(line: &'a RoutedLine) -> Self {
+        Line {
+            seq: line.seq,
+            text: &line.text,
+            end_offset: line.end_offset,
+            generation: line.generation,
+        }
+    }
 }
 
 /// Where a committed row's score comes from.
@@ -336,6 +361,7 @@ impl EngineShard {
             record_events: false,
             events: Vec::new(),
             log: None,
+            scratch: Vec::new(),
         })
     }
 
@@ -467,7 +493,7 @@ impl EngineShard {
     ) -> Result<BatchOutcome, ParError> {
         token.check()?;
         let mut outcome = BatchOutcome::default();
-        for line in lines {
+        for line in lines.iter().map(Line::from) {
             let committed = self.commit(line, Scoring::Model, &mut outcome);
             if let (Some(log), Commit::Row(score)) = (self.log.as_mut(), committed) {
                 log_line(log, line, score);
@@ -478,12 +504,7 @@ impl EngineShard {
 
     /// Commit one line: replay skip, cursor, counters, breaker, history,
     /// score, vote and alarm, in that order.
-    fn commit(
-        &mut self,
-        line: &RoutedLine,
-        scoring: Scoring,
-        outcome: &mut BatchOutcome,
-    ) -> Commit {
+    fn commit(&mut self, line: Line<'_>, scoring: Scoring, outcome: &mut BatchOutcome) -> Commit {
         let n = self.n_feeds as u64;
         let (feed, index) = ((line.seq % n) as usize, line.seq / n);
         #[expect(
@@ -504,52 +525,54 @@ impl EngineShard {
             return Commit::Row(None);
         }
         self.stats.rows_seen += 1;
-        let row = match parse_data_line(&line.text) {
+        let (breaker, stats) = (&mut self.breaker, &mut self.stats);
+        let row = match parse_data_line(line.text) {
             Ok((row, None)) => row,
             Ok((_, Some(fault))) => {
                 match fault {
-                    ValueFault::NonFinite => self.stats.non_finite_rows += 1,
-                    ValueFault::OutOfRange => self.stats.out_of_range_rows += 1,
+                    ValueFault::NonFinite => stats.non_finite_rows += 1,
+                    ValueFault::OutOfRange => stats.out_of_range_rows += 1,
                 }
-                self.record_breaker(true, outcome);
+                record_breaker(breaker, stats, true, outcome);
                 return Commit::Row(None);
             }
             Err(_) => {
-                self.stats.parse_failures += 1;
-                self.record_breaker(true, outcome);
+                stats.parse_failures += 1;
+                record_breaker(breaker, stats, true, outcome);
                 return Commit::Row(None);
             }
         };
-        if let Some(monitor) = self.drives.get(&row.drive.0) {
-            if monitor.class != row.class {
-                self.stats.conflicting_rows += 1;
-                self.record_breaker(true, outcome);
-                return Commit::Row(None);
+        let monitor = match self.drives.entry(row.drive.0) {
+            Entry::Occupied(known) => {
+                let monitor = known.into_mut();
+                if monitor.class != row.class {
+                    stats.conflicting_rows += 1;
+                    record_breaker(breaker, stats, true, outcome);
+                    return Commit::Row(None);
+                }
+                if monitor
+                    .history
+                    .last()
+                    .is_some_and(|s| row.sample.hour <= s.hour)
+                {
+                    stats.stale_rows += 1;
+                    // Stale rows parsed fine — ordering jitter is not
+                    // corruption, so the breaker sees a clean row.
+                    record_breaker(breaker, stats, false, outcome);
+                    return Commit::Row(None);
+                }
+                monitor
             }
-            if monitor
-                .history
-                .last()
-                .is_some_and(|s| row.sample.hour <= s.hour)
-            {
-                self.stats.stale_rows += 1;
-                // Stale rows parsed fine — ordering jitter is not
-                // corruption, so the breaker sees a clean row.
-                self.record_breaker(false, outcome);
-                return Commit::Row(None);
-            }
-        }
-        self.stats.rows_accepted += 1;
-        self.record_breaker(false, outcome);
-
-        let monitor = self
-            .drives
-            .entry(row.drive.0)
-            .or_insert_with(|| DriveMonitor {
+            Entry::Vacant(new) => new.insert(DriveMonitor {
                 class: row.class,
                 history: Vec::new(),
                 voting: VotingState::new(self.config.voters, self.config.rule),
                 alarmed: false,
-            });
+            }),
+        };
+        stats.rows_accepted += 1;
+        record_breaker(breaker, stats, false, outcome);
+
         monitor.history.push(row.sample);
         prune_history(&mut monitor.history, self.features.max_lookback_hours());
         let score = match scoring {
@@ -560,12 +583,16 @@ impl EngineShard {
             Scoring::Logged(Some(score)) if !self.record_events => score,
             _ => {
                 let newest = monitor.history.len() - 1;
-                let Some(features) = self.features.extract_samples(&monitor.history, newest) else {
+                let features = &mut self.scratch;
+                if !self
+                    .features
+                    .extract_into(&monitor.history, newest, features)
+                {
                     return Commit::Row(None);
-                };
+                }
                 let score = match scoring {
                     Scoring::Logged(Some(score)) => score,
-                    _ => self.model.score(&features),
+                    _ => self.model.score(features),
                 };
                 if self.record_events {
                     self.events.push(RowEvent {
@@ -573,7 +600,8 @@ impl EngineShard {
                         drive: row.drive.0,
                         hour: row.sample.hour.0,
                         fail_hour: row.class.fail_hour().map(|h| h.0),
-                        features,
+                        // A clone is sized exactly: the event keeps it.
+                        features: features.clone(),
                         incumbent_score: score,
                     });
                 }
@@ -581,11 +609,11 @@ impl EngineShard {
             }
         };
         if monitor.voting.push(score) && !monitor.alarmed {
-            if self.breaker.suppressing() {
-                self.stats.alarms_suppressed += 1;
+            if breaker.suppressing() {
+                stats.alarms_suppressed += 1;
             } else {
                 monitor.alarmed = true;
-                self.stats.alarms_emitted += 1;
+                stats.alarms_emitted += 1;
                 self.unmerged.push(SeqAlarm {
                     seq: line.seq,
                     alarm: Alarm {
@@ -596,13 +624,6 @@ impl EngineShard {
             }
         }
         Commit::Row(Some(score))
-    }
-
-    fn record_breaker(&mut self, quarantined: bool, outcome: &mut BatchOutcome) {
-        if let Some(state) = self.breaker.record(quarantined) {
-            self.stats.breaker_transitions += 1;
-            outcome.transitions.push(state);
-        }
     }
 
     /// Start keeping the record log (a no-op when it is on). Off, the
@@ -669,13 +690,13 @@ impl EngineShard {
                 records = rest
                     .strip_prefix('\n')
                     .ok_or_else(|| bad("long line text"))?;
-                let line = RoutedLine {
+                let line = Line {
                     seq,
-                    text: text.to_string(),
+                    text,
                     end_offset,
                     generation,
                 };
-                match self.commit(&line, Scoring::Logged(score), &mut outcome) {
+                match self.commit(line, Scoring::Logged(score), &mut outcome) {
                     Commit::Replayed => {}
                     Commit::Row(got) if got.is_some() == score.is_some() => {}
                     _ => return Err(bad(&format!("seq {seq} does not replay as logged"))),
@@ -862,8 +883,21 @@ fn read_drives(cursor: &mut Cursor<'_>) -> Decoded<BTreeMap<u32, DriveMonitor>> 
     Ok(drives)
 }
 
+/// Record a line's verdict in the breaker, counting a transition.
+fn record_breaker(
+    breaker: &mut CircuitBreaker,
+    stats: &mut ShardStats,
+    quarantined: bool,
+    outcome: &mut BatchOutcome,
+) {
+    if let Some(state) = breaker.record(quarantined) {
+        stats.breaker_transitions += 1;
+        outcome.transitions.push(state);
+    }
+}
+
 /// Log a committed line: `L <seq> <end offset> <generation> <score> <n> <text>`.
-fn log_line(log: &mut String, line: &RoutedLine, score: Option<f64>) {
+fn log_line(log: &mut String, line: Line<'_>, score: Option<f64>) {
     log.push('L');
     for n in [line.seq, line.end_offset, line.generation] {
         log_number(log, n);
@@ -875,7 +909,7 @@ fn log_line(log: &mut String, line: &RoutedLine, score: Option<f64>) {
     }
     log_number(log, line.text.len() as u64);
     log.push(' ');
-    log.push_str(&line.text);
+    log.push_str(line.text);
     log.push('\n');
 }
 
@@ -993,7 +1027,7 @@ pub(crate) mod tests {
                 offset += text.len() as u64 + 1;
                 RoutedLine {
                     seq: i as u64,
-                    text: text.clone(),
+                    text: text.as_str().into(),
                     end_offset: offset,
                     generation: 0,
                 }

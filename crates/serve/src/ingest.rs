@@ -25,7 +25,7 @@
 //! shrinkage) in [`PollOutcome::rotations`].
 
 use crate::router::ShardRouter;
-use crate::tailer::{FeedTailer, TailEvent};
+use crate::tailer::{FeedTailer, LineText, TailEvent};
 use hdd_json::{usize_field, write_number, Cursor, Decoded};
 use hdd_smart::csv::is_header_line;
 use std::path::PathBuf;
@@ -35,8 +35,9 @@ use std::path::PathBuf;
 pub struct RoutedLine {
     /// Global order key: `line_index * n_feeds + feed_index`.
     pub seq: u64,
-    /// The line's text (no terminator).
-    pub text: String,
+    /// The line's text (no terminator): a view of the chunk its feed
+    /// poll decoded, shared with the other lines of that poll.
+    pub text: LineText,
     /// Feed offset just past this line.
     pub end_offset: u64,
     /// Rotation generation the offset belongs to.
@@ -332,7 +333,7 @@ mod tests {
         assert_eq!(out.lines_read, 5);
         let seqs: Vec<(u64, String)> = out.routed[0]
             .iter()
-            .map(|l| (l.seq, l.text.clone()))
+            .map(|l| (l.seq, l.text.to_string()))
             .collect();
         // Feed 0 line c → seq 2c; feed 1 line c → seq 2c+1.
         assert_eq!(
@@ -387,7 +388,7 @@ mod tests {
         let out = resumed.poll(64);
         assert_eq!(out.lines_read, 1);
         assert_eq!(out.routed[0][0].seq, 2);
-        assert_eq!(out.routed[0][0].text, "3,x");
+        assert_eq!(out.routed[0][0].text.as_str(), "3,x");
     }
 
     #[test]
@@ -412,7 +413,7 @@ mod tests {
             .routed
             .iter()
             .flatten()
-            .map(|l| (l.seq, l.text.clone()))
+            .map(|l| (l.seq, l.text.to_string()))
             .collect();
         lines.sort_unstable();
         lines

@@ -70,7 +70,7 @@ pub use queue::BoundedQueue;
 pub use retry::Backoff;
 pub use router::ShardRouter;
 pub use stats::ShardStats;
-pub use tailer::{FeedTailer, TailEvent, MAX_LINE_BYTES};
+pub use tailer::{FeedTailer, LineText, TailEvent, MAX_LINE_BYTES};
 pub use topology::{
     shard_log_path, shard_path, topology_path, ServeTopology, TickOutcome, SUB_BATCH_LINES,
 };

@@ -12,6 +12,15 @@
 //! [`MAX_LINE_BYTES`] bytes with no newline are cut off as one line, at
 //! any budget.
 //!
+//! Each line is decoded on its own (lossily: undecodable bytes become
+//! U+FFFD) and appended to the poll's text; at the end of the poll that
+//! text becomes one shared chunk, and every line is a [`LineText`] view
+//! of its range. So a line costs one copy out of the read buffer and no
+//! allocation of its own; the poll copies its text into the chunk in
+//! one piece. Decoding line by line matters: a cut can split a
+//! multibyte character, which a decoder of the whole buffer would keep
+//! whole.
+//!
 //! Rotation is detected by shrinkage: when the file is suddenly shorter
 //! than the saved offset, a rotation event is emitted, the generation
 //! counter bumps and reading restarts at byte zero. (A rotation that
@@ -20,9 +29,12 @@
 //! header line as a rotation marker, which covers the common
 //! copy-truncate pattern that rewrites the header.)
 
+use std::fmt;
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom};
+use std::ops::Deref;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// The longest line the tailer waits for: `MAX_LINE_BYTES` bytes with no
 /// newline among them are cut off and emitted as one line (which will
@@ -39,6 +51,63 @@ const READ_CHUNK_BYTES: usize = 64 * 1024;
 // A cut line must fit in the buffer next to a fresh read.
 const _: () = assert!(MAX_LINE_BYTES as usize <= READ_CHUNK_BYTES);
 
+/// One line's text: a range of the chunk that holds the text of every
+/// line one poll of one feed took. Views share their chunk, which is
+/// freed with the last of them; it derefs to `str`.
+#[derive(Clone)]
+pub struct LineText {
+    chunk: Arc<str>,
+    start: usize,
+    end: usize,
+}
+
+impl LineText {
+    /// The text as a `str`.
+    #[must_use]
+    pub fn as_str(&self) -> &str {
+        self.chunk.get(self.start..self.end).unwrap_or_default()
+    }
+
+    /// The chunk this view is a range of.
+    #[cfg(test)]
+    pub(crate) fn chunk(&self) -> &Arc<str> {
+        &self.chunk
+    }
+}
+
+impl Deref for LineText {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+/// A view of its own chunk holding `text`.
+impl From<&str> for LineText {
+    fn from(text: &str) -> Self {
+        LineText {
+            chunk: Arc::from(text),
+            start: 0,
+            end: text.len(),
+        }
+    }
+}
+
+impl PartialEq for LineText {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for LineText {}
+
+impl fmt::Debug for LineText {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
 /// What a poll observed, in feed order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TailEvent {
@@ -46,7 +115,7 @@ pub enum TailEvent {
     /// byte `end_offset` of the current feed generation.
     Line {
         /// The line's text without its terminator.
-        text: String,
+        text: LineText,
         /// Feed offset just past this line's newline.
         end_offset: u64,
     },
@@ -65,6 +134,12 @@ pub struct FeedTailer {
     /// later one. It holds no state between polls: each poll re-reads
     /// from `offset`, so a partial trailing line stays in the file.
     buf: Vec<u8>,
+    /// Per line taken this poll: where its text ends in the poll's
+    /// decoded text, and the feed offset just past it.
+    ends: Vec<(usize, u64)>,
+    /// How long the last poll's decoded text was: the capacity the next
+    /// one starts with, so it rarely grows.
+    text_len: usize,
 }
 
 impl FeedTailer {
@@ -82,6 +157,8 @@ impl FeedTailer {
             offset,
             generation,
             buf: Vec::new(),
+            ends: Vec::new(),
+            text_len: 0,
         }
     }
 
@@ -130,34 +207,50 @@ impl FeedTailer {
         max_lines: usize,
     ) -> io::Result<Vec<TailEvent>> {
         let mut events = Vec::new();
-        match self.take_lines(feed, len, max_lines, &mut events) {
-            Err(e) if events.is_empty() => Err(e),
-            _ => Ok(events),
-        }
-    }
-
-    /// Append to `events` the rotation (if any) and the lines of one
-    /// poll, moving the offset past each line as it is taken.
-    fn take_lines<R: Read + Seek>(
-        &mut self,
-        feed: &mut R,
-        len: u64,
-        max_lines: usize,
-        events: &mut Vec<TailEvent>,
-    ) -> io::Result<()> {
         if len < self.offset {
             self.offset = 0;
             self.generation += 1;
             events.push(TailEvent::Rotation);
         }
+        // A fresh buffer, not one kept between polls: keeping it measured
+        // a higher peak RSS (OPTIMIZATION_LOG entry 17).
+        let mut text = String::with_capacity(self.text_len);
+        self.ends.clear();
+        match self.take_lines(feed, max_lines, &mut text) {
+            Err(e) if events.is_empty() && self.ends.is_empty() => return Err(e),
+            _ if self.ends.is_empty() => return Ok(events),
+            _ => {}
+        }
+        self.text_len = text.len();
+        let chunk: Arc<str> = Arc::from(text);
+        let mut start = 0;
+        events.extend(self.ends.iter().map(|&(end, end_offset)| {
+            let text = LineText {
+                chunk: Arc::clone(&chunk),
+                start: std::mem::replace(&mut start, end),
+                end,
+            };
+            TailEvent::Line { text, end_offset }
+        }));
+        Ok(events)
+    }
+
+    /// Take up to `max_lines` lines from the offset on: append each
+    /// one's text to `text` and its ends to `ends`, moving the offset
+    /// past each line as it is taken.
+    fn take_lines<R: Read + Seek>(
+        &mut self,
+        feed: &mut R,
+        max_lines: usize,
+        text: &mut String,
+    ) -> io::Result<()> {
         feed.seek(SeekFrom::Start(self.offset))?;
         self.buf.resize(READ_CHUNK_BYTES, 0);
 
         // buf[lo..hi] is read but not yet consumed.
         let (mut lo, mut hi) = (0usize, 0usize);
-        let mut lines = 0;
         let mut eof = false;
-        while lines < max_lines {
+        while self.ends.len() < max_lines {
             let pending = self.buf.get(lo..hi).unwrap_or_default();
             let Some((line_len, consumed)) = split_line(pending) else {
                 if eof {
@@ -181,14 +274,12 @@ impl FeedTailer {
                 line
             };
             self.offset += consumed as u64;
-            events.push(TailEvent::Line {
-                // Lossy is fine: undecodable bytes become U+FFFD
-                // deterministically and the row quarantines as a parse
-                // failure, exactly like the batch reader.
-                text: String::from_utf8_lossy(line).into_owned(),
-                end_offset: self.offset,
-            });
-            lines += 1;
+            // Lossy is fine: undecodable bytes become U+FFFD
+            // deterministically and the row quarantines as a parse
+            // failure, exactly like the batch reader. A valid line is
+            // borrowed, not copied, until it is appended to `text`.
+            text.push_str(&String::from_utf8_lossy(line));
+            self.ends.push((text.len(), self.offset));
             lo += consumed;
         }
         Ok(())
@@ -423,6 +514,44 @@ mod tests {
         let got = lines(&events);
         assert_eq!(got.len(), 658);
         assert_eq!(got[655..], [split.as_str(), "q,2", "\u{fffd}\u{fffd},3"]);
+    }
+
+    #[test]
+    fn each_line_decodes_on_its_own_across_a_cut() {
+        let path = scratch("lossy-cut.csv");
+        let max = MAX_LINE_BYTES as usize;
+        // The cut at MAX_LINE_BYTES falls inside the two-byte 'é', and a
+        // line ends in an invalid byte just before its CRLF.
+        let mut cut = "x".repeat(max - 1).into_bytes();
+        cut.extend_from_slice("é,tail".as_bytes());
+        let raw: Vec<&[u8]> = vec![
+            b"ok,1",
+            &cut[..max],
+            &cut[max..],
+            b"bad\xff",
+            "é,2".as_bytes(),
+            b"\xfe",
+        ];
+        let body = [
+            &b"ok,1\n"[..],
+            &cut,
+            b"\nbad\xff\r\n",
+            "é,2\r\n".as_bytes(),
+            b"\xfe\n",
+        ]
+        .concat();
+        fs::write(&path, &body).unwrap();
+        let expected: Vec<String> = raw
+            .iter()
+            .map(|line| String::from_utf8_lossy(line).into_owned())
+            .collect();
+        assert_eq!(expected[1], format!("{}\u{fffd}", "x".repeat(max - 1)));
+        assert_eq!(expected[2], "\u{fffd},tail");
+        assert_eq!(expected[3], "bad\u{fffd}");
+        for max_lines in [1, 2, 1024] {
+            let events = drain(&mut FeedTailer::new(&path), max_lines);
+            assert_eq!(lines(&events), expected, "max_lines {max_lines}");
+        }
     }
 
     /// A feed whose reads stop short of byte `fail_at` and fail there.

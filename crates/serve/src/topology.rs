@@ -351,20 +351,21 @@ impl ServeTopology {
             let first_batch = CancelToken::new();
             while !slot.queue.is_empty() {
                 let take = SUB_BATCH_LINES.min(slot.queue.len());
-                // A copy, not a borrow: borrowing measured a higher backfill
-                // peak RSS (OPTIMIZATION_LOG entry 11).
+                // The engine reads the queued lines in place. A line leaves
+                // the queue, dropping its view of the tailer's chunk, once
+                // its sub-batch has committed.
                 #[expect(
                     clippy::indexing_slicing,
                     reason = "take is min(SUB_BATCH_LINES, queue.len()), never past the contiguous slice"
                 )]
-                let batch = slot.queue.make_contiguous()[..take].to_vec();
+                let batch = &slot.queue.make_contiguous()[..take];
                 let tok = if res.processed == 0 {
                     &first_batch
                 } else {
                     token
                 };
                 // An error is the token tripping: the rest stays queued.
-                let Ok(outcome) = slot.engine.process(tok, &batch) else {
+                let Ok(outcome) = slot.engine.process(tok, batch) else {
                     break;
                 };
                 slot.queue.discard(take);
@@ -1374,6 +1375,123 @@ mod tests {
             sink, reference,
             "stale retransmissions must not change alarms"
         );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_polls_lines_share_one_chunk_that_dies_with_the_last_committed_line() {
+        let features = FeatureSet::critical13();
+        let series = fleet();
+        let model = Arc::new(model(&series, &features));
+        let dir = scratch_dir("chunk-life");
+        let paths = write_feeds(&dir, &series);
+        // Without headers, each feed's share of a poll is one tailer poll.
+        for path in &paths {
+            let text = fs::read_to_string(path).unwrap();
+            fs::write(path, text.split_once('\n').unwrap().1).unwrap();
+        }
+        let mut topo = topology(&model, &features, 2);
+        let mut ingest = MultiFeedIngest::new(&paths, topo.router());
+        let pool = ThreadPool::global();
+
+        // One poll of 2000 lines takes 1000 from each feed, one chunk each.
+        let out = ingest.poll(2000);
+        assert_eq!(out.lines_read, 2000);
+        let mut chunks: [Option<Arc<str>>; 2] = [None, None];
+        for line in out.routed.iter().flatten() {
+            let chunk = chunks[(line.seq % 2) as usize]
+                .get_or_insert_with(|| Arc::clone(line.text.chunk()));
+            assert!(Arc::ptr_eq(chunk, line.text.chunk()));
+        }
+        let [Some(a), Some(b)] = chunks else {
+            panic!("both feeds routed lines");
+        };
+        assert!(!Arc::ptr_eq(&a, &b), "one chunk per feed");
+        let weak = [Arc::downgrade(&a), Arc::downgrade(&b)];
+        drop((a, b));
+        let first: usize = out
+            .routed
+            .iter()
+            .map(|r| r.len().min(SUB_BATCH_LINES))
+            .sum();
+        topo.enqueue(out.routed);
+
+        // An expired deadline commits one sub-batch per shard and leaves
+        // the rest queued: the queued lines keep both chunks alive.
+        let expired = CancelToken::new();
+        expired.cancel();
+        topo.tick(&pool, &expired, &ingest.cursors(), ingest.watermark())
+            .unwrap();
+        assert!(topo.has_queued());
+        assert_eq!(topo.queued(), 2000 - first);
+        assert!(weak.iter().all(|w| w.upgrade().is_some()));
+
+        // Once the last queued line has committed, no view is left.
+        topo.tick(
+            &pool,
+            &CancelToken::new(),
+            &ingest.cursors(),
+            ingest.watermark(),
+        )
+        .unwrap();
+        assert!(!topo.has_queued());
+        assert!(weak.iter().all(|w| w.upgrade().is_none()));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn lines_cut_inside_a_character_quarantine_as_their_own_bytes_decode() {
+        let features = FeatureSet::critical13();
+        let series = fleet();
+        let model = Arc::new(model(&series, &features));
+        let dir = scratch_dir("lossy-engine");
+        let max = crate::tailer::MAX_LINE_BYTES as usize;
+        // The cut falls inside 'é'; one line has an invalid byte before
+        // its CRLF, another one inside a field.
+        let mut cut = "x".repeat(max - 1).into_bytes();
+        cut.extend_from_slice("é,tail".as_bytes());
+        let good = |hour| data_row(7, hour).into_bytes();
+        let mut raw: Vec<Vec<u8>> = (0..5).map(good).collect();
+        raw.extend([
+            cut[..max].to_vec(),
+            cut[max..].to_vec(),
+            b"bad\xff".to_vec(),
+        ]);
+        raw.push(good(5));
+        let mut bad_field = good(6);
+        bad_field[5] = 0xff;
+        raw.push(bad_field);
+        raw.push(good(7));
+
+        let mut body = Vec::new();
+        hdd_smart::csv::write_header(&mut body).unwrap();
+        for (i, line) in raw.iter().enumerate() {
+            body.extend_from_slice(line);
+            match i {
+                5 => {} // The cut ends this line, not a newline.
+                7 => body.extend_from_slice(b"\r\n"),
+                _ => body.push(b'\n'),
+            }
+        }
+        let path = dir.join("feed.csv");
+        fs::write(&path, &body).unwrap();
+
+        let mut topo = ServeTopology::new(&model, &features, config(), 1, 1, 4096).unwrap();
+        let mut ingest = MultiFeedIngest::new(std::slice::from_ref(&path), topo.router());
+        drive_to_idle(&mut topo, &mut ingest);
+
+        // The oracle decodes each line's own bytes.
+        let decoded: Vec<String> = raw
+            .iter()
+            .map(|line| String::from_utf8_lossy(line).into_owned())
+            .collect();
+        let mut oracle = EngineShard::new(Arc::clone(&model), features, config(), 1).unwrap();
+        oracle
+            .process(&CancelToken::new(), &crate::engine::tests::routed(&decoded))
+            .unwrap();
+        assert_eq!(topo.stats(), oracle.stats());
+        assert_eq!(topo.stats().parse_failures, 4);
+        assert_eq!(topo.stats().rows_accepted, 7);
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -208,20 +208,25 @@ impl FeatureSet {
     /// if any change rate lacks history there.
     #[must_use]
     pub fn extract(&self, series: &SmartSeries, idx: usize) -> Option<Vec<f64>> {
-        self.extract_samples(series.samples(), idx)
+        let mut out = Vec::with_capacity(self.features.len());
+        self.extract_into(series.samples(), idx, &mut out)
+            .then_some(out)
     }
 
     /// [`FeatureSet::extract`] over a drive's chronological history held
-    /// as a bare slice, as the serve engine keeps it.
-    #[must_use]
-    pub fn extract_samples(&self, samples: &[SmartSample], idx: usize) -> Option<Vec<f64>> {
-        // Sized exactly: a collected `Option<Vec<_>>` would round the
-        // capacity up, and the serve engine keeps these vectors.
-        let mut out = Vec::with_capacity(self.features.len());
+    /// as a bare slice, as the serve engine keeps it, into `out`. `out`
+    /// is cleared first, so a caller that reuses one vector extracts
+    /// every row without allocating. Returns `false` (leaving `out`
+    /// partly filled) if any change rate lacks history.
+    pub fn extract_into(&self, samples: &[SmartSample], idx: usize, out: &mut Vec<f64>) -> bool {
+        out.clear();
         for f in &self.features {
-            out.push(f.evaluate(samples, idx)?);
+            let Some(value) = f.evaluate(samples, idx) else {
+                return false;
+            };
+            out.push(value);
         }
-        Some(out)
+        true
     }
 
     /// Human-readable feature names, in input-vector order.

@@ -762,7 +762,7 @@ fn routed(lines: &[String], n_feeds: usize) -> Vec<RoutedLine> {
             *offset += text.len() as u64 + 1;
             RoutedLine {
                 seq: i as u64,
-                text: text.clone(),
+                text: text.as_str().into(),
                 end_offset: *offset,
                 generation: 0,
             }
